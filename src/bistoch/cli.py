@@ -69,13 +69,29 @@ def _load_json(path):
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
+def _parse(path, from_json):
+    """Build a library object from a JSON file.
+
+    A file that does not have the documented structure is a usage error
+    (exit 1); a well-formed file holding an invalid object raises the
+    library's own error (exit 2).
+    """
+    obj = _load_json(path)
+    try:
+        return from_json(obj)
+    except BistochError:
+        raise
+    except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
+        raise UsageError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
+
+
 def _load_matrix(path, mode=None):
-    M = core.matrix_from_json(_load_json(path))
+    M = _parse(path, core.matrix_from_json)
     return _convert(M, mode)
 
 
 def _load_vector(path, mode=None):
-    p = core.vector_from_json(_load_json(path))
+    p = _parse(path, core.vector_from_json)
     if mode == FLOAT and p.mode == EXACT:
         return p.to_float()
     if mode == EXACT and p.mode == FLOAT:
@@ -192,7 +208,7 @@ def cmd_iterate(args):
 
 def cmd_coarse_grain(args):
     S = _load_matrix(args.matrix, args.mode)
-    partition = Partition.from_json(_load_json(args.partition))
+    partition = _parse(args.partition, Partition.from_json)
     if args.right_inverse:
         Y = RightInverse(partition=partition, matrix=_load_matrix(args.right_inverse, S.mode))
         inputs = [args.matrix, args.partition, args.right_inverse]

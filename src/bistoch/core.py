@@ -23,6 +23,7 @@ from .errors import (
     DimensionMismatch,
     ModeMismatch,
     NegativeEntry,
+    NonFiniteEntry,
     NotSquare,
     NotStochastic,
 )
@@ -52,7 +53,7 @@ def _as_array(data, mode):
     if mode == EXACT:
         arr = np.empty(np.shape(data), dtype=object)
         flat_in = np.asarray(data, dtype=object).reshape(-1)
-        arr.reshape(-1)[:] = [_exact_entry(v) for v in flat_in]
+        arr.reshape(-1)[:] = [v if isinstance(v, Fraction) else _exact_entry(v) for v in flat_in]
         return arr
     return np.array(data, dtype=float)
 
@@ -64,11 +65,18 @@ def _infer_mode(data):
     return EXACT
 
 
-def _check_nonnegative(arr, mode, tol):
-    threshold = 0 if mode == EXACT else -tol
-    for idx, v in np.ndenumerate(arr):
-        if v < threshold:
-            raise NegativeEntry(idx, v)
+def _raise_first(error, arr, mask):
+    """Raise ``error(index, value)`` for the first masked entry in row-major order."""
+    bad = np.argwhere(mask)
+    if len(bad):
+        idx = tuple(int(i) for i in bad[0])
+        raise error(idx, arr[idx])
+
+
+def _check_entries(arr, mode, tol):
+    if mode == FLOAT:
+        _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
+    _raise_first(NegativeEntry, arr, arr < (0 if mode == EXACT else -tol))
 
 
 class ProbVec:
@@ -82,13 +90,13 @@ class ProbVec:
         arr = _as_array(entries, mode)
         if arr.ndim != 1:
             raise DimensionMismatch("probability vector must be one-dimensional")
-        _check_nonnegative(arr, mode, tol)
+        _check_entries(arr, mode, tol)
         total = arr.sum()
         if mode == EXACT:
             if total != 1:
-                raise ValueError(f"entries sum to {total}, expected 1")
+                raise NotStochastic(f"entries sum to {total}, expected 1")
         elif abs(total - 1.0) > tol:
-            raise ValueError(f"entries sum to {total}, expected 1")
+            raise NotStochastic(f"entries sum to {total}, expected 1")
         self.mode = mode
         self.a = arr
 
@@ -143,12 +151,11 @@ class ProbVec:
 
 
 class StochMatrix:
-    """Rectangular non-negative matrix with stochasticity bookkeeping.
+    """Rectangular non-negative matrix.
 
-    The constructor only enforces non-negativity; whether the matrix is
-    left-/right-/bi-stochastic is reported by :func:`validate` and cached in
-    the ``left_stochastic`` / ``right_stochastic`` / ``bi_stochastic``
-    properties.
+    The constructor only enforces non-negative (and, in float mode, finite)
+    entries; whether the matrix is left-/right-/bi-stochastic is reported by
+    :func:`validate`.
     """
 
     def __init__(self, data, mode=None, tol=DEFAULT_TOL):
@@ -159,10 +166,9 @@ class StochMatrix:
         arr = _as_array(data, mode)
         if arr.ndim != 2:
             raise DimensionMismatch("matrix data must be two-dimensional")
-        _check_nonnegative(arr, mode, tol)
+        _check_entries(arr, mode, tol)
         self.mode = mode
         self.a = arr
-        self._report = None
 
     @classmethod
     def identity(cls, n, mode=FLOAT):
@@ -190,23 +196,6 @@ class StochMatrix:
         if self.mode == FLOAT:
             return self
         return StochMatrix(self.a.astype(float), mode=FLOAT)
-
-    def _cached_report(self):
-        if self._report is None:
-            self._report = validate(self)
-        return self._report
-
-    @property
-    def left_stochastic(self):
-        return self._cached_report().left
-
-    @property
-    def right_stochastic(self):
-        return self._cached_report().right
-
-    @property
-    def bi_stochastic(self):
-        return self._cached_report().bi
 
     def __eq__(self, other):
         if not isinstance(other, StochMatrix):
@@ -290,14 +279,8 @@ def validate(M, tol=DEFAULT_TOL):
 
 def _support_adjacency(T):
     """Adjacency lists of the digraph with edge n -> m whenever T[m, n] > 0."""
-    n = T.rows
     threshold = 0 if T.mode == EXACT else SUPPORT_TOL
-    adj = [[] for _ in range(n)]
-    for m in range(n):
-        for k in range(n):
-            if T.a[m, k] > threshold:
-                adj[k].append(m)
-    return adj
+    return [np.nonzero(T.a[:, k] > threshold)[0].tolist() for k in range(T.rows)]
 
 
 def _reachable(adj, start):

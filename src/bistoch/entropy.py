@@ -14,11 +14,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import core, env_dilation
+from . import core
 from .core import EXACT, FLOAT, ProbVec, StochMatrix
 from .errors import (
     AnchorOutsideRegion,
     DimensionMismatch,
+    DimensionTooSmall,
     NoPerfectMatching,
     NotBiStochastic,
 )
@@ -133,21 +134,29 @@ def entropy_ledger(T, p):
 
     The composite system starts in ``p (x) delta_0``, evolves under the
     bi-stochastic dilation matrix, and is then reduced to its two marginals.
+    Only the delta block of the dilation meets ``p (x) delta_0``, so the
+    evolved state is ``T[m,i] p[i]`` at composite state (m, i), flat index
+    ``i*N + m``; the matrix itself is never built.
     """
-    dilation = env_dilation.noisy_dilation(T)
-    n, m_env = T.rows, dilation.env_size
-    Rf = dilation.matrix.to_float().a
+    core._require_left_stochastic(T)
+    n = T.rows
+    if n < 2:
+        raise DimensionTooSmall("the noisy construction needs N >= 2")
+    if p.n != n:
+        raise DimensionMismatch(f"{n}x{n} matrix and length-{p.n} vector")
     pf = p.to_float().a
-    rho = dilation.rho.to_float().a
-    lifted = np.outer(rho, pf).reshape(-1)  # flat (m,i) = i*n + m
-    evolved = Rf @ lifted
-    by_env = evolved.reshape(m_env, n)
+    # the copy made by reshape is C-contiguous, so the marginal sums below
+    # add in the same order as sums over the N^2-vector R (p (x) delta_0)
+    evolved = (T.to_float().a * pf).T.reshape(-1)
+    by_env = evolved.reshape(n, n)
     marginal_1 = ProbVec(by_env.sum(axis=0), mode=FLOAT)
     marginal_2 = ProbVec(by_env.sum(axis=1), mode=FLOAT)
+    h_input = shannon_entropy(pf)
     h_marginal_1 = shannon_entropy(marginal_1)
     return EntropyLedger(
-        h_input=shannon_entropy(p),
-        h_lifted=shannon_entropy(lifted),
+        h_input=h_input,
+        # p (x) delta_0 holds the entries of p and zeros
+        h_lifted=h_input,
         h_evolved=shannon_entropy(evolved),
         h_marginal_1=h_marginal_1,
         h_marginal_2=shannon_entropy(marginal_2),

@@ -5,7 +5,10 @@ bi-stochastic matrix R acting on the product of the system with an
 environment of size M: the first marginal of ``R (p (x) rho)`` equals
 ``T p`` for every distribution p.  Composite states (m, i) with system index
 m and environment index i are flattened environment-major, ``flat(m, i) =
-i*N + m``.
+i*N + m``, so that the block view ``R.a.reshape(M, N, M, N)[i, m, j, k]``
+is ``R[(m,i),(k,j)]``: the first two axes are the environment and system
+index of the target state, the last two those of the source state.  The
+constructions and checks below are array expressions over this view.
 
 Two constructions are provided: a closed-form "noisy" dilation that works in
 exact arithmetic, and a uni-stochastic dilation built from a unitary
@@ -16,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -24,7 +26,6 @@ from . import core
 from .coarse_grain import Partition, RightInverse, product_right_inverse
 from .core import EXACT, FLOAT, ProbVec, StochMatrix
 from .errors import (
-    CompletionFailure,
     DimensionMismatch,
     DimensionTooSmall,
     IncompleteKrausSet,
@@ -32,9 +33,6 @@ from .errors import (
     NotBiStochastic,
     NotSquare,
 )
-
-ORTHOGONALITY_TOL = 1e-12
-GS_RESIDUAL_TOL = 1e-8
 
 
 def flat_index(m, i, n):
@@ -95,26 +93,13 @@ def noisy_dilation(T):
     n = T.rows
     if n < 2:
         raise DimensionTooSmall("the noisy construction needs N >= 2")
-    if T.mode == EXACT:
-        noise = lambda v: (1 - Fraction(v)) / (n * (n - 1))
-        one, zero = Fraction(1), Fraction(0)
-    else:
-        noise = lambda v: (1.0 - v) / (n * (n - 1))
-        one, zero = 1.0, 0.0
-    d = n * n
-    data = [[zero] * d for _ in range(d)]
-    for m in range(n):
-        for i in range(n):
-            row = flat_index(m, i, n)
-            for k in range(n):
-                for j in range(n):
-                    col = flat_index(k, j, n)
-                    if j == 0:
-                        data[row][col] = T.a[m, i] * one if i == k else zero
-                    else:
-                        data[row][col] = noise(T.a[m, i])
+    t = T.a.T  # t[i, m] = T[m, i]
+    view = np.empty((n, n, n, n), dtype=T.a.dtype)  # view[i, m, j, k] = R[(m,i),(k,j)]
+    # an integer delta keeps exact entries Fractions
+    view[:, :, 0, :] = t[:, :, None] * np.eye(n, dtype=int)[:, None, :]
+    view[:, :, 1:, :] = ((1 - t) / (n * (n - 1)))[:, :, None, None]
     rho = ProbVec.point_mass(n, 0, mode=T.mode)
-    return EnvDilation(env_size=n, rho=rho, matrix=StochMatrix(data, mode=T.mode))
+    return EnvDilation(env_size=n, rho=rho, matrix=StochMatrix(view.reshape(n * n, n * n), mode=T.mode))
 
 
 def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
@@ -140,11 +125,8 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     m_env = R.rows // n
     if not 0 <= zero_index < m_env:
         raise IndexOutOfRange(f"zero_index {zero_index} outside environment of size {m_env}")
-    data = [
-        [sum(R.a[flat_index(m, i, n), flat_index(k, zero_index, n)] for i in range(m_env)) for k in range(n)]
-        for m in range(n)
-    ]
-    return StochMatrix(data, mode=R.mode)
+    view = R.a.reshape(m_env, n, m_env, n)
+    return StochMatrix(view[:, :, zero_index, :].sum(axis=0), mode=R.mode)
 
 
 def verify_env_dilation(T, dilation, trials=20, tol=core.RESIDUAL_TOL, seed=0):
@@ -160,16 +142,8 @@ def verify_env_dilation(T, dilation, trials=20, tol=core.RESIDUAL_TOL, seed=0):
     if R.rows != n * m_env or rho.n != m_env:
         raise DimensionMismatch("dilation dimensions disagree with T")
     if T.mode == EXACT and R.mode == EXACT:
-        for m in range(n):
-            for k in range(n):
-                total = sum(
-                    R.a[flat_index(m, i, n), flat_index(k, j, n)] * rho.a[j]
-                    for i in range(m_env)
-                    for j in range(m_env)
-                )
-                if total != T.a[m, k]:
-                    return False
-        return True
+        view = R.a.reshape(m_env, n, m_env, n)
+        return bool(np.array_equal((view * rho.a[None, None, :, None]).sum(axis=(0, 2)), T.a))
     Rf = R.to_float().a
     rho_f = rho.to_float().a
     Tf = T.to_float().a
@@ -226,53 +200,24 @@ def stochastic_from_kraus(kraus, tol=1e-10):
     return StochMatrix(np.clip(total, 0.0, None), mode=FLOAT)
 
 
-def _orthonormal_completion(columns, dim):
-    """Complete the given orthonormal columns to a basis by Gram-Schmidt.
-
-    Candidates are the standard basis vectors in index order; each is
-    orthogonalized twice against the accepted columns and kept when the
-    residual norm stays above ``GS_RESIDUAL_TOL``.
-    """
-    basis = list(columns)
-    for k in range(dim):
-        if len(basis) == dim:
-            break
-        v = np.eye(dim)[k]
-        for _ in range(2):
-            for b in basis:
-                v = v - (b @ v) * b
-        norm = np.linalg.norm(v)
-        if norm < GS_RESIDUAL_TOL:
-            continue
-        basis.append(v / norm)
-    if len(basis) != dim:
-        raise CompletionFailure(f"found only {len(basis)} of {dim} orthonormal columns")
-    return basis
-
-
 def unistochastic_dilation(T):
     """Standard dilation whose matrix is the entrywise square of an orthogonal U.
 
     Builds the N^2 x N isometry whose column n holds sqrt(T[m,n]) at the
     composite states (m, n), completes it to a real orthogonal matrix and
-    squares the entries.  Float mode only.
+    squares the entries.  The completion is a Householder QR factorization
+    of the isometry; the completing columns are not unique, so any orthogonal
+    completion of the isometry is an equally valid result.  Float mode only.
     """
     core._require_left_stochastic(T)
-    Tf = T.to_float().a
     n = T.rows
-    d = n * n
-    iso_columns = []
-    for k in range(n):
-        v = np.zeros(d)
-        for m in range(n):
-            v[flat_index(m, k, n)] = np.sqrt(Tf[m, k])
-        iso_columns.append(v)
-    basis = _orthonormal_completion(iso_columns, d)
-    # column flat(n, 0) = n carries the isometry; the completed columns fill
-    # the remaining environment states in flat order.
-    u = np.column_stack(basis)
-    r = StochMatrix(u**2, mode=FLOAT)
-    return UnitaryDilation(unitary=u, matrix=r)
+    iso = np.zeros((n, n, n))  # iso[i, m, k]: row flat(m, i), column k
+    ks = np.arange(n)
+    iso[ks, :, ks] = np.sqrt(T.to_float().a).T
+    q, r = np.linalg.qr(iso.reshape(n * n, n), mode="complete")
+    # columns flat(k, 0) = k carry the isometry; QR returns them up to sign
+    q[:, :n] *= np.sign(np.diag(r))
+    return UnitaryDilation(unitary=q, matrix=StochMatrix(q**2, mode=FLOAT))
 
 
 def unistochastic_env_dilation(T):

@@ -12,6 +12,13 @@ class NegativeEntry(BistochError):
         super().__init__(f"negative entry {value} at {index}")
 
 
+class NonFiniteEntry(BistochError):
+    def __init__(self, index, value):
+        self.index = index
+        self.value = value
+        super().__init__(f"non-finite entry {value} at {index}")
+
+
 class NonPositiveEntry(BistochError):
     pass
 
@@ -20,8 +27,12 @@ class NotSquare(BistochError):
     pass
 
 
-class NotStochastic(BistochError):
-    pass
+class NotStochastic(BistochError, ValueError):
+    """Column sums (or a probability vector's entries) do not sum to one.
+
+    Also a ``ValueError``, so callers that catch ``ValueError`` from the
+    ``ProbVec`` constructor keep working.
+    """
 
 
 class NotBiStochastic(BistochError):
@@ -68,10 +79,6 @@ class IncompleteKrausSet(BistochError):
     def __init__(self, defect):
         self.defect = defect
         super().__init__(f"Kraus completeness defect {defect}")
-
-
-class CompletionFailure(BistochError):
-    pass
 
 
 class NotConverged(BistochError):

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,6 +61,30 @@ class TestExitCodes:
     def test_failed_check_is_two(self, capsys, demon_file):
         # extracting from a non-bi-stochastic matrix fails verification
         assert run(["extract", demon_file]) == 2
+
+    @pytest.mark.parametrize(
+        "command, payload, code",
+        [
+            ("validate", {"mode": "exact", "cols": 2, "data": [[1, 0], [0, 1]]}, 1),
+            ("validate", {"mode": "exact", "rows": 2, "cols": 2, "data": [["1/0", 0], [0, 1]]}, 1),
+            ("validate", {"mode": "exact", "rows": 2, "cols": 2, "data": [["abc", 0], [0, 1]]}, 1),
+            ("validate", [[1, 0], [0, 1]], 1),
+            ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2"], ["1/3"]]}, 2),
+            ("validate", {"mode": "float", "rows": 2, "cols": 2, "data": [[math.nan, 1.0], [1.0, 0.0]]}, 2),
+        ],
+        ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry"],
+    )
+    def test_bad_input_file_gives_one_line_error(self, tmp_path, command, payload, code):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        env = {**os.environ, "PYTHONPATH": str(Path(bs.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bistoch.cli", *command.split(), str(path)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
 
 
 class TestDeterminism:

@@ -5,7 +5,7 @@ import pytest
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
-from bistoch.errors import DimensionMismatch, ModeMismatch, NegativeEntry, NotSquare
+from bistoch.errors import DimensionMismatch, ModeMismatch, NegativeEntry, NonFiniteEntry, NotSquare
 
 from conftest import (
     random_prob_vec_float,
@@ -31,10 +31,21 @@ class TestValidate:
         assert bs.validate(R).bi
 
     def test_negative_entry_rejected(self):
-        with pytest.raises(NegativeEntry):
-            StochMatrix([[0.5, 0.5], [0.6, -0.1]], mode=FLOAT)
-        with pytest.raises(NegativeEntry):
-            StochMatrix([[Fraction(1), Fraction(-1, 3)], [Fraction(0), Fraction(4, 3)]], mode=EXACT)
+        with pytest.raises(NegativeEntry) as exc_info:
+            StochMatrix([[0.5, -0.2], [0.6, -0.1]], mode=FLOAT)
+        assert exc_info.value.index == (0, 1) and exc_info.value.value == -0.2
+        with pytest.raises(NegativeEntry) as exc_info:
+            StochMatrix([[Fraction(1), Fraction(-1, 3)], [Fraction(-1), Fraction(4, 3)]], mode=EXACT)
+        assert exc_info.value.index == (0, 1) and exc_info.value.value == Fraction(-1, 3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(NonFiniteEntry) as exc_info:
+            ProbVec([bad, 1.0])
+        assert exc_info.value.index == (0,)
+        with pytest.raises(NonFiniteEntry) as exc_info:
+            StochMatrix([[1.0, 1.0], [bad, 0.0]])
+        assert exc_info.value.index == (1, 0)
 
     def test_mode_consistency(self):
         rng = np.random.default_rng(11)

@@ -6,14 +6,38 @@ import pytest
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, Partition, ProbVec, StochMatrix
-from bistoch.errors import AnchorOutsideRegion, NotBiStochastic
+from bistoch.entropy import EntropyLedger
+from bistoch.errors import AnchorOutsideRegion, DimensionMismatch, NotBiStochastic
 
 from conftest import (
     demon_dilation_expected,
     random_permutation_mixture,
+    random_prob_vec_exact,
     random_prob_vec_float,
+    random_stochastic_exact,
     random_stochastic_float,
 )
+
+
+def ledger_through_dilation(T, p):
+    """Reference ledger: evolve p (x) delta_0 under the full N^2 x N^2 noisy
+    dilation matrix."""
+    n = T.rows
+    lifted = np.outer(ProbVec.point_mass(n, 0).a, p.to_float().a).reshape(-1)
+    evolved = bs.noisy_dilation(T).matrix.to_float().a @ lifted
+    by_env = evolved.reshape(n, n)
+    marginal_1 = ProbVec(by_env.sum(axis=0), mode=FLOAT)
+    marginal_2 = ProbVec(by_env.sum(axis=1), mode=FLOAT)
+    return EntropyLedger(
+        h_input=bs.shannon_entropy(p),
+        h_lifted=bs.shannon_entropy(lifted),
+        h_evolved=bs.shannon_entropy(evolved),
+        h_marginal_1=bs.shannon_entropy(marginal_1),
+        h_marginal_2=bs.shannon_entropy(marginal_2),
+        h_output=bs.shannon_entropy(marginal_1),
+        marginal_1=marginal_1,
+        marginal_2=marginal_2,
+    )
 
 
 class TestShannonEntropy:
@@ -172,6 +196,23 @@ class TestEntropyLedger:
             assert ledger.h_evolved >= ledger.h_lifted - 1e-12
             assert ledger.h_evolved <= ledger.h_marginal_1 + ledger.h_marginal_2 + 1e-12
             assert ledger.h_lifted == pytest.approx(ledger.h_input, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_matches_full_dilation(self, mode):
+        rng = np.random.default_rng(78)
+        for n in range(2, 9):
+            for _ in range(3):
+                if mode == EXACT:
+                    T, p = random_stochastic_exact(rng, n), random_prob_vec_exact(rng, n)
+                else:
+                    T, p = random_stochastic_float(rng, n), random_prob_vec_float(rng, n)
+                # every field equal, not merely close
+                assert bs.entropy_ledger(T, p) == ledger_through_dilation(T, p)
+
+    def test_rejects_wrong_length_vector(self, demon):
+        for k in (1, 3, 5):
+            with pytest.raises(DimensionMismatch):
+                bs.entropy_ledger(demon, ProbVec.uniform(k, mode=EXACT))
 
     def test_relaxed_input_balances(self, demon):
         # at the long-time limit the system marginal entropy settles at ln 2

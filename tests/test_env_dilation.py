@@ -22,7 +22,30 @@ from conftest import (
 )
 
 
+def noisy_dilation_by_entries(T):
+    """Reference: the closed form of the noisy dilation, entry by entry."""
+    n = T.rows
+    data = [[None] * (n * n) for _ in range(n * n)]
+    for m in range(n):
+        for i in range(n):
+            for k in range(n):
+                for j in range(n):
+                    if j == 0:
+                        value = T.a[m, i] * int(i == k)
+                    else:
+                        value = (1 - T.a[m, i]) / (n * (n - 1))
+                    data[flat_index(m, i, n)][flat_index(k, j, n)] = value
+    return StochMatrix(data, mode=T.mode)
+
+
 class TestNoisyDilation:
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_matches_entrywise_closed_form(self, mode):
+        rng = np.random.default_rng(53)
+        for n in range(2, 9):
+            T = random_stochastic_exact(rng, n) if mode == EXACT else random_stochastic_float(rng, n)
+            assert bs.noisy_dilation(T).matrix == noisy_dilation_by_entries(T)
+
     def test_two_state_golden(self):
         a, b = Fraction(3, 10), Fraction(7, 10)
         E = bs.noisy_dilation(bs.two_state(a, b))
