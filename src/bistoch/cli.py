@@ -57,10 +57,6 @@ def _fmt_vector(p):
     return [_fmt(v) for v in p.a]
 
 
-def _fmt_matrix(M):
-    return [[_fmt(v) for v in row] for row in M.a]
-
-
 def _load_json(path):
     try:
         with open(path) as fh:
@@ -123,9 +119,14 @@ class Report:
             "result": {},
         }
 
-    def check(self, name, passed, defect=0):
-        self.body["checks"].append({"name": name, "pass": bool(passed), "defect": _fmt(defect)})
-        return bool(passed)
+    def check(self, name, passed=None, defect=0, tol=None):
+        """Record one check.  A check given ``tol`` passes when ``defect <= tol``
+        and records the tolerance it used."""
+        entry = {"name": name, "pass": bool(passed if tol is None else defect <= tol), "defect": _fmt(defect)}
+        if tol is not None:
+            entry["tol"] = _fmt(tol)
+        self.body["checks"].append(entry)
+        return entry["pass"]
 
     def output(self, path):
         self.body["outputs"].append(path)
@@ -138,6 +139,23 @@ class Report:
         json.dump(self.body, sys.stdout, indent=1)
         sys.stdout.write("\n")
         return 0 if self.ok else 2
+
+
+def _tol(M, tol):
+    """Threshold of a defect check on a result in M's mode: exact mode allows none."""
+    return 0 if M.mode == EXACT else tol
+
+
+def _at_least(least):
+    """argparse type: an integer no smaller than ``least``."""
+
+    def parse(text):
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
 
 
 def _emit_matrix(report, M, key, out):
@@ -178,8 +196,8 @@ def cmd_fixed_point(args):
         "is_unique": res.is_unique,
         "basis": [[_fmt(v) for v in b] for b in res.basis],
     }
-    resid = np.max(np.abs(T.to_float().a @ res.representative.to_float().a - res.representative.to_float().a))
-    report.check("fixed_point_residual", resid <= 1e-10, resid)
+    r = res.representative.a
+    report.check("fixed_point_residual", defect=np.max(np.abs(T.a @ r - r)), tol=_tol(T, core.RESULT_TOL))
     return report.emit()
 
 
@@ -217,8 +235,7 @@ def cmd_coarse_grain(args):
         inputs = [args.matrix, args.partition]
     T = coarse_grain(S, partition, Y)
     report = Report("coarse-grain", inputs)
-    rep = core.validate(T)
-    report.check("left_stochastic", rep.left, rep.max_column_defect)
+    report.check("left_stochastic", defect=core.validate(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
     _emit_matrix(report, T, "matrix", args.out)
     return report.emit()
 
@@ -240,23 +257,20 @@ def cmd_dilate(args):
     elif args.kind == "noisy":
         E = env_dilation.noisy_dilation(T)
         rep = core.validate(E.matrix)
-        report.check("bi_stochastic", rep.bi, max(rep.max_column_defect, rep.max_row_defect))
-        extracted = env_dilation.extract_dilated(E.matrix, 0)
-        if T.mode == EXACT:
-            report.check("extract_dilated == input", extracted == T)
-        else:
-            defect = np.max(np.abs(extracted.a - T.a))
-            report.check("extract_dilated == input", defect <= 1e-12, defect)
+        defect = max(rep.max_column_defect, rep.max_row_defect)
+        report.check("bi_stochastic", defect=defect, tol=_tol(T, core.DEFAULT_TOL))
+        defect = np.max(np.abs(env_dilation.extract_dilated(E.matrix, 0).a - T.a))
+        report.check("extract_dilated == input", defect=defect, tol=_tol(T, core.RESIDUAL_TOL))
         report.check("marginal_identity", env_dilation.verify_env_dilation(T, E))
         _emit_matrix(report, E.matrix, "matrix", args.out)
     else:  # unistochastic
         dil = env_dilation.unistochastic_dilation(_convert(T, FLOAT))
-        ortho = dil.orthogonality_defect()
-        report.check("orthogonal", ortho <= 1e-12, ortho)
-        rep = core.validate(dil.matrix, 1e-12)
-        report.check("bi_stochastic", rep.bi, max(rep.max_column_defect, rep.max_row_defect))
+        report.check("orthogonal", defect=dil.orthogonality_defect(), tol=core.RESIDUAL_TOL)
+        rep = core.validate(dil.matrix, core.RESIDUAL_TOL)
+        defect = max(rep.max_column_defect, rep.max_row_defect)
+        report.check("bi_stochastic", defect=defect, tol=core.RESIDUAL_TOL)
         defect = np.max(np.abs(env_dilation.extract_dilated(dil.matrix, 0).a - T.to_float().a))
-        report.check("extract_dilated == input", defect <= 1e-12, defect)
+        report.check("extract_dilated == input", defect=defect, tol=core.RESIDUAL_TOL)
         _emit_matrix(report, dil.matrix, "matrix", args.out)
     return report.emit()
 
@@ -265,8 +279,7 @@ def cmd_extract(args):
     R = _load_matrix(args.matrix, args.mode)
     T = env_dilation.extract_dilated(R, args.zero_index)
     report = Report("extract", [args.matrix])
-    rep = core.validate(T)
-    report.check("left_stochastic", rep.left, rep.max_column_defect)
+    report.check("left_stochastic", defect=core.validate(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
     _emit_matrix(report, T, "matrix", args.out)
     return report.emit()
 
@@ -347,7 +360,7 @@ def cmd_ledger(args):
         "marginal_1": _fmt_vector(led.marginal_1),
         "marginal_2": _fmt_vector(led.marginal_2),
     }
-    report.check("evolved_not_below_lifted", led.h_evolved >= led.h_lifted - 1e-12)
+    report.check("evolved_not_below_lifted", defect=max(0.0, led.h_lifted - led.h_evolved), tol=core.RESIDUAL_TOL)
     return report.emit()
 
 
@@ -355,18 +368,16 @@ def cmd_birkhoff(args):
     S = _load_matrix(args.matrix, args.mode)
     dec = entropy_mod.birkhoff_decompose(S, tol=args.tol)
     report = Report("birkhoff", [args.matrix])
-    recon = dec.reconstruct(mode=S.mode)
-    if S.mode == EXACT:
-        defect = float(np.max(np.abs((recon.a - S.a).astype(float))))
-    else:
-        defect = float(np.max(np.abs(recon.a - S.a)))
     report.body["result"] = {
         "terms": [{"weight": _fmt(w), "permutation": list(sigma)} for w, sigma in dec.terms],
         "term_count": len(dec.terms),
         "weight_sum": _fmt(dec.weight_sum()),
+        "residual_mass": _fmt(dec.residual_mass),
     }
-    report.check("reconstruction", defect <= 1e-10, defect)
-    report.check("weights_sum_to_one", abs(float(dec.weight_sum()) - 1.0) <= 1e-12)
+    # both checks allow the mass that peeling left unexplained
+    tol = _tol(S, dec.residual_mass + core.RESIDUAL_TOL)
+    report.check("reconstruction", defect=np.max(np.abs(dec.reconstruct(mode=S.mode).a - S.a)), tol=tol)
+    report.check("weights_sum_to_one", defect=abs(dec.weight_sum() - 1), tol=tol)
     return report.emit()
 
 
@@ -380,10 +391,9 @@ def cmd_sinkhorn(args):
         "iterations": res.iterations,
         "final_defect": _fmt(res.final_defect),
     }
-    report.check("bi_stochastic", res.final_defect <= args.tol, res.final_defect)
+    report.check("bi_stochastic", defect=res.final_defect, tol=args.tol)
     scaled = np.diag(res.d1) @ T.a @ np.diag(res.d2)
-    defect = float(np.max(np.abs(scaled - res.matrix.a)))
-    report.check("diagonal_factorization", defect <= 10 * args.tol, defect)
+    report.check("diagonal_factorization", defect=float(np.max(np.abs(scaled - res.matrix.a))), tol=10 * args.tol)
     _emit_matrix(report, res.matrix, "matrix", args.out)
     return report.emit()
 
@@ -395,8 +405,8 @@ def cmd_demo_maxwell(args):
     uniform = ProbVec.uniform(4, mode=EXACT)
     failures = []
 
-    def expect(name, passed, defect=0):
-        if not report.check(name, passed, defect) and not failures:
+    def expect(name, passed=None, defect=0, tol=None):
+        if not report.check(name, passed, defect, tol) and not failures:
             failures.append(name)
 
     fp = core.fixed_point(T)
@@ -407,14 +417,13 @@ def cmd_demo_maxwell(args):
     expected_step = ProbVec([Fraction(3, 8), Fraction(1, 8), Fraction(1, 8), Fraction(3, 8)], mode=EXACT)
     expect("one_step_image", one_step == expected_step)
     h_step = entropy_mod.shannon_entropy(one_step)
-    expect("one_step_entropy", abs(h_step - 1.25548) <= 1e-4, abs(h_step - 1.25548))
+    expect("one_step_entropy", defect=abs(h_step - 1.25548), tol=1e-4)
 
     trajectory, _ = core.iterate(T.to_float(), uniform.to_float(), 60)
     limit = np.array([0.5, 0.0, 0.0, 0.5])
-    limit_defect = float(np.max(np.abs(trajectory[-1].a - limit)))
-    expect("iterate_limit", limit_defect <= 1e-10, limit_defect)
+    expect("iterate_limit", defect=float(np.max(np.abs(trajectory[-1].a - limit))), tol=core.RESULT_TOL)
     h_limit = entropy_mod.shannon_entropy(trajectory[-1])
-    expect("limit_entropy", abs(h_limit - math.log(2)) <= 1e-4, abs(h_limit - math.log(2)))
+    expect("limit_entropy", defect=abs(h_limit - math.log(2)), tol=1e-4)
 
     E = env_dilation.noisy_dilation(T)
     expect("noisy_dilation_matrix", E.matrix == matrices.maxwell_demon_dilation(mode=EXACT))
@@ -427,7 +436,7 @@ def cmd_demo_maxwell(args):
         ("ledger_h_marginal_2", led.h_marginal_2, 1.38629),
         ("ledger_marginal_sum", led.h_marginal_1 + led.h_marginal_2, 2.64178),
     ]:
-        expect(name, abs(got - want) <= 1e-4, abs(got - want))
+        expect(name, defect=abs(got - want), tol=1e-4)
     expect("ledger_second_marginal_is_input", led.marginal_2.allclose(uniform.to_float()))
 
     report.body["result"] = {
@@ -478,7 +487,7 @@ def build_parser():
     p = add("iterate", cmd_iterate, help="iterate a stochastic matrix on a distribution")
     p.add_argument("matrix")
     p.add_argument("vector")
-    p.add_argument("--steps", type=int, default=1)
+    p.add_argument("--steps", type=_at_least(0), default=1)
 
     p = add("coarse-grain", cmd_coarse_grain, help="coarse grain a matrix over a partition")
     p.add_argument("matrix")
@@ -508,7 +517,7 @@ def build_parser():
 
     p = add("entropy-region", cmd_entropy_region, help="scan the entropy-decreasing region along vertex rays")
     p.add_argument("matrix")
-    p.add_argument("--grid", type=int, default=64)
+    p.add_argument("--grid", type=_at_least(1), default=64)
     p.add_argument("--out", default=None, help="CSV output path")
 
     p = add("ledger", cmd_ledger, help="entropy ledger of the noisy dilation")
@@ -517,11 +526,11 @@ def build_parser():
 
     p = add("birkhoff", cmd_birkhoff, help="Birkhoff-von Neumann decomposition")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
 
     p = add("sinkhorn", cmd_sinkhorn, help="Sinkhorn-Knopp balancing")
     p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=sinkhorn_mod.DEFAULT_SINKHORN_TOL)
+    p.add_argument("--tol", type=float, default=core.RESULT_TOL)
     p.add_argument("--max-iter", type=int, default=sinkhorn_mod.DEFAULT_MAX_ITER)
     p.add_argument("--out", default=None)
 

@@ -147,14 +147,14 @@ def product_right_inverse(n, rho):
     return RightInverse(partition=partition, matrix=StochMatrix(data, mode=rho.mode), kind=PRODUCT)
 
 
-def _check_section(P, Y, tol=core.RESIDUAL_TOL):
+def _check_section(P, Y):
     X = projection_matrix(P, mode=Y.matrix.mode)
     prod = X.a @ Y.matrix.a
     if Y.matrix.mode == EXACT:
         eye = np.array([[Fraction(int(i == j)) for j in range(P.n)] for i in range(P.n)], dtype=object)
         ok = bool(np.array_equal(prod, eye))
     else:
-        ok = bool(np.max(np.abs(prod - np.eye(P.n))) <= tol)
+        ok = bool(np.max(np.abs(prod - np.eye(P.n))) <= core.RESIDUAL_TOL)
     if not ok:
         raise InvalidRightInverse("X @ Y differs from the identity")
     return X

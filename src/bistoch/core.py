@@ -31,12 +31,29 @@ from .errors import (
 EXACT = "exact"
 FLOAT = "float"
 
-#: validation tolerance for column/row sums in float mode (user-overridable)
+# The float tolerance table of the library: every float tolerance in bistoch
+# is one of these, apart from the printed-value goldens of the CLI demo.
+# Exact mode uses none of them: its comparisons are exact.
+# The three value tolerances are ordered RESIDUAL_TOL < RESULT_TOL <
+# DEFAULT_TOL: round-off stays below what a computed result promises, which
+# stays below the defect an input is accepted at.  A result computed from an
+# input accepted at defect d is promised only up to a bound that grows with d
+# (birkhoff_decompose reports it as residual_mass), never at a finer tolerance.
+
+#: acceptance: the sum defect ``validate`` accepts and ``ProbVec`` allows, and
+#: the slack allowed on negative entries (user-overridable where a ``tol``
+#: parameter exists)
 DEFAULT_TOL = 1e-9
-#: entries below this threshold count as structural zeros in float mode
-SUPPORT_TOL = 1e-12
-#: residual tolerance for fixed points and iteration convergence
+#: results: the Sinkhorn default, the fixed-point residual and Kraus
+#: completeness checks, and the limit of the Maxwell-demon demo
+RESULT_TOL = 1e-10
+#: round-off: structural zeros of a support, membership of the
+#: entropy-decreasing region, convergence of ``iterate``, and identities that
+#: hold exactly up to floating-point error
 RESIDUAL_TOL = 1e-12
+#: resolution of a scan parameter in [0, 1] (boundary bisection), not a
+#: tolerance on a value
+BISECTION_TOL = 1e-9
 
 
 def _exact_entry(value):
@@ -73,16 +90,20 @@ def _raise_first(error, arr, mask):
         raise error(idx, arr[idx])
 
 
-def _check_entries(arr, mode, tol):
+def _check_entries(arr, mode):
     if mode == FLOAT:
         _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
-    _raise_first(NegativeEntry, arr, arr < (0 if mode == EXACT else -tol))
+    _raise_first(NegativeEntry, arr, arr < (0 if mode == EXACT else -DEFAULT_TOL))
 
 
 class ProbVec:
-    """Point of the probability simplex: non-negative entries summing to 1."""
+    """Point of the probability simplex: non-negative entries summing to 1.
 
-    def __init__(self, entries, mode=None, tol=RESIDUAL_TOL):
+    In float mode the sum may miss 1, and an entry may fall below 0, by at
+    most ``DEFAULT_TOL``.
+    """
+
+    def __init__(self, entries, mode=None):
         if mode is None:
             mode = _infer_mode(entries)
         if mode not in (EXACT, FLOAT):
@@ -90,12 +111,12 @@ class ProbVec:
         arr = _as_array(entries, mode)
         if arr.ndim != 1:
             raise DimensionMismatch("probability vector must be one-dimensional")
-        _check_entries(arr, mode, tol)
+        _check_entries(arr, mode)
         total = arr.sum()
         if mode == EXACT:
             if total != 1:
                 raise NotStochastic(f"entries sum to {total}, expected 1")
-        elif abs(total - 1.0) > tol:
+        elif abs(total - 1.0) > DEFAULT_TOL:
             raise NotStochastic(f"entries sum to {total}, expected 1")
         self.mode = mode
         self.a = arr
@@ -122,7 +143,7 @@ class ProbVec:
         """True when every entry is strictly positive."""
         if self.mode == EXACT:
             return all(v > 0 for v in self.a)
-        return bool(np.all(self.a > SUPPORT_TOL))
+        return bool(np.all(self.a > RESIDUAL_TOL))
 
     def to_float(self):
         if self.mode == FLOAT:
@@ -158,7 +179,7 @@ class StochMatrix:
     :func:`validate`.
     """
 
-    def __init__(self, data, mode=None, tol=DEFAULT_TOL):
+    def __init__(self, data, mode=None):
         if mode is None:
             mode = _infer_mode(data)
         if mode not in (EXACT, FLOAT):
@@ -166,7 +187,7 @@ class StochMatrix:
         arr = _as_array(data, mode)
         if arr.ndim != 2:
             raise DimensionMismatch("matrix data must be two-dimensional")
-        _check_entries(arr, mode, tol)
+        _check_entries(arr, mode)
         self.mode = mode
         self.a = arr
 
@@ -236,10 +257,10 @@ def _require_same_mode(*objects):
         raise ModeMismatch(f"cannot mix modes {sorted(modes)}")
 
 
-def _require_left_stochastic(T, tol=DEFAULT_TOL):
+def _require_left_stochastic(T):
     if not T.is_square:
         raise NotSquare(f"{T.rows}x{T.cols} matrix is not square")
-    report = validate(T, tol)
+    report = validate(T)
     if not report.left:
         raise NotStochastic(f"column sums deviate by {report.max_column_defect}")
 
@@ -279,7 +300,7 @@ def validate(M, tol=DEFAULT_TOL):
 
 def _support_adjacency(T):
     """Adjacency lists of the digraph with edge n -> m whenever T[m, n] > 0."""
-    threshold = 0 if T.mode == EXACT else SUPPORT_TOL
+    threshold = 0 if T.mode == EXACT else RESIDUAL_TOL
     return [np.nonzero(T.a[:, k] > threshold)[0].tolist() for k in range(T.rows)]
 
 
@@ -369,9 +390,9 @@ def _recurrent_classes(T):
     return closed
 
 
-def is_irreducible(T, tol=DEFAULT_TOL):
+def is_irreducible(T):
     """True iff the support digraph of T is strongly connected."""
-    _require_left_stochastic(T, tol)
+    _require_left_stochastic(T)
     return _strongly_connected(_support_adjacency(T))
 
 
@@ -447,7 +468,7 @@ def _class_stationary_float(T, members):
     return full
 
 
-def fixed_point(T, tol=DEFAULT_TOL):
+def fixed_point(T):
     """A fixed point of T in the simplex plus the fixed-point face structure.
 
     The fixed-point set of a stochastic matrix is a face of the simplex whose
@@ -456,7 +477,7 @@ def fixed_point(T, tol=DEFAULT_TOL):
     distributions, which is deterministic and strictly positive on the union
     of the closed classes.
     """
-    _require_left_stochastic(T, tol)
+    _require_left_stochastic(T)
     classes = _recurrent_classes(T)
     if T.mode == EXACT:
         stationaries = [_class_stationary_exact(T, c) for c in classes]
@@ -530,12 +551,12 @@ def matrix_to_json(M):
     return {"mode": M.mode, "rows": M.rows, "cols": M.cols, "data": data}
 
 
-def matrix_from_json(obj, tol=DEFAULT_TOL):
+def matrix_from_json(obj):
     mode = obj["mode"]
     data = obj["data"]
     if len(data) != obj["rows"] or any(len(r) != obj["cols"] for r in data):
         raise DimensionMismatch("data shape disagrees with declared rows/cols")
-    return StochMatrix(data, mode=mode, tol=tol)
+    return StochMatrix(data, mode=mode)
 
 
 def vector_to_json(p):
@@ -546,10 +567,10 @@ def vector_to_json(p):
     return {"mode": p.mode, "rows": p.n, "cols": 1, "data": data}
 
 
-def vector_from_json(obj, tol=DEFAULT_TOL):
+def vector_from_json(obj):
     if obj["cols"] != 1:
         raise DimensionMismatch("vector JSON must have cols = 1")
     entries = [row[0] for row in obj["data"]]
     if len(entries) != obj["rows"]:
         raise DimensionMismatch("data shape disagrees with declared rows")
-    return ProbVec(entries, mode=obj["mode"], tol=tol)
+    return ProbVec(entries, mode=obj["mode"])

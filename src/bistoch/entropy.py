@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core
-from .core import EXACT, FLOAT, ProbVec, StochMatrix
+from .core import BISECTION_TOL, DEFAULT_TOL, EXACT, FLOAT, RESIDUAL_TOL, ProbVec, StochMatrix
 from .errors import (
     AnchorOutsideRegion,
     DimensionMismatch,
@@ -23,11 +23,6 @@ from .errors import (
     NoPerfectMatching,
     NotBiStochastic,
 )
-
-#: slack used when testing membership of the entropy-decreasing region
-REGION_TOL = 1e-12
-#: parameter tolerance of the boundary bisection
-BISECTION_TOL = 1e-9
 
 
 def shannon_entropy(p):
@@ -42,7 +37,7 @@ def _entropy_gap(Tf, arr):
     return shannon_entropy(Tf @ arr) - shannon_entropy(arr)
 
 
-def in_decreasing_region(T, p, tol=REGION_TOL):
+def in_decreasing_region(T, p, tol=RESIDUAL_TOL):
     """True iff applying T does not increase the entropy of p."""
     if T.cols != (p.n if isinstance(p, ProbVec) else len(p)):
         raise DimensionMismatch("matrix and vector dimensions disagree")
@@ -70,9 +65,11 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
     Rays that never leave the region return their endpoint with
     ``full_segment_inside`` set.
     """
+    if not T.is_square or anchor.n != T.rows:
+        raise DimensionMismatch(f"{T.rows}x{T.cols} matrix with length-{anchor.n} anchor")
     Tf = T.to_float().a
     a = anchor.to_float().a
-    if _entropy_gap(Tf, a) > REGION_TOL:
+    if _entropy_gap(Tf, a) > RESIDUAL_TOL:
         raise AnchorOutsideRegion("anchor must lie in the entropy-decreasing region")
     results = []
     for q in directions:
@@ -80,7 +77,7 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
         seg = lambda t: (1.0 - t) * a + t * qf
         exit_k = None
         for k in range(1, resolution + 1):
-            if _entropy_gap(Tf, seg(k / resolution)) > REGION_TOL:
+            if _entropy_gap(Tf, seg(k / resolution)) > RESIDUAL_TOL:
                 exit_k = k
                 break
         if exit_k is None:
@@ -98,7 +95,7 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
         lo, hi = (exit_k - 1) / resolution, exit_k / resolution
         while hi - lo > BISECTION_TOL:
             mid = 0.5 * (lo + hi)
-            if _entropy_gap(Tf, seg(mid)) <= REGION_TOL:
+            if _entropy_gap(Tf, seg(mid)) <= RESIDUAL_TOL:
                 lo = mid
             else:
                 hi = mid
@@ -169,10 +166,16 @@ def entropy_ledger(T, p):
 @dataclass
 class BirkhoffDecomposition:
     """Convex combination of permutations: terms (weight, sigma) with the
-    permutation matrix P[sigma[c], c] = 1."""
+    permutation matrix P[sigma[c], c] = 1.
+
+    ``residual_mass`` is the largest row or column sum of what peeling left
+    of the input.  It is 0 in exact mode; in float mode it bounds, up to
+    round-off, every entry of ``input - reconstruct()``.
+    """
 
     n: int
     terms: list
+    residual_mass: object
 
     def weight_sum(self):
         return sum(w for w, _ in self.terms)
@@ -215,14 +218,18 @@ def _perfect_matching(adjacency, n):
     return sigma
 
 
-def birkhoff_decompose(S, tol=1e-9):
+def birkhoff_decompose(S, tol=DEFAULT_TOL):
     """Greedy peeling of a bi-stochastic matrix into permutation matrices.
 
     Repeatedly finds a perfect matching on the positive-support bipartite
     graph, removes the minimum matched entry times that permutation and
     recurses on the residual.  Exact mode peels to a residual of exactly
-    zero; float mode stops once every entry drops below the support
-    threshold.
+    zero.  Float mode treats entries up to ``RESIDUAL_TOL`` as zero and also
+    stops when the residual support has no perfect matching: an input
+    accepted at row and column defect delta can leave such a residual.  By
+    Hall's theorem its mass is at most ``2*n*delta + n*n*RESIDUAL_TOL``;
+    :class:`NoPerfectMatching` is raised only past that bound.  The mass
+    left is returned as ``residual_mass``.
     """
     report = core.validate(S, tol)
     if not report.bi:
@@ -232,17 +239,19 @@ def birkhoff_decompose(S, tol=1e-9):
     n = S.rows
     exact = S.mode == EXACT
     resid = S.a.copy()
-    threshold = 0 if exact else core.SUPPORT_TOL
+    threshold = 0 if exact else RESIDUAL_TOL
+    cols = np.arange(n)
     terms = []
-    while True:
-        if max(resid[r, c] for r in range(n) for c in range(n)) <= threshold:
-            break
-        adjacency = [[r for r in range(n) if resid[r, c] > threshold] for c in range(n)]
+    while resid.max() > threshold:
+        adjacency = [np.flatnonzero(col > threshold).tolist() for col in resid.T]
         sigma = _perfect_matching(adjacency, n)
         if sigma is None:
-            raise NoPerfectMatching("support graph of the residual admits no perfect matching")
-        w = min(resid[sigma[c], c] for c in range(n))
-        for c in range(n):
-            resid[sigma[c], c] -= w
+            break
+        w = resid[sigma, cols].min()
+        resid[sigma, cols] -= w  # sigma is a permutation: no index repeats
         terms.append((w, tuple(sigma)))
-    return BirkhoffDecomposition(n=n, terms=terms)
+    residual_mass = max(resid.sum(axis=0).max(), resid.sum(axis=1).max())
+    delta = max(report.max_column_defect, report.max_row_defect)
+    if residual_mass > (0 if exact else 2 * n * delta + n * n * RESIDUAL_TOL):
+        raise NoPerfectMatching(f"residual of mass {residual_mass} has no perfect matching on its support")
+    return BirkhoffDecomposition(n=n, terms=terms, residual_mass=residual_mass)

@@ -129,12 +129,13 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     return StochMatrix(view[:, :, zero_index, :].sum(axis=0), mode=R.mode)
 
 
-def verify_env_dilation(T, dilation, trials=20, tol=core.RESIDUAL_TOL, seed=0):
+def verify_env_dilation(T, dilation, trials=20, seed=0):
     """Check the defining marginal identity of an environmental dilation.
 
     Exact mode verifies sum_{ij} R[(m,i),(n,j)] rho[j] = T[m,n] symbolically,
     which is equivalent to the identity holding for every p.  Float mode
-    checks all simplex vertices plus ``trials`` seeded pseudorandom points.
+    checks all simplex vertices plus ``trials`` seeded pseudorandom points to
+    ``RESIDUAL_TOL``.
     """
     n = T.rows
     R, rho = dilation.matrix, dilation.rho
@@ -156,7 +157,7 @@ def verify_env_dilation(T, dilation, trials=20, tol=core.RESIDUAL_TOL, seed=0):
         lifted = np.outer(rho_f, p).reshape(-1)  # flat (m,i) = i*n + m
         evolved = Rf @ lifted
         marginal = evolved.reshape(m_env, n).sum(axis=0)
-        if np.max(np.abs(marginal - Tf @ p)) > tol:
+        if np.max(np.abs(marginal - Tf @ p)) > core.RESIDUAL_TOL:
             return False
     return True
 
@@ -191,10 +192,10 @@ def kraus_from_stochastic(T):
     return KrausSet(n=n, operators=operators)
 
 
-def stochastic_from_kraus(kraus, tol=1e-10):
-    """The stochastic matrix T[m,n] = sum_i A_i[m,n]^2 of a complete Kraus set."""
+def stochastic_from_kraus(kraus):
+    """The stochastic matrix T[m,n] = sum_i A_i[m,n]^2 of a Kraus set complete to ``RESULT_TOL``."""
     defect = kraus.completeness_defect()
-    if defect > tol:
+    if defect > core.RESULT_TOL:
         raise IncompleteKrausSet(defect)
     total = sum(a**2 for a in kraus.operators)
     return StochMatrix(np.clip(total, 0.0, None), mode=FLOAT)

@@ -9,10 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FLOAT, StochMatrix
+from .core import FLOAT, RESULT_TOL, StochMatrix
 from .errors import NonPositiveEntry, NotConverged, ParameterOutOfRange
 
-DEFAULT_SINKHORN_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
 
@@ -25,7 +24,7 @@ class SinkhornResult:
     final_defect: float
 
 
-def sinkhorn_knopp(T, tol=DEFAULT_SINKHORN_TOL, max_iter=DEFAULT_MAX_ITER):
+def sinkhorn_knopp(T, tol=RESULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Balance a strictly positive square matrix to bi-stochastic form.
 
     Alternates row and column normalization (rows first), accumulating the

@@ -46,6 +46,16 @@ class TestExitCodes:
     def test_unknown_subcommand_is_usage_error(self, capsys):
         assert run(["no-such-command"]) == 1
 
+    @pytest.mark.parametrize(
+        "args",
+        [["entropy-region", "--grid", "0"], ["entropy-region", "--grid", "-2"], ["iterate", "--steps", "-1"]],
+        ids=["grid-zero", "grid-negative", "steps-negative"],
+    )
+    def test_out_of_range_count_is_usage_error(self, capsys, demon_file, uniform4_file, args):
+        command, *flags = args
+        files = [demon_file, uniform4_file] if command == "iterate" else [demon_file]
+        assert run([command, *files, *flags]) == 1
+
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         assert run(["validate", str(tmp_path / "nope.json")]) == 1
 
@@ -71,8 +81,10 @@ class TestExitCodes:
             ("validate", [[1, 0], [0, 1]], 1),
             ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2"], ["1/3"]]}, 2),
             ("validate", {"mode": "float", "rows": 2, "cols": 2, "data": [[math.nan, 1.0], [1.0, 0.0]]}, 2),
+            ("entropy-region", {"mode": "float", "rows": 2, "cols": 3, "data": [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]}, 2),
         ],
-        ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry"],
+        ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
+             "non-square-region"],
     )
     def test_bad_input_file_gives_one_line_error(self, tmp_path, command, payload, code):
         path = tmp_path / "input.json"
@@ -218,6 +230,19 @@ class TestCommands:
         assert code == 0
         assert report["result"]["weight_sum"] == 1
         assert all(c["pass"] for c in report["checks"])
+
+    def test_sinkhorn_output_decomposes(self, capsys, tmp_path):
+        rng = np.random.default_rng(83)
+        T = StochMatrix(rng.random((8, 8)) + 0.01)
+        path = tmp_path / "t.json"
+        out = tmp_path / "balanced.json"
+        path.write_text(json.dumps(bs.matrix_to_json(T)))
+        assert run(["sinkhorn", str(path), "--out", str(out)]) == 0
+        capsys.readouterr()
+        code, report = run_json(capsys, ["birkhoff", str(out)])
+        assert code == 0
+        assert all(c["pass"] and c["defect"] <= c["tol"] for c in report["checks"])
+        assert report["result"]["residual_mass"] >= 0
 
     def test_sinkhorn_output_revalidates(self, capsys, tmp_path):
         T = bs.two_state(0.2, 0.4, mode=FLOAT)

@@ -6,6 +6,7 @@ import pytest
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, Partition, ProbVec, StochMatrix
+from bistoch.core import RESIDUAL_TOL
 from bistoch.entropy import EntropyLedger
 from bistoch.errors import AnchorOutsideRegion, DimensionMismatch, NotBiStochastic
 
@@ -279,3 +280,17 @@ class TestBirkhoff:
     def test_rejects_non_bistochastic(self, demon):
         with pytest.raises(NotBiStochastic):
             bs.birkhoff_decompose(demon)
+
+    @pytest.mark.parametrize("sinkhorn_tol", [1e-10, 1e-9])
+    def test_sinkhorn_output_within_hall_bound(self, sinkhorn_tol):
+        # Sinkhorn output is accepted at its row defect, which can leave a
+        # residual with no perfect matching long before it drops to round-off
+        rng = np.random.default_rng(82)
+        for n in range(4, 17):
+            S = bs.sinkhorn_knopp(StochMatrix(rng.random((n, n)) + 0.01), tol=sinkhorn_tol).matrix
+            report = bs.validate(S)
+            delta = max(report.max_column_defect, report.max_row_defect)
+            dec = bs.birkhoff_decompose(S)
+            assert dec.residual_mass <= 2 * n * delta + n * n * RESIDUAL_TOL
+            recon_defect = np.max(np.abs(dec.reconstruct(mode=FLOAT).a - S.a))
+            assert recon_defect <= dec.residual_mass + RESIDUAL_TOL
