@@ -12,6 +12,7 @@ Exit codes: 0 success with all checks passing, 1 usage or I/O error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -27,7 +28,7 @@ from . import (
     sinkhorn as sinkhorn_mod,
 )
 from .coarse_grain import Partition, RightInverse, coarse_grain, uniform_dilation, uniform_right_inverse
-from .core import EXACT, FLOAT, ProbVec, StochMatrix
+from .core import EXACT, FLOAT, ProbVec
 from .errors import BistochError, DemoMismatch
 
 
@@ -41,7 +42,22 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value):
-    """Report formatting: 12 significant digits for floats, p/q for rationals."""
+    """Report formatting of a library result.
+
+    A dataclass result becomes a dict keyed by its field names, so report
+    keys follow the library's result fields; a dict keeps its keys; a
+    ``ProbVec``, numpy array, list or tuple becomes a list.  Scalars: floats
+    to 12 significant digits, a ``Fraction`` as ``"p/q"`` (an int when whole),
+    bools and ints as themselves.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: _fmt(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _fmt(v) for k, v in value.items()}
+    if isinstance(value, ProbVec):
+        value = value.a
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [_fmt(v) for v in value]
     if isinstance(value, Fraction):
         return str(value) if value.denominator > 1 else value.numerator
     if isinstance(value, (float, np.floating)):
@@ -51,10 +67,6 @@ def _fmt(value):
     if isinstance(value, (int, np.integer)):
         return int(value)
     return value
-
-
-def _fmt_vector(p):
-    return [_fmt(v) for v in p.a]
 
 
 def _load_json(path):
@@ -81,26 +93,19 @@ def _parse(path, from_json):
         raise UsageError(f"malformed {path}: {type(exc).__name__}: {exc}") from exc
 
 
+def _convert(x, mode):
+    """A matrix or vector in ``mode``; None keeps its own."""
+    if mode is None or x.mode == mode:
+        return x
+    return type(x)(x.a, mode=mode)
+
+
 def _load_matrix(path, mode=None):
-    M = _parse(path, core.matrix_from_json)
-    return _convert(M, mode)
+    return _convert(_parse(path, core.matrix_from_json), mode)
 
 
 def _load_vector(path, mode=None):
-    p = _parse(path, core.vector_from_json)
-    if mode == FLOAT and p.mode == EXACT:
-        return p.to_float()
-    if mode == EXACT and p.mode == FLOAT:
-        return ProbVec(p.a, mode=EXACT)
-    return p
-
-
-def _convert(M, mode):
-    if mode is None or M.mode == mode:
-        return M
-    if mode == FLOAT:
-        return M.to_float()
-    return StochMatrix(M.a, mode=EXACT)
+    return _convert(_parse(path, core.vector_from_json), mode)
 
 
 def _write_json(path, payload):
@@ -131,14 +136,10 @@ class Report:
     def output(self, path):
         self.body["outputs"].append(path)
 
-    @property
-    def ok(self):
-        return all(c["pass"] for c in self.body["checks"])
-
     def emit(self):
         json.dump(self.body, sys.stdout, indent=1)
         sys.stdout.write("\n")
-        return 0 if self.ok else 2
+        return 0 if all(c["pass"] for c in self.body["checks"]) else 2
 
 
 def _tol(M, tol):
@@ -158,13 +159,13 @@ def _at_least(least):
     return parse
 
 
-def _emit_matrix(report, M, key, out):
+def _emit_matrix(report, M, out):
     payload = core.matrix_to_json(M)
     if out:
         _write_json(out, payload)
         report.output(out)
     else:
-        report.body["result"][key] = payload
+        report.body["result"]["matrix"] = payload
 
 
 # ---------------------------------------------------------------------------
@@ -173,16 +174,8 @@ def _emit_matrix(report, M, key, out):
 
 def cmd_validate(args):
     M = _load_matrix(args.matrix, args.mode)
-    rep = core.validate(M, args.tol)
     report = Report("validate", [args.matrix])
-    report.body["result"] = {
-        "left": rep.left,
-        "right": rep.right,
-        "bi": rep.bi,
-        "irreducible": rep.irreducible,
-        "max_column_defect": _fmt(rep.max_column_defect),
-        "max_row_defect": _fmt(rep.max_row_defect),
-    }
+    report.body["result"] = _fmt(core.validate(M, args.tol))
     return report.emit()
 
 
@@ -190,12 +183,7 @@ def cmd_fixed_point(args):
     T = _load_matrix(args.matrix, args.mode)
     res = core.fixed_point(T)
     report = Report("fixed-point", [args.matrix])
-    report.body["result"] = {
-        "representative": _fmt_vector(res.representative),
-        "face_dimension": res.face_dimension,
-        "is_unique": res.is_unique,
-        "basis": [[_fmt(v) for v in b] for b in res.basis],
-    }
+    report.body["result"] = _fmt(res)
     r = res.representative.a
     report.check("fixed_point_residual", defect=np.max(np.abs(T.a @ r - r)), tol=_tol(T, core.RESULT_TOL))
     return report.emit()
@@ -206,7 +194,7 @@ def cmd_apply(args):
     p = _load_vector(args.vector, args.mode or T.mode)
     q = core.apply(T, p)
     report = Report("apply", [args.matrix, args.vector])
-    report.body["result"] = {"image": _fmt_vector(q)}
+    report.body["result"] = _fmt({"image": q})
     return report.emit()
 
 
@@ -215,12 +203,9 @@ def cmd_iterate(args):
     p = _load_vector(args.vector, args.mode or T.mode)
     trajectory, converged = core.iterate(T, p, args.steps)
     report = Report("iterate", [args.matrix, args.vector])
-    report.body["result"] = {
-        "steps": args.steps,
-        "converged": converged,
-        "final": _fmt_vector(trajectory[-1]),
-        "trajectory": [_fmt_vector(q) for q in trajectory],
-    }
+    report.body["result"] = _fmt(
+        {"steps": args.steps, "converged": converged, "final": trajectory[-1], "trajectory": trajectory}
+    )
     return report.emit()
 
 
@@ -236,7 +221,7 @@ def cmd_coarse_grain(args):
     T = coarse_grain(S, partition, Y)
     report = Report("coarse-grain", inputs)
     report.check("left_stochastic", defect=core.validate(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
-    _emit_matrix(report, T, "matrix", args.out)
+    _emit_matrix(report, T, args.out)
     return report.emit()
 
 
@@ -253,16 +238,14 @@ def cmd_dilate(args):
         report.body["result"]["partition"] = dil.partition.to_json()
         report.check("bi_stochastic", dil.checks["bi_stochastic"])
         report.check("coarse_grain_roundtrip", dil.checks["coarse_grain_roundtrip"])
-        _emit_matrix(report, dil.matrix, "matrix", args.out)
     elif args.kind == "noisy":
-        E = env_dilation.noisy_dilation(T)
-        rep = core.validate(E.matrix)
+        dil = env_dilation.noisy_dilation(T)
+        rep = core.validate(dil.matrix)
         defect = max(rep.max_column_defect, rep.max_row_defect)
         report.check("bi_stochastic", defect=defect, tol=_tol(T, core.DEFAULT_TOL))
-        defect = np.max(np.abs(env_dilation.extract_dilated(E.matrix, 0).a - T.a))
+        defect = np.max(np.abs(env_dilation.extract_dilated(dil.matrix, 0).a - T.a))
         report.check("extract_dilated == input", defect=defect, tol=_tol(T, core.RESIDUAL_TOL))
-        report.check("marginal_identity", env_dilation.verify_env_dilation(T, E))
-        _emit_matrix(report, E.matrix, "matrix", args.out)
+        report.check("marginal_identity", env_dilation.verify_env_dilation(T, dil))
     else:  # unistochastic
         dil = env_dilation.unistochastic_dilation(_convert(T, FLOAT))
         report.check("orthogonal", defect=dil.orthogonality_defect(), tol=core.RESIDUAL_TOL)
@@ -271,7 +254,7 @@ def cmd_dilate(args):
         report.check("bi_stochastic", defect=defect, tol=core.RESIDUAL_TOL)
         defect = np.max(np.abs(env_dilation.extract_dilated(dil.matrix, 0).a - T.to_float().a))
         report.check("extract_dilated == input", defect=defect, tol=core.RESIDUAL_TOL)
-        _emit_matrix(report, dil.matrix, "matrix", args.out)
+    _emit_matrix(report, dil.matrix, args.out)
     return report.emit()
 
 
@@ -280,7 +263,7 @@ def cmd_extract(args):
     T = env_dilation.extract_dilated(R, args.zero_index)
     report = Report("extract", [args.matrix])
     report.check("left_stochastic", defect=core.validate(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
-    _emit_matrix(report, T, "matrix", args.out)
+    _emit_matrix(report, T, args.out)
     return report.emit()
 
 
@@ -302,7 +285,7 @@ def cmd_verify_dilation(args):
 def cmd_entropy(args):
     p = _load_vector(args.vec, args.mode)
     report = Report("entropy", [args.vec])
-    report.body["result"] = {"entropy": _fmt(entropy_mod.shannon_entropy(p))}
+    report.body["result"] = _fmt({"entropy": entropy_mod.shannon_entropy(p)})
     return report.emit()
 
 
@@ -314,33 +297,19 @@ def cmd_entropy_region(args):
     points = entropy_mod.region_boundary_scan(T, anchor, directions, resolution=args.grid)
     report = Report("entropy-region", [args.matrix])
     header = "t," + ",".join(f"p{k}" for k in range(n)) + ",H(p),H(Tp)"
-    lines = [header]
-    Tf = T.a
-    for q in directions:
-        for k in range(args.grid + 1):
-            t = k / args.grid
-            pt = (1.0 - t) * anchor.a + t * q.a
-            h_p = entropy_mod.shannon_entropy(pt)
-            h_tp = entropy_mod.shannon_entropy(Tf @ pt)
-            row = [f"{t:.12g}"] + [f"{v:.12g}" for v in pt] + [f"{h_p:.12g}", f"{h_tp:.12g}"]
-            lines.append(",".join(row))
-    csv = "\n".join(lines) + "\n"
+    rows = [",".join(f"{v:.12g}" for v in row) for b in points for row in b.samples]
+    csv = "\n".join([header, *rows]) + "\n"
     if args.out:
         with open(args.out, "w", newline="\n") as fh:
             fh.write(csv)
         report.output(args.out)
     else:
         report.body["result"]["csv"] = csv
-    report.body["result"]["boundary"] = [
-        {
-            "t": _fmt(b.t),
-            "point": [_fmt(v) for v in b.point],
-            "H(p)": _fmt(b.h_p),
-            "H(Tp)": _fmt(b.h_tp),
-            "full_segment_inside": b.full_segment_inside,
-        }
+    boundary = [
+        {"t": b.t, "point": b.point, "H(p)": b.h_p, "H(Tp)": b.h_tp, "full_segment_inside": b.full_segment_inside}
         for b in points
     ]
+    report.body["result"]["boundary"] = _fmt(boundary)
     return report.emit()
 
 
@@ -349,17 +318,7 @@ def cmd_ledger(args):
     p = _load_vector(args.vector, T.mode)
     led = entropy_mod.entropy_ledger(T, p)
     report = Report("ledger", [args.matrix, args.vector])
-    report.body["result"] = {
-        "h_input": _fmt(led.h_input),
-        "h_lifted": _fmt(led.h_lifted),
-        "h_evolved": _fmt(led.h_evolved),
-        "h_marginal_1": _fmt(led.h_marginal_1),
-        "h_marginal_2": _fmt(led.h_marginal_2),
-        "h_output": _fmt(led.h_output),
-        "marginal_sum": _fmt(led.h_marginal_1 + led.h_marginal_2),
-        "marginal_1": _fmt_vector(led.marginal_1),
-        "marginal_2": _fmt_vector(led.marginal_2),
-    }
+    report.body["result"] = {**_fmt(led), "marginal_sum": _fmt(led.h_marginal_1 + led.h_marginal_2)}
     report.check("evolved_not_below_lifted", defect=max(0.0, led.h_lifted - led.h_evolved), tol=core.RESIDUAL_TOL)
     return report.emit()
 
@@ -368,15 +327,16 @@ def cmd_birkhoff(args):
     S = _load_matrix(args.matrix, args.mode)
     dec = entropy_mod.birkhoff_decompose(S, tol=args.tol)
     report = Report("birkhoff", [args.matrix])
-    report.body["result"] = {
-        "terms": [{"weight": _fmt(w), "permutation": list(sigma)} for w, sigma in dec.terms],
-        "term_count": len(dec.terms),
-        "weight_sum": _fmt(dec.weight_sum()),
-        "residual_mass": _fmt(dec.residual_mass),
-    }
-    # both checks allow the mass that peeling left unexplained
+    terms = [{"weight": w, "permutation": sigma} for w, sigma in dec.terms]
+    report.body["result"] = _fmt(
+        {"terms": terms, "term_count": len(terms), "weight_sum": dec.weight_sum(), "residual_mass": dec.residual_mass}
+    )
+    # both checks allow the mass that peeling left unexplained; the weights
+    # also carry the input's column defect: sum(w) = colsum(S) - colsum(residual)
     tol = _tol(S, dec.residual_mass + core.RESIDUAL_TOL)
     report.check("reconstruction", defect=np.max(np.abs(dec.reconstruct(mode=S.mode).a - S.a)), tol=tol)
+    column_defect = core.validate(S, args.tol).max_column_defect
+    tol = _tol(S, dec.residual_mass + column_defect + core.RESIDUAL_TOL)
     report.check("weights_sum_to_one", defect=abs(dec.weight_sum() - 1), tol=tol)
     return report.emit()
 
@@ -385,16 +345,13 @@ def cmd_sinkhorn(args):
     T = _load_matrix(args.matrix, FLOAT)
     res = sinkhorn_mod.sinkhorn_knopp(T, tol=args.tol, max_iter=args.max_iter)
     report = Report("sinkhorn", [args.matrix])
-    report.body["result"] = {
-        "d1": [_fmt(v) for v in res.d1],
-        "d2": [_fmt(v) for v in res.d2],
-        "iterations": res.iterations,
-        "final_defect": _fmt(res.final_defect),
-    }
+    report.body["result"] = _fmt(
+        {"d1": res.d1, "d2": res.d2, "iterations": res.iterations, "final_defect": res.final_defect}
+    )
     report.check("bi_stochastic", defect=res.final_defect, tol=args.tol)
     scaled = np.diag(res.d1) @ T.a @ np.diag(res.d2)
     report.check("diagonal_factorization", defect=float(np.max(np.abs(scaled - res.matrix.a))), tol=10 * args.tol)
-    _emit_matrix(report, res.matrix, "matrix", args.out)
+    _emit_matrix(report, res.matrix, args.out)
     return report.emit()
 
 
@@ -439,20 +396,22 @@ def cmd_demo_maxwell(args):
         expect(name, defect=abs(got - want), tol=1e-4)
     expect("ledger_second_marginal_is_input", led.marginal_2.allclose(uniform.to_float()))
 
-    report.body["result"] = {
-        "fixed_point_face": "{(a, 0, 0, 1-a)}",
-        "one_step_image": _fmt_vector(one_step),
-        "one_step_entropy": _fmt(h_step),
-        "limit": _fmt_vector(trajectory[-1]),
-        "limit_entropy": _fmt(h_limit),
-        "ledger": {
-            "h_input": _fmt(led.h_input),
-            "h_evolved": _fmt(led.h_evolved),
-            "h_marginal_1": _fmt(led.h_marginal_1),
-            "h_marginal_2": _fmt(led.h_marginal_2),
-            "marginal_sum": _fmt(led.h_marginal_1 + led.h_marginal_2),
-        },
-    }
+    report.body["result"] = _fmt(
+        {
+            "fixed_point_face": "{(a, 0, 0, 1-a)}",
+            "one_step_image": one_step,
+            "one_step_entropy": h_step,
+            "limit": trajectory[-1],
+            "limit_entropy": h_limit,
+            "ledger": {
+                "h_input": led.h_input,
+                "h_evolved": led.h_evolved,
+                "h_marginal_1": led.h_marginal_1,
+                "h_marginal_2": led.h_marginal_2,
+                "marginal_sum": led.h_marginal_1 + led.h_marginal_2,
+            },
+        }
+    )
     code = report.emit()
     if failures:
         raise DemoMismatch(failures[0])

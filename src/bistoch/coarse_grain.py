@@ -26,11 +26,6 @@ from .errors import (
     ZeroComponent,
 )
 
-UNIFORM = "uniform"
-PRODUCT = "product"
-CUSTOM = "custom"
-
-
 @dataclass(frozen=True)
 class Partition:
     """Ordered partition of {0, ..., d-1} into non-empty classes."""
@@ -58,12 +53,6 @@ class Partition:
     @property
     def is_proper(self):
         return any(len(c) > 1 for c in self.classes)
-
-    def class_of(self, index):
-        for k, c in enumerate(self.classes):
-            if index in c:
-                return k
-        raise IndexError(index)
 
     @classmethod
     def consecutive(cls, sizes):
@@ -95,7 +84,6 @@ class RightInverse:
 
     partition: Partition
     matrix: StochMatrix
-    kind: str = CUSTOM
 
 
 @dataclass
@@ -124,7 +112,7 @@ def uniform_right_inverse(P, mode=EXACT):
     ]
     if mode == FLOAT:
         data = [[float(v) for v in row] for row in data]
-    return RightInverse(partition=P, matrix=StochMatrix(data, mode=mode), kind=UNIFORM)
+    return RightInverse(partition=P, matrix=StochMatrix(data, mode=mode))
 
 
 def product_right_inverse(n, rho):
@@ -144,7 +132,7 @@ def product_right_inverse(n, rho):
     for i in range(m):
         for k in range(n):
             data[i * n + k][k] = rho.a[i]
-    return RightInverse(partition=partition, matrix=StochMatrix(data, mode=rho.mode), kind=PRODUCT)
+    return RightInverse(partition=partition, matrix=StochMatrix(data, mode=rho.mode))
 
 
 def _check_section(P, Y):

@@ -287,7 +287,7 @@ def validate(M, tol=DEFAULT_TOL):
     bi = left and right and M.is_square
     irreducible = False
     if M.is_square and left:
-        irreducible = _strongly_connected(_support_adjacency(M))
+        irreducible = len(_strongly_connected_components(_support_adjacency(M))) == 1
     return StochasticityReport(
         left=left,
         right=right,
@@ -302,31 +302,6 @@ def _support_adjacency(T):
     """Adjacency lists of the digraph with edge n -> m whenever T[m, n] > 0."""
     threshold = 0 if T.mode == EXACT else RESIDUAL_TOL
     return [np.nonzero(T.a[:, k] > threshold)[0].tolist() for k in range(T.rows)]
-
-
-def _reachable(adj, start):
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def _strongly_connected(adj):
-    n = len(adj)
-    if n == 0:
-        return False
-    if len(_reachable(adj, 0)) != n:
-        return False
-    reverse = [[] for _ in range(n)]
-    for u, outs in enumerate(adj):
-        for v in outs:
-            reverse[v].append(u)
-    return len(_reachable(reverse, 0)) == n
 
 
 def _strongly_connected_components(adj):
@@ -393,7 +368,7 @@ def _recurrent_classes(T):
 def is_irreducible(T):
     """True iff the support digraph of T is strongly connected."""
     _require_left_stochastic(T)
-    return _strongly_connected(_support_adjacency(T))
+    return len(_strongly_connected_components(_support_adjacency(T))) == 1
 
 
 def _rref(rows):
@@ -497,13 +472,18 @@ def fixed_point(T):
     )
 
 
-def apply(T, p):
-    """The image T.p of a distribution under a left-stochastic matrix."""
+def _require_applicable(T, p):
+    """Raise unless T acts on p: same mode, matching dimension, left-stochastic T."""
     _require_same_mode(T, p)
     if T.cols != p.n:
         raise DimensionMismatch(f"{T.rows}x{T.cols} matrix applied to length-{p.n} vector")
     if not validate(T).left:
         raise NotStochastic("matrix is not left-stochastic")
+
+
+def apply(T, p):
+    """The image T.p of a distribution under a left-stochastic matrix."""
+    _require_applicable(T, p)
     return ProbVec(T.a @ p.a, mode=T.mode)
 
 
@@ -511,20 +491,21 @@ def iterate(T, p, steps):
     """Trajectory [p, Tp, ..., T^steps p] plus a convergence flag.
 
     The flag is true once two consecutive iterates differ by at most
-    ``RESIDUAL_TOL`` in the max norm.
+    ``RESIDUAL_TOL`` in the max norm.  T and p are checked once, before the
+    first step; ``steps == 0`` checks nothing and returns ``[p]``.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
+    if steps:
+        _require_applicable(T, p)
     trajectory = [p]
     converged = False
-    current = p
     for _ in range(steps):
-        nxt = apply(T, current)
+        current = trajectory[-1]
+        nxt = ProbVec(T.a @ current.a, mode=T.mode)
         trajectory.append(nxt)
-        diff = max(abs(a - b) for a, b in zip(nxt.a, current.a))
-        if diff <= RESIDUAL_TOL:
+        if np.max(np.abs(nxt.a - current.a)) <= RESIDUAL_TOL:
             converged = True
-        current = nxt
     return trajectory, converged
 
 

@@ -32,6 +32,15 @@ def shannon_entropy(p):
     return float(-np.sum(positive * np.log(positive)))
 
 
+def _row_entropies(P):
+    """Shannon entropy of each row of a float array, with 0 log 0 = 0.
+
+    Zero entries stay in the sum as 0 terms, where ``shannon_entropy`` drops
+    them, so on a row with zeros the two may differ in the last bit.
+    """
+    return -np.sum(P * np.log(np.where(P > 0, P, 1.0)), axis=1)
+
+
 def _entropy_gap(Tf, arr):
     """H(T p) - H(p) for a float matrix and a float array on the simplex."""
     return shannon_entropy(Tf @ arr) - shannon_entropy(arr)
@@ -47,58 +56,60 @@ def in_decreasing_region(T, p, tol=RESIDUAL_TOL):
 
 @dataclass
 class BoundaryPoint:
-    """One ray of a boundary scan: last parameter still inside the region."""
+    """One ray of a boundary scan: last parameter still inside the region.
+
+    ``samples`` holds the ray's grid, one row ``t, p(t)..., H(p(t)), H(T p(t))``
+    per grid point.
+    """
 
     t: float
     point: np.ndarray
     h_p: float
     h_tp: float
     full_segment_inside: bool
+    samples: np.ndarray
 
 
 def region_boundary_scan(T, anchor, directions, resolution=64):
     """Locate the boundary of the entropy-decreasing region along rays.
 
     For each direction point q the segment p(t) = (1-t) anchor + t q is
-    sampled at ``resolution + 1`` points; at the first sample leaving the
-    region, bisection refines the last inside parameter to ``BISECTION_TOL``.
-    Rays that never leave the region return their endpoint with
-    ``full_segment_inside`` set.
+    sampled at the ``resolution + 1`` points t = k / resolution, all at once;
+    each ray's samples are returned as its ``samples``.  At the first sample
+    with k >= 1 leaving the region, bisection refines the last inside
+    parameter to ``BISECTION_TOL``.  Rays that never leave the region return
+    their endpoint with ``full_segment_inside`` set.
     """
-    if not T.is_square or anchor.n != T.rows:
-        raise DimensionMismatch(f"{T.rows}x{T.cols} matrix with length-{anchor.n} anchor")
+    n = anchor.n
+    if not T.is_square or n != T.rows:
+        raise DimensionMismatch(f"{T.rows}x{T.cols} matrix with length-{n} anchor")
     Tf = T.to_float().a
     a = anchor.to_float().a
     if _entropy_gap(Tf, a) > RESIDUAL_TOL:
         raise AnchorOutsideRegion("anchor must lie in the entropy-decreasing region")
+    grid = np.arange(resolution + 1) / resolution
     results = []
     for q in directions:
         qf = q.to_float().a if isinstance(q, ProbVec) else np.asarray(q, dtype=float)
+        if qf.shape != (n,):
+            raise DimensionMismatch(f"length-{n} anchor with direction of shape {qf.shape}")
         seg = lambda t: (1.0 - t) * a + t * qf
-        exit_k = None
-        for k in range(1, resolution + 1):
-            if _entropy_gap(Tf, seg(k / resolution)) > RESIDUAL_TOL:
-                exit_k = k
-                break
-        if exit_k is None:
-            pt = seg(1.0)
-            results.append(
-                BoundaryPoint(
-                    t=1.0,
-                    point=pt,
-                    h_p=shannon_entropy(pt),
-                    h_tp=shannon_entropy(Tf @ pt),
-                    full_segment_inside=True,
-                )
-            )
-            continue
-        lo, hi = (exit_k - 1) / resolution, exit_k / resolution
-        while hi - lo > BISECTION_TOL:
-            mid = 0.5 * (lo + hi)
-            if _entropy_gap(Tf, seg(mid)) <= RESIDUAL_TOL:
-                lo = mid
-            else:
-                hi = mid
+        P = seg(grid[:, None])
+        # matmul of a stack of vectors: the same product per row as Tf @ p
+        h_p, h_tp = _row_entropies(P), _row_entropies((Tf @ P[:, :, None])[:, :, 0])
+        samples = np.column_stack([grid, P, h_p, h_tp])
+        exits = np.flatnonzero(h_tp[1:] - h_p[1:] > RESIDUAL_TOL)
+        if len(exits):
+            k = int(exits[0]) + 1
+            lo, hi = (k - 1) / resolution, k / resolution
+            while hi - lo > BISECTION_TOL:
+                mid = 0.5 * (lo + hi)
+                if _entropy_gap(Tf, seg(mid)) <= RESIDUAL_TOL:
+                    lo = mid
+                else:
+                    hi = mid
+        else:
+            lo = 1.0
         pt = seg(lo)
         results.append(
             BoundaryPoint(
@@ -106,7 +117,8 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
                 point=pt,
                 h_p=shannon_entropy(pt),
                 h_tp=shannon_entropy(Tf @ pt),
-                full_segment_inside=False,
+                full_segment_inside=not len(exits),
+                samples=samples,
             )
         )
     return results

@@ -99,6 +99,61 @@ class TestExitCodes:
         assert len(proc.stderr.strip().splitlines()) == 1
 
 
+REPORT_KEYS = [
+    (["validate", "T"], {"left", "right", "bi", "irreducible", "max_column_defect", "max_row_defect"}, None),
+    (["fixed-point", "T"], {"representative", "face_dimension", "is_unique", "basis"}, None),
+    (["apply", "T", "p"], {"image"}, None),
+    (["iterate", "T", "p", "--steps", "3"], {"steps", "converged", "final", "trajectory"}, None),
+    (["coarse-grain", "T", "P"], {"matrix"}, None),
+    (["dilate", "uniform", "T"], {"partition", "matrix"}, None),
+    (["dilate", "noisy", "T"], {"matrix"}, None),
+    (["dilate", "unistochastic", "T"], {"matrix"}, None),
+    (["extract", "R"], {"matrix"}, None),
+    (["verify-dilation", "T", "R"], set(), None),
+    (["entropy", "--vec", "p"], {"entropy"}, None),
+    (["entropy-region", "T", "--grid", "4"], {"csv", "boundary"},
+     ("boundary", {"t", "point", "H(p)", "H(Tp)", "full_segment_inside"})),
+    (["ledger", "T", "p"], {"h_input", "h_lifted", "h_evolved", "h_marginal_1", "h_marginal_2", "h_output",
+                            "marginal_sum", "marginal_1", "marginal_2"}, None),
+    (["birkhoff", "R"], {"terms", "term_count", "weight_sum", "residual_mass"}, ("terms", {"weight", "permutation"})),
+    (["sinkhorn", "T"], {"d1", "d2", "iterations", "final_defect", "matrix"}, None),
+    (["demo", "maxwell"], {"fixed_point_face", "one_step_image", "one_step_entropy", "limit", "limit_entropy", "ledger"},
+     ("ledger", {"h_input", "h_evolved", "h_marginal_1", "h_marginal_2", "marginal_sum"})),
+]
+
+
+class TestReportKeys:
+    """The result keys of every subcommand.  Several reports are a library
+    result written out field by field, so renaming a field must fail here."""
+
+    @pytest.fixture
+    def files(self, tmp_path, capsys):
+        T = bs.two_state(Fraction(1, 3), Fraction(2, 3))
+        paths = {
+            "T": tmp_path / "t.json",
+            "p": tmp_path / "p.json",
+            "P": tmp_path / "partition.json",
+            "R": tmp_path / "r.json",
+        }
+        paths["T"].write_text(json.dumps(bs.matrix_to_json(T)))
+        paths["p"].write_text(json.dumps(bs.vector_to_json(ProbVec.uniform(2, mode=EXACT))))
+        paths["P"].write_text(json.dumps({"d": 2, "classes": [[0], [1]]}))
+        assert run(["dilate", "noisy", str(paths["T"]), "--out", str(paths["R"])]) == 0
+        capsys.readouterr()
+        return {k: str(v) for k, v in paths.items()}
+
+    @pytest.mark.parametrize("argv, keys, nested", REPORT_KEYS, ids=[" ".join(argv) for argv, _, _ in REPORT_KEYS])
+    def test_result_keys(self, capsys, files, argv, keys, nested):
+        code, report = run_json(capsys, [files.get(a, a) for a in argv])
+        assert code == 0
+        assert set(report["result"]) == keys
+        if nested:
+            key, inner = nested
+            items = report["result"][key]
+            for item in items if isinstance(items, list) else [items]:
+                assert set(item) == inner
+
+
 class TestDeterminism:
     def test_reports_byte_identical(self, capsys, demon_file, uniform4_file):
         runs = []
@@ -243,6 +298,16 @@ class TestCommands:
         assert code == 0
         assert all(c["pass"] and c["defect"] <= c["tol"] for c in report["checks"])
         assert report["result"]["residual_mass"] >= 0
+
+    def test_birkhoff_weights_carry_input_defect(self, capsys, tmp_path):
+        # every row and column sums to 1 + 5e-10, inside the default --tol:
+        # the weights then sum to 1 + 5e-10 with nothing left unpeeled
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(bs.matrix_to_json(StochMatrix(np.full((4, 4), (1 + 5e-10) / 4)))))
+        code, report = run_json(capsys, ["birkhoff", str(path)])
+        assert code == 0
+        assert [c["name"] for c in report["checks"]] == ["reconstruction", "weights_sum_to_one"]
+        assert all(c["pass"] and c["defect"] <= c["tol"] for c in report["checks"])
 
     def test_sinkhorn_output_revalidates(self, capsys, tmp_path):
         T = bs.two_state(0.2, 0.4, mode=FLOAT)

@@ -5,7 +5,7 @@ import pytest
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
-from bistoch.errors import DimensionMismatch, ModeMismatch, NegativeEntry, NonFiniteEntry, NotSquare
+from bistoch.errors import DimensionMismatch, ModeMismatch, NegativeEntry, NonFiniteEntry, NotSquare, NotStochastic
 
 from conftest import (
     random_prob_vec_float,
@@ -180,6 +180,21 @@ class TestIterate:
         trajectory, _ = bs.iterate(T, ProbVec.uniform(2), 100)
         # fixed point from the exact nullspace: (1/3, 2/3)
         assert np.max(np.abs(trajectory[-1].a - np.array([1 / 3, 2 / 3]))) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "T, p, error",
+        [
+            (StochMatrix([[0.5, 0.5], [0.6, 0.5]]), ProbVec.uniform(2), NotStochastic),
+            (bs.maxwell_demon(mode=EXACT), ProbVec.uniform(4), ModeMismatch),
+            (bs.maxwell_demon(mode=EXACT), ProbVec.uniform(3, mode=EXACT), DimensionMismatch),
+        ],
+        ids=["not-left-stochastic", "mode-mismatch", "wrong-length"],
+    )
+    def test_rejects_before_first_step(self, T, p, error):
+        with pytest.raises(error):
+            bs.iterate(T, p, 3)
+        # zero steps check nothing and return the start
+        assert bs.iterate(T, p, 0) == ([p], False)
 
 
 class TestSerialization:

@@ -164,6 +164,34 @@ class TestBoundaryScan:
         with pytest.raises(AnchorOutsideRegion):
             bs.region_boundary_scan(demon, ProbVec.point_mass(4, 1, mode=EXACT), [ProbVec.uniform(4, mode=EXACT)])
 
+    def test_rejects_wrong_length_direction(self):
+        T = bs.two_state(0.3, 0.6, mode=FLOAT)
+        with pytest.raises(DimensionMismatch):
+            bs.region_boundary_scan(T, ProbVec.uniform(2), [np.array([0.2, 0.3, 0.5])])
+
+    @pytest.mark.parametrize("n", [4, 9, 16])
+    def test_samples_are_the_grid(self, demon, n):
+        T = demon if n == 4 else random_stochastic_float(np.random.default_rng(n), n)
+        directions = [ProbVec.point_mass(n, k) for k in range(n)]
+        resolution = 32
+        points = bs.region_boundary_scan(T, ProbVec.uniform(n), directions, resolution=resolution)
+        Tf = T.to_float().a
+        for q, bp in zip(directions, points):
+            assert bp.samples.shape == (resolution + 1, n + 3)
+            t, P, h_p, h_tp = bp.samples[:, 0], bp.samples[:, 1:-2], bp.samples[:, -2], bp.samples[:, -1]
+            assert np.array_equal(t, np.arange(resolution + 1) / resolution)
+            assert np.allclose(P, (1 - t)[:, None] / n + t[:, None] * q.a, rtol=0, atol=RESIDUAL_TOL)
+            for row, hp, htp in zip(P, h_p, h_tp):
+                assert abs(hp - bs.shannon_entropy(row)) <= RESIDUAL_TOL
+                assert abs(htp - bs.shannon_entropy(Tf @ row)) <= RESIDUAL_TOL
+            exits = np.flatnonzero(h_tp[1:] - h_p[1:] > RESIDUAL_TOL)
+            assert bp.full_segment_inside == (len(exits) == 0)
+            if len(exits):
+                k = exits[0] + 1
+                assert (k - 1) / resolution <= bp.t <= k / resolution
+            else:
+                assert bp.t == 1.0
+
 
 class TestEntropyLedger:
     def test_demon_uniform_golden(self, demon):
