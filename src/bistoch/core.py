@@ -492,19 +492,23 @@ def iterate(T, p, steps):
 
     The flag is true once two consecutive iterates differ by at most
     ``RESIDUAL_TOL`` in the max norm.  T and p are checked once, before the
-    first step; ``steps == 0`` checks nothing and returns ``[p]``.
+    first step; ``steps == 0`` checks nothing and returns ``[p]``.  A
+    non-square T maps p to a vector of another length, which it cannot act
+    on: it takes one step at most, and that step never counts as converged.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
     if steps:
         _require_applicable(T, p)
+    if steps > 1 and not T.is_square:
+        raise DimensionMismatch(f"{T.rows}x{T.cols} matrix applied to length-{T.rows} vector")
     trajectory = [p]
     converged = False
     for _ in range(steps):
         current = trajectory[-1]
         nxt = ProbVec(T.a @ current.a, mode=T.mode)
         trajectory.append(nxt)
-        if np.max(np.abs(nxt.a - current.a)) <= RESIDUAL_TOL:
+        if nxt.n == current.n and np.max(np.abs(nxt.a - current.a)) <= RESIDUAL_TOL:
             converged = True
     return trajectory, converged
 

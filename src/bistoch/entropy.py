@@ -26,19 +26,14 @@ from .errors import (
 
 
 def shannon_entropy(p):
-    """H(p) = -sum p_k ln p_k over the positive entries, in nats."""
-    arr = p.to_float().a if isinstance(p, ProbVec) else np.asarray(p, dtype=float)
-    positive = arr[arr > 0]
-    return float(-np.sum(positive * np.log(positive)))
+    """H(p) = -sum p_k ln p_k in nats, with 0 ln 0 = 0.
 
-
-def _row_entropies(P):
-    """Shannon entropy of each row of a float array, with 0 log 0 = 0.
-
-    Zero entries stay in the sum as 0 terms, where ``shannon_entropy`` drops
-    them, so on a row with zeros the two may differ in the last bit.
+    ``p`` is a ProbVec or an array; an array of several rows gives the
+    entropy of each row along the last axis.
     """
-    return -np.sum(P * np.log(np.where(P > 0, P, 1.0)), axis=1)
+    arr = p.to_float().a if isinstance(p, ProbVec) else np.asarray(p, dtype=float)
+    h = -np.sum(arr * np.log(np.where(arr > 0, arr, 1.0)), axis=-1)
+    return float(h) if h.ndim == 0 else h
 
 
 def _entropy_gap(Tf, arr):
@@ -96,7 +91,7 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
         seg = lambda t: (1.0 - t) * a + t * qf
         P = seg(grid[:, None])
         # matmul of a stack of vectors: the same product per row as Tf @ p
-        h_p, h_tp = _row_entropies(P), _row_entropies((Tf @ P[:, :, None])[:, :, 0])
+        h_p, h_tp = shannon_entropy(P), shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
         samples = np.column_stack([grid, P, h_p, h_tp])
         exits = np.flatnonzero(h_tp[1:] - h_p[1:] > RESIDUAL_TOL)
         if len(exits):
@@ -160,12 +155,13 @@ def entropy_ledger(T, p):
     by_env = evolved.reshape(n, n)
     marginal_1 = ProbVec(by_env.sum(axis=0), mode=FLOAT)
     marginal_2 = ProbVec(by_env.sum(axis=1), mode=FLOAT)
-    h_input = shannon_entropy(pf)
+    # p (x) delta_0: p in the states flat(m, 0) = m, zeros elsewhere
+    lifted = np.zeros(n * n)
+    lifted[:n] = pf
     h_marginal_1 = shannon_entropy(marginal_1)
     return EntropyLedger(
-        h_input=h_input,
-        # p (x) delta_0 holds the entries of p and zeros
-        h_lifted=h_input,
+        h_input=shannon_entropy(pf),
+        h_lifted=shannon_entropy(lifted),
         h_evolved=shannon_entropy(evolved),
         h_marginal_1=h_marginal_1,
         h_marginal_2=shannon_entropy(marginal_2),

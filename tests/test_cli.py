@@ -98,6 +98,19 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
 
+    def test_non_square_iterate_gives_one_line_error(self, tmp_path):
+        matrix, vector = tmp_path / "T.json", tmp_path / "p.json"
+        matrix.write_text(json.dumps(bs.matrix_to_json(StochMatrix([[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]))))
+        vector.write_text(json.dumps(bs.vector_to_json(ProbVec.uniform(3))))
+        env = {**os.environ, "PYTHONPATH": str(Path(bs.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bistoch.cli", "iterate", str(matrix), str(vector), "--steps", "2"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert len(proc.stderr.strip().splitlines()) == 1
+
 
 REPORT_KEYS = [
     (["validate", "T"], {"left", "right", "bi", "irreducible", "max_column_defect", "max_row_defect"}, None),

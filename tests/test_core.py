@@ -187,14 +187,20 @@ class TestIterate:
             (StochMatrix([[0.5, 0.5], [0.6, 0.5]]), ProbVec.uniform(2), NotStochastic),
             (bs.maxwell_demon(mode=EXACT), ProbVec.uniform(4), ModeMismatch),
             (bs.maxwell_demon(mode=EXACT), ProbVec.uniform(3, mode=EXACT), DimensionMismatch),
+            (StochMatrix([[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]), ProbVec.uniform(3), DimensionMismatch),
         ],
-        ids=["not-left-stochastic", "mode-mismatch", "wrong-length"],
+        ids=["not-left-stochastic", "mode-mismatch", "wrong-length", "not-square"],
     )
     def test_rejects_before_first_step(self, T, p, error):
         with pytest.raises(error):
             bs.iterate(T, p, 3)
         # zero steps check nothing and return the start
         assert bs.iterate(T, p, 0) == ([p], False)
+
+    def test_non_square_takes_one_step(self):
+        T = StochMatrix([[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]])
+        p = ProbVec.uniform(3)
+        assert bs.iterate(T, p, 1) == ([p, bs.apply(T, p)], False)
 
 
 class TestSerialization:
