@@ -1,22 +1,27 @@
 """Partitions, coarse-graining projections and dilation on a partitioned space.
 
-Coarse graining merges the ``d`` fine-grained states into ``N`` classes.  The
-projection ``X`` sums probabilities over each class; a right inverse ``Y``
-lifts coarse distributions back, with ``X @ Y`` the identity.  A stochastic
-matrix ``T`` is dilated when it is written as ``X @ S @ Y`` with ``S``
-bi-stochastic on the fine-grained space.
+Coarse graining merges the ``d`` fine-grained states into ``N`` classes.
+``Partition.labels[nu]`` is the class of fine state ``nu``, and every
+construction here is an array expression over it.  The projection ``X``
+(``X[k, nu] = 1`` iff ``labels[nu] == k``) sums probabilities over each
+class; a right inverse ``Y`` lifts coarse distributions back, with ``X @ Y``
+the identity.  A product ``X @ A`` is never formed against the 0/1 matrix:
+the rows of ``A`` are summed class by class.  A stochastic matrix ``T`` is
+dilated when it is written as ``X @ S @ Y`` with ``S`` bi-stochastic on the
+fine-grained space; with the uniform right inverse, ``S = Y T X`` is the
+gather ``S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|``, where ``c = labels``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
+from itertools import accumulate, chain
 
 import numpy as np
 
 from . import core
-from .core import EXACT, FLOAT, ProbVec, StochMatrix
+from .core import EXACT, StochMatrix
 from .errors import (
     DimensionMismatch,
     InvalidPartition,
@@ -36,10 +41,9 @@ class Partition:
     def __post_init__(self):
         classes = tuple(tuple(sorted(c)) for c in self.classes)
         object.__setattr__(self, "classes", classes)
-        flat = [i for c in classes for i in c]
         if not classes or any(len(c) == 0 for c in classes):
             raise InvalidPartition("classes must be non-empty")
-        if sorted(flat) != list(range(self.d)):
+        if sorted(chain.from_iterable(classes)) != list(range(self.d)):
             raise InvalidPartition(f"classes must partition 0..{self.d - 1}")
 
     @property
@@ -51,24 +55,26 @@ class Partition:
         return tuple(len(c) for c in self.classes)
 
     @property
+    def labels(self):
+        """Class index of each fine state: ``labels[nu] == k`` iff nu is in class k."""
+        labels = np.empty(self.d, dtype=int)
+        labels[np.concatenate(self.classes).astype(int)] = np.repeat(np.arange(self.n), self.class_sizes)
+        return labels
+
+    @property
     def is_proper(self):
         return any(len(c) > 1 for c in self.classes)
 
     @classmethod
     def consecutive(cls, sizes):
         """Classes of the given sizes over consecutive indices."""
-        classes = []
-        start = 0
-        for s in sizes:
-            classes.append(tuple(range(start, start + s)))
-            start += s
-        return cls(d=start, classes=tuple(classes))
+        bounds = list(accumulate(sizes, initial=0))
+        return cls(d=bounds[-1], classes=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
 
     @classmethod
     def first_marginal(cls, n, m):
         """Class k = {(k, i) : i < m} under the flattening flat(k, i) = i*n + k."""
-        classes = tuple(tuple(i * n + k for i in range(m)) for k in range(n))
-        return cls(d=n * m, classes=classes)
+        return cls(d=n * m, classes=tuple(tuple(range(k, n * m, n)) for k in range(n)))
 
     def to_json(self):
         return {"d": self.d, "classes": [list(c) for c in self.classes]}
@@ -98,21 +104,18 @@ class CoarseGrainDilation:
 
 def projection_matrix(P, mode=EXACT):
     """The N x d zero-one matrix summing probabilities over each class."""
-    data = [[int(nu in P.classes[n]) for nu in range(P.d)] for n in range(P.n)]
-    if mode == FLOAT:
-        data = [[float(v) for v in row] for row in data]
-    return StochMatrix(data, mode=mode)
+    return StochMatrix((P.labels == np.arange(P.n)[:, None]).astype(int), mode=mode)
+
+
+def _class_sizes(P):
+    """Class sizes as Python ints, so that exact entries divided by them stay Fractions."""
+    return np.array(P.class_sizes, dtype=object)
 
 
 def uniform_right_inverse(P, mode=EXACT):
     """Right inverse spreading each class mass uniformly over its members."""
-    data = [
-        [Fraction(int(nu in P.classes[n]), len(P.classes[n])) for n in range(P.n)]
-        for nu in range(P.d)
-    ]
-    if mode == FLOAT:
-        data = [[float(v) for v in row] for row in data]
-    return RightInverse(partition=P, matrix=StochMatrix(data, mode=mode))
+    X = projection_matrix(P, mode=mode)
+    return RightInverse(partition=P, matrix=StochMatrix(X.a.T / _class_sizes(P), mode=mode))
 
 
 def product_right_inverse(n, rho):
@@ -123,29 +126,21 @@ def product_right_inverse(n, rho):
     flat index ``i*n + m``.
     """
     m = rho.n
-    partition = Partition.first_marginal(n, m)
-    if rho.mode == EXACT:
-        zero = Fraction(0)
-    else:
-        zero = 0.0
-    data = [[zero] * n for _ in range(n * m)]
-    for i in range(m):
-        for k in range(n):
-            data[i * n + k][k] = rho.a[i]
-    return RightInverse(partition=partition, matrix=StochMatrix(data, mode=rho.mode))
+    data = (rho.a[:, None, None] * np.eye(n, dtype=int)).reshape(n * m, n)
+    return RightInverse(partition=Partition.first_marginal(n, m), matrix=StochMatrix(data, mode=rho.mode))
+
+
+def _class_sums(P, A):
+    """``X @ A`` for the projection X of P: the rows of A summed class by class."""
+    out = np.zeros((P.n, *A.shape[1:]), dtype=A.dtype)
+    np.add.at(out, P.labels, A)
+    return out
 
 
 def _check_section(P, Y):
-    X = projection_matrix(P, mode=Y.matrix.mode)
-    prod = X.a @ Y.matrix.a
-    if Y.matrix.mode == EXACT:
-        eye = np.array([[Fraction(int(i == j)) for j in range(P.n)] for i in range(P.n)], dtype=object)
-        ok = bool(np.array_equal(prod, eye))
-    else:
-        ok = bool(np.max(np.abs(prod - np.eye(P.n))) <= core.RESIDUAL_TOL)
-    if not ok:
+    defect = np.max(np.abs(_class_sums(P, Y.matrix.a) - np.eye(P.n, dtype=int)))
+    if defect > (0 if Y.matrix.mode == EXACT else core.RESIDUAL_TOL):
         raise InvalidRightInverse("X @ Y differs from the identity")
-    return X
 
 
 def coarse_grain(S, P, Y):
@@ -155,8 +150,8 @@ def coarse_grain(S, P, Y):
     if Y.matrix.rows != P.d or Y.matrix.cols != P.n:
         raise DimensionMismatch("right inverse shape disagrees with partition")
     core._require_same_mode(S, Y.matrix)
-    X = _check_section(P, Y)
-    return StochMatrix(X.a @ S.a @ Y.matrix.a, mode=S.mode)
+    _check_section(P, Y)
+    return StochMatrix(_class_sums(P, S.a) @ Y.matrix.a, mode=S.mode)
 
 
 def uniform_dilation(T, p):
@@ -176,12 +171,11 @@ def uniform_dilation(T, p):
         raise ZeroComponent("fixed point must have strictly positive entries")
     if not np.array_equal(T.a @ p.a, p.a):
         raise NotFixedPoint("T p differs from p")
-    d = math.lcm(*(Fraction(v).denominator for v in p.a))
-    sizes = [int(Fraction(v) * d) for v in p.a]
-    partition = Partition.consecutive(sizes)
-    X = projection_matrix(partition, mode=EXACT)
+    d = math.lcm(*(v.denominator for v in p.a))
+    partition = Partition.consecutive([int(v * d) for v in p.a])
     Y = uniform_right_inverse(partition, mode=EXACT)
-    S = StochMatrix(Y.matrix.a @ T.a @ X.a, mode=EXACT)
+    c = partition.labels
+    S = StochMatrix(T.a[np.ix_(c, c)] / _class_sizes(partition)[c, None], mode=EXACT)
     report = core.validate(S)
     roundtrip = coarse_grain(S, partition, Y)
     checks = {

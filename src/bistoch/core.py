@@ -84,9 +84,8 @@ def _infer_mode(data):
 
 def _raise_first(error, arr, mask):
     """Raise ``error(index, value)`` for the first masked entry in row-major order."""
-    bad = np.argwhere(mask)
-    if len(bad):
-        idx = tuple(int(i) for i in bad[0])
+    if mask.any():
+        idx = tuple(int(i) for i in np.argwhere(mask)[0])
         raise error(idx, arr[idx])
 
 
@@ -415,17 +414,10 @@ def nullspace_exact(A):
 
 
 def _class_stationary_exact(T, members):
-    sub = np.empty((len(members), len(members)), dtype=object)
-    for i, m in enumerate(members):
-        for j, n in enumerate(members):
-            sub[i, j] = Fraction(T.a[m, n]) - Fraction(int(i == j))
-    basis = nullspace_exact(sub)
-    vec = basis[0]
-    total = sum(vec)
-    vec = np.array([v / total for v in vec], dtype=object)
-    full = np.array([Fraction(0)] * T.rows, dtype=object)
-    for i, m in enumerate(members):
-        full[m] = vec[i]
+    sub = T.a[np.ix_(members, members)] - np.eye(len(members), dtype=int)
+    vec = nullspace_exact(sub)[0]
+    full = np.full(T.rows, Fraction(0), dtype=object)
+    full[members] = vec / sum(vec)
     return full
 
 

@@ -193,9 +193,9 @@ class BirkhoffDecomposition:
             total = np.full((self.n, self.n), Fraction(0), dtype=object)
         else:
             total = np.zeros((self.n, self.n))
+        columns = np.arange(self.n)
         for w, sigma in self.terms:
-            for c, r in enumerate(sigma):
-                total[r, c] += w
+            total[sigma, columns] += w
         return StochMatrix(total, mode=mode)
 
 

@@ -322,6 +322,22 @@ class TestCommands:
         assert [c["name"] for c in report["checks"]] == ["reconstruction", "weights_sum_to_one"]
         assert all(c["pass"] and c["defect"] <= c["tol"] for c in report["checks"])
 
+    @pytest.mark.parametrize(
+        "argv, check",
+        [(["fixed-point"], "fixed_point_residual"), (["dilate", "unistochastic"], "extract_dilated == input")],
+        ids=["fixed-point", "unistochastic"],
+    )
+    def test_results_carry_input_defect(self, capsys, tmp_path, argv, check):
+        # every column sums to 1 + 5e-10, which validate accepts: the fixed
+        # point residual and the extracted columns then miss by 1.25e-10
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(bs.matrix_to_json(StochMatrix(np.full((4, 4), (1 + 5e-10) / 4)))))
+        code, report = run_json(capsys, [*argv, str(path)])
+        assert code == 0
+        (result,) = [c for c in report["checks"] if c["name"] == check]
+        assert 1e-10 < result["defect"] <= result["tol"]
+        assert all(c["pass"] for c in report["checks"])
+
     def test_sinkhorn_output_revalidates(self, capsys, tmp_path):
         T = bs.two_state(0.2, 0.4, mode=FLOAT)
         path = tmp_path / "t.json"

@@ -210,3 +210,112 @@ class TestUniformDilation:
             dil = uniform_dilation(T, fp)
             assert bs.validate(dil.matrix).bi
             assert bs.coarse_grain(dil.matrix, dil.partition, dil.right_inverse) == T
+
+
+def shuffled_partition(rng, d):
+    """Random partition whose classes are, in general, not runs of consecutive states."""
+    states = rng.permutation(d).tolist()
+    cuts = sorted(rng.choice(range(1, d), size=int(rng.integers(0, d - 1)), replace=False).tolist())
+    bounds = [0, *cuts, d]
+    return Partition(d=d, classes=tuple(tuple(states[a:b]) for a, b in zip(bounds, bounds[1:])))
+
+
+def reference_projection(P, mode):
+    one = Fraction(1) if mode == EXACT else 1.0
+    return np.array([[one * (nu in c) for nu in range(P.d)] for c in P.classes], dtype=object)
+
+
+def reference_uniform_right_inverse(P, mode):
+    data = [[Fraction(int(nu in c), len(c)) for c in P.classes] for nu in range(P.d)]
+    return np.array(data if mode == EXACT else [[float(v) for v in row] for row in data], dtype=object)
+
+
+def assert_matches(got, want, mode):
+    """Exact: equal entries, all Fractions.  Float: within RESIDUAL_TOL."""
+    assert got.shape == want.shape
+    if mode == EXACT:
+        assert np.array_equal(got, want)
+        assert all(type(v) is Fraction for v in got.flat)
+    else:
+        assert np.max(np.abs(got.astype(float) - want.astype(float))) <= bs.core.RESIDUAL_TOL
+
+
+class TestMatmulReference:
+    """The label-array constructions against the 0/1 matrix products they replace."""
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_projection_inverse_and_coarse_grain(self, mode):
+        rng = np.random.default_rng(51)
+        shuffled = 0
+        for _ in range(60):
+            d = int(rng.integers(2, 11))
+            P = shuffled_partition(rng, d)
+            shuffled += any(c != tuple(range(c[0], c[0] + len(c))) for c in P.classes)
+            X = reference_projection(P, mode)
+            Y = reference_uniform_right_inverse(P, mode)
+            assert_matches(bs.projection_matrix(P, mode=mode).a, X, mode)
+            assert_matches(bs.uniform_right_inverse(P, mode=mode).matrix.a, Y, mode)
+            assert_matches(X @ Y, np.eye(P.n, dtype=int).astype(object), mode)
+            S = random_permutation_mixture(rng, d, mode=mode)
+            T = bs.coarse_grain(S, P, bs.uniform_right_inverse(P, mode=mode))
+            assert_matches(T.a, X @ S.a.astype(object) @ Y, mode)
+        assert shuffled >= 20
+
+    def test_uniform_dilation_is_y_t_x(self):
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            d = int(rng.integers(2, 11))
+            P = shuffled_partition(rng, d)
+            T = bs.coarse_grain(random_permutation_mixture(rng, d, mode=EXACT), P, bs.uniform_right_inverse(P))
+            dil = uniform_dilation(T, ProbVec([Fraction(s, d) for s in P.class_sizes], mode=EXACT))
+            X = reference_projection(dil.partition, EXACT)
+            Y = reference_uniform_right_inverse(dil.partition, EXACT)
+            assert_matches(dil.matrix.a, Y @ T.a @ X, EXACT)
+            assert_matches(dil.right_inverse.matrix.a, Y, EXACT)
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_product_right_inverse(self, mode):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+            raw = rng.integers(1, 6, size=m)
+            rho = ProbVec([Fraction(int(v), int(raw.sum())) for v in raw], mode=EXACT)
+            rho = rho if mode == EXACT else rho.to_float()
+            Y = bs.product_right_inverse(n, rho)
+            want = np.empty((n * m, n), dtype=object)
+            want[:] = rho.a[0] * 0
+            for i in range(m):
+                for k in range(n):
+                    want[i * n + k, k] = rho.a[i]
+            assert_matches(Y.matrix.a, want, mode)
+            assert_matches(reference_projection(Y.partition, mode) @ Y.matrix.a, np.eye(n, dtype=int).astype(object), mode)
+
+
+class TestLabels:
+    def test_labels_invert_classes(self):
+        p = Partition(d=6, classes=((4, 0), (2,), (5, 1, 3)))
+        assert p.labels.tolist() == [0, 2, 1, 2, 0, 2]
+        assert Partition.from_json(p.to_json()) == p
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (1, 4), (3, 2), (4, 5)])
+    def test_first_marginal(self, n, m):
+        # flat(k, i) = i*n + k lies in class k
+        p = Partition.first_marginal(n, m)
+        assert p.labels.tolist() == [flat % n for flat in range(n * m)]
+        assert p.class_sizes == (m,) * n
+
+
+class TestSectionCheck:
+    def test_rejects_invalid_right_inverse_in_float_mode(self):
+        p = Partition(d=4, classes=((0, 1), (2, 3)))
+        # column 0 leaks mass outside class 0
+        bad = bs.RightInverse(partition=p, matrix=StochMatrix([[0.5, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.5]]))
+        with pytest.raises(InvalidRightInverse):
+            bs.coarse_grain(StochMatrix.identity(4, mode=FLOAT), p, bad)
+
+    def test_float_round_off_is_accepted(self):
+        p = Partition(d=4, classes=((0, 2), (1, 3)))
+        Y = bs.uniform_right_inverse(p, mode=FLOAT).matrix.a.copy()
+        Y[0, 0] += 1e-13
+        T = bs.coarse_grain(StochMatrix.identity(4, mode=FLOAT), p, bs.RightInverse(partition=p, matrix=StochMatrix(Y)))
+        assert T.allclose(StochMatrix.identity(2, mode=FLOAT), tol=1e-12)
