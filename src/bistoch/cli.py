@@ -186,7 +186,7 @@ def cmd_fixed_point(args):
     report.body["result"] = _fmt(res)
     r = res.representative.a
     # T r sums to the column sums of T, so the residual carries the input's defect
-    tol = _tol(T, core.RESULT_TOL + core.validate(T).max_column_defect)
+    tol = _tol(T, core.RESULT_TOL + core._sum_check(T).max_column_defect)
     report.check("fixed_point_residual", defect=np.max(np.abs(T.a @ r - r)), tol=tol)
     return report.emit()
 
@@ -222,7 +222,7 @@ def cmd_coarse_grain(args):
         inputs = [args.matrix, args.partition]
     T = coarse_grain(S, partition, Y)
     report = Report("coarse-grain", inputs)
-    report.check("left_stochastic", defect=core.validate(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
+    report.check("left_stochastic", defect=core._sum_check(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
     _emit_matrix(report, T, args.out)
     return report.emit()
 
@@ -242,7 +242,7 @@ def cmd_dilate(args):
         report.check("coarse_grain_roundtrip", dil.checks["coarse_grain_roundtrip"])
     elif args.kind == "noisy":
         dil = env_dilation.noisy_dilation(T)
-        rep = core.validate(dil.matrix)
+        rep = core._sum_check(dil.matrix)
         defect = max(rep.max_column_defect, rep.max_row_defect)
         report.check("bi_stochastic", defect=defect, tol=_tol(T, core.DEFAULT_TOL))
         defect = np.max(np.abs(env_dilation.extract_dilated(dil.matrix, 0).a - T.a))
@@ -252,12 +252,12 @@ def cmd_dilate(args):
         T = _convert(T, FLOAT)
         dil = env_dilation.unistochastic_dilation(T)
         report.check("orthogonal", defect=dil.orthogonality_defect(), tol=core.RESIDUAL_TOL)
-        rep = core.validate(dil.matrix, core.RESIDUAL_TOL)
+        rep = core._sum_check(dil.matrix, core.RESIDUAL_TOL)
         defect = max(rep.max_column_defect, rep.max_row_defect)
         report.check("bi_stochastic", defect=defect, tol=core.RESIDUAL_TOL)
         defect = np.max(np.abs(env_dilation.extract_dilated(dil.matrix, 0).a - T.a))
         # the completion normalises column n of T: the extracted column is T[:, n] / colsum_n
-        tol = core.RESIDUAL_TOL + core.validate(T).max_column_defect
+        tol = core.RESIDUAL_TOL + core._sum_check(T).max_column_defect
         report.check("extract_dilated == input", defect=defect, tol=tol)
     _emit_matrix(report, dil.matrix, args.out)
     return report.emit()
@@ -267,7 +267,7 @@ def cmd_extract(args):
     R = _load_matrix(args.matrix, args.mode)
     T = env_dilation.extract_dilated(R, args.zero_index)
     report = Report("extract", [args.matrix])
-    report.check("left_stochastic", defect=core.validate(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
+    report.check("left_stochastic", defect=core._sum_check(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
     _emit_matrix(report, T, args.out)
     return report.emit()
 
@@ -340,7 +340,7 @@ def cmd_birkhoff(args):
     # also carry the input's column defect: sum(w) = colsum(S) - colsum(residual)
     tol = _tol(S, dec.residual_mass + core.RESIDUAL_TOL)
     report.check("reconstruction", defect=np.max(np.abs(dec.reconstruct(mode=S.mode).a - S.a)), tol=tol)
-    column_defect = core.validate(S, args.tol).max_column_defect
+    column_defect = core._sum_check(S, args.tol).max_column_defect
     tol = _tol(S, dec.residual_mass + column_defect + core.RESIDUAL_TOL)
     report.check("weights_sum_to_one", defect=abs(dec.weight_sum() - 1), tol=tol)
     return report.emit()

@@ -151,6 +151,11 @@ def coarse_grain(S, P, Y):
         raise DimensionMismatch("right inverse shape disagrees with partition")
     core._require_same_mode(S, Y.matrix)
     _check_section(P, Y)
+    if S.mode == EXACT:
+        # on integer numerators: X S Y = (X s)(y) / (L_S L_Y)
+        s, l_s = core._numerators(S.a)
+        y, l_y = core._numerators(Y.matrix.a)
+        return StochMatrix(core._fractions(_class_sums(P, s) @ y, l_s * l_y), mode=EXACT)
     return StochMatrix(_class_sums(P, S.a) @ Y.matrix.a, mode=S.mode)
 
 
@@ -175,8 +180,9 @@ def uniform_dilation(T, p):
     partition = Partition.consecutive([int(v * d) for v in p.a])
     Y = uniform_right_inverse(partition, mode=EXACT)
     c = partition.labels
-    S = StochMatrix(T.a[np.ix_(c, c)] / _class_sizes(partition)[c, None], mode=EXACT)
-    report = core.validate(S)
+    # N^2 divisions, then a gather that shares the quotients among the d^2 entries
+    S = StochMatrix((T.a / _class_sizes(partition)[:, None])[np.ix_(c, c)], mode=EXACT)
+    report = core._sum_check(S)
     roundtrip = coarse_grain(S, partition, Y)
     checks = {
         "bi_stochastic": report.bi,

@@ -6,13 +6,17 @@ left-stochastic when every *column* sums to one.
 
 Matrices and vectors carry one of two numeric modes.  In ``"exact"`` mode
 entries are :class:`fractions.Fraction` objects held in object-dtype numpy
-arrays; all comparisons are exact.  In ``"float"`` mode entries are IEEE
-doubles and comparisons use the tolerances below.  The two modes never mix
-inside one object or one operation.
+arrays; all comparisons are exact.  Sums, comparisons and peels over a whole
+exact array run on its Python-int numerators over one common denominator
+(:func:`_numerators`), and results become Fractions again only where they
+leave the library.  In ``"float"`` mode entries are IEEE doubles and
+comparisons use the tolerances below.  The two modes never mix inside one
+object or one operation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -82,6 +86,22 @@ def _infer_mode(data):
     return EXACT
 
 
+def _numerators(a):
+    """Python-int numerators of an exact array over one common denominator.
+
+    Returns ``(nums, L)`` with L the lcm of the entries' denominators and
+    ``a == nums / L`` entrywise; sums and comparisons of ``nums`` are exact.
+    """
+    ratios = [v.as_integer_ratio() for v in a.flat]
+    L = math.lcm(*{den for _, den in ratios})
+    return np.array([num * (L // den) for num, den in ratios], dtype=object).reshape(a.shape), L
+
+
+def _fractions(nums, L):
+    """Inverse of :func:`_numerators`: the array of Fractions ``nums / L``."""
+    return np.array([Fraction(num, L) for num in nums.flat], dtype=object).reshape(nums.shape)
+
+
 def _raise_first(error, arr, mask):
     """Raise ``error(index, value)`` for the first masked entry in row-major order."""
     if mask.any():
@@ -92,7 +112,9 @@ def _raise_first(error, arr, mask):
 def _check_entries(arr, mode):
     if mode == FLOAT:
         _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
-    _raise_first(NegativeEntry, arr, arr < (0 if mode == EXACT else -DEFAULT_TOL))
+    # an exact entry is negative iff its numerator is
+    negative = [v.numerator < 0 for v in arr.flat] if mode == EXACT else arr < -DEFAULT_TOL
+    _raise_first(NegativeEntry, arr, np.reshape(negative, arr.shape))
 
 
 class ProbVec:
@@ -259,42 +281,55 @@ def _require_same_mode(*objects):
 def _require_left_stochastic(T):
     if not T.is_square:
         raise NotSquare(f"{T.rows}x{T.cols} matrix is not square")
-    report = validate(T)
+    report = _sum_check(T)
     if not report.left:
         raise NotStochastic(f"column sums deviate by {report.max_column_defect}")
 
 
-def validate(M, tol=DEFAULT_TOL):
-    """Classify a matrix as left-/right-/bi-stochastic.
+def _sum_check(M, tol=DEFAULT_TOL):
+    """The row and column sums part of :func:`validate`; ``irreducible`` is None.
 
-    Exact mode compares sums to 1 exactly; float mode allows ``|sum-1| <= tol``.
-    Negative entries are rejected at construction time, so only sum defects
-    are reported here.
+    Exact mode sums the integer numerators over their common denominator L and
+    compares each sum with L; the defects go back to Fractions at the end.
     """
-    col_sums = M.a.sum(axis=0)
-    row_sums = M.a.sum(axis=1)
     if M.mode == EXACT:
-        col_defect = max(abs(s - 1) for s in col_sums)
-        row_defect = max(abs(s - 1) for s in row_sums)
+        nums, L = _numerators(M.a)
+        col_defect = Fraction(max(abs(s - L) for s in nums.sum(axis=0)), L)
+        row_defect = Fraction(max(abs(s - L) for s in nums.sum(axis=1)), L)
         left = col_defect == 0
         right = row_defect == 0
     else:
-        col_defect = float(np.max(np.abs(col_sums - 1.0)))
-        row_defect = float(np.max(np.abs(row_sums - 1.0)))
+        col_defect = float(np.max(np.abs(M.a.sum(axis=0) - 1.0)))
+        row_defect = float(np.max(np.abs(M.a.sum(axis=1) - 1.0)))
         left = col_defect <= tol
         right = row_defect <= tol
-    bi = left and right and M.is_square
-    irreducible = False
-    if M.is_square and left:
-        irreducible = len(_strongly_connected_components(_support_adjacency(M))) == 1
     return StochasticityReport(
         left=left,
         right=right,
-        bi=bi,
-        irreducible=irreducible,
+        bi=left and right and M.is_square,
+        irreducible=None,
         max_column_defect=col_defect,
         max_row_defect=row_defect,
     )
+
+
+def validate(M, tol=DEFAULT_TOL):
+    """Classify a matrix as left-/right-/bi-stochastic and irreducible.
+
+    Exact mode compares sums to 1 exactly, on integer numerators over one
+    common denominator; the defects are Fractions.  Float mode allows
+    ``|sum-1| <= tol``.  Negative entries are rejected at construction time,
+    so only sum defects are reported here.  Irreducibility (a strongly
+    connected support digraph) is computed for a square left-stochastic
+    matrix and is False otherwise; only this function and
+    :func:`is_irreducible` compute it.
+    """
+    report = _sum_check(M, tol)
+    if M.is_square and report.left:
+        report.irreducible = len(_strongly_connected_components(_support_adjacency(M))) == 1
+    else:
+        report.irreducible = False
+    return report
 
 
 def _support_adjacency(T):
@@ -469,7 +504,7 @@ def _require_applicable(T, p):
     _require_same_mode(T, p)
     if T.cols != p.n:
         raise DimensionMismatch(f"{T.rows}x{T.cols} matrix applied to length-{p.n} vector")
-    if not validate(T).left:
+    if not _sum_check(T).left:
         raise NotStochastic("matrix is not left-stochastic")
 
 
@@ -514,10 +549,8 @@ def iterate(T, p, steps):
 # ---------------------------------------------------------------------------
 
 def _exact_entry_to_json(v):
-    v = Fraction(v)
-    if v.denominator == 1:
-        return int(v)
-    return f"{v.numerator}/{v.denominator}"
+    num, den = v.as_integer_ratio()
+    return num if den == 1 else f"{num}/{den}"
 
 
 def matrix_to_json(M):

@@ -74,13 +74,25 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
     with k >= 1 leaving the region, bisection refines the last inside
     parameter to ``BISECTION_TOL``.  Rays that never leave the region return
     their endpoint with ``full_segment_inside`` set.
+
+    The anchor a is accepted when ``H(T a) - H(a) <= RESIDUAL_TOL + delta *
+    max(1, ln n)``, with delta the largest column-sum defect of T: the
+    defect a matrix accepted by :func:`core.validate` may carry must not
+    move its anchor out of the region.  Derivation: q = T a has mass
+    s = sum_k colsum_k a_k, so |s - 1| <= delta.  With q' = q / s,
+    H(q) = s H(q') - s ln s, hence H(q) - H(q') = (s - 1) H(q') - s ln s.
+    If s >= 1 this is at most delta ln n (H(q') <= ln n, s ln s >= 0); if
+    s < 1 it is at most -s ln s <= 1 - s <= delta (ln s >= 1 - 1/s).  So
+    whenever the normalised image passes, ``H(q') - H(a) <= RESIDUAL_TOL``,
+    the raw image passes the bound above.
     """
     n = anchor.n
     if not T.is_square or n != T.rows:
         raise DimensionMismatch(f"{T.rows}x{T.cols} matrix with length-{n} anchor")
     Tf = T.to_float().a
     a = anchor.to_float().a
-    if _entropy_gap(Tf, a) > RESIDUAL_TOL:
+    delta = float(core._sum_check(T).max_column_defect)
+    if _entropy_gap(Tf, a) > RESIDUAL_TOL + delta * max(1.0, math.log(n)):
         raise AnchorOutsideRegion("anchor must lie in the entropy-decreasing region")
     grid = np.arange(resolution + 1) / resolution
     results = []
@@ -231,22 +243,23 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
 
     Repeatedly finds a perfect matching on the positive-support bipartite
     graph, removes the minimum matched entry times that permutation and
-    recurses on the residual.  Exact mode peels to a residual of exactly
-    zero.  Float mode treats entries up to ``RESIDUAL_TOL`` as zero and also
-    stops when the residual support has no perfect matching: an input
-    accepted at row and column defect delta can leave such a residual.  By
-    Hall's theorem its mass is at most ``2*n*delta + n*n*RESIDUAL_TOL``;
-    :class:`NoPerfectMatching` is raised only past that bound.  The mass
-    left is returned as ``residual_mass``.
+    recurses on the residual.  Exact mode peels the integer numerators of S
+    over their common denominator L to a residual of exactly zero and
+    returns each weight w as ``Fraction(w, L)``.  Float mode treats entries
+    up to ``RESIDUAL_TOL`` as zero and also stops when the residual support
+    has no perfect matching: an input accepted at row and column defect
+    delta can leave such a residual.  By Hall's theorem its mass is at most
+    ``2*n*delta + n*n*RESIDUAL_TOL``; :class:`NoPerfectMatching` is raised
+    only past that bound.  The mass left is returned as ``residual_mass``.
     """
-    report = core.validate(S, tol)
+    report = core._sum_check(S, tol)
     if not report.bi:
         raise NotBiStochastic(
             f"column defect {report.max_column_defect}, row defect {report.max_row_defect}"
         )
     n = S.rows
     exact = S.mode == EXACT
-    resid = S.a.copy()
+    resid, L = core._numerators(S.a) if exact else (S.a.copy(), None)
     threshold = 0 if exact else RESIDUAL_TOL
     cols = np.arange(n)
     terms = []
@@ -259,6 +272,9 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
         resid[sigma, cols] -= w  # sigma is a permutation: no index repeats
         terms.append((w, tuple(sigma)))
     residual_mass = max(resid.sum(axis=0).max(), resid.sum(axis=1).max())
+    if exact:
+        terms = [(Fraction(w, L), sigma) for w, sigma in terms]
+        residual_mass = Fraction(residual_mass, L)
     delta = max(report.max_column_defect, report.max_row_defect)
     if residual_mass > (0 if exact else 2 * n * delta + n * n * RESIDUAL_TOL):
         raise NoPerfectMatching(f"residual of mass {residual_mass} has no perfect matching on its support")

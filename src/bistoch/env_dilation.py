@@ -110,7 +110,7 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     """
     if not R.is_square:
         raise NotSquare(f"{R.rows}x{R.cols}")
-    report = core.validate(R, tol)
+    report = core._sum_check(R, tol)
     if not report.bi:
         raise NotBiStochastic(
             f"column defect {report.max_column_defect}, row defect {report.max_row_defect}"
@@ -125,15 +125,22 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     m_env = R.rows // n
     if not 0 <= zero_index < m_env:
         raise IndexOutOfRange(f"zero_index {zero_index} outside environment of size {m_env}")
-    view = R.a.reshape(m_env, n, m_env, n)
-    return StochMatrix(view[:, :, zero_index, :].sum(axis=0), mode=R.mode)
+    block = R.a.reshape(m_env, n, m_env, n)[:, :, zero_index, :]
+    if R.mode == EXACT:
+        nums, L = core._numerators(block)
+        return StochMatrix(core._fractions(nums.sum(axis=0), L), mode=EXACT)
+    return StochMatrix(block.sum(axis=0), mode=FLOAT)
 
 
 def verify_env_dilation(T, dilation, trials=20, seed=0):
     """Check the defining marginal identity of an environmental dilation.
 
     Exact mode verifies sum_{ij} R[(m,i),(n,j)] rho[j] = T[m,n] symbolically,
-    which is equivalent to the identity holding for every p.  Float mode
+    which is equivalent to the identity holding for every p.  It contracts
+    over the support of rho only (one environment state in every standard
+    dilation), on integer numerators: with R, rho and T written over common
+    denominators L_R, L_rho and L_T, the identity reads
+    ``L_T * sum_ij r[i,m,j,n] q[j] == L_R * L_rho * t[m,n]``.  Float mode
     checks all simplex vertices plus ``trials`` seeded pseudorandom points to
     ``RESIDUAL_TOL``.
     """
@@ -143,8 +150,11 @@ def verify_env_dilation(T, dilation, trials=20, seed=0):
     if R.rows != n * m_env or rho.n != m_env:
         raise DimensionMismatch("dilation dimensions disagree with T")
     if T.mode == EXACT and R.mode == EXACT:
-        view = R.a.reshape(m_env, n, m_env, n)
-        return bool(np.array_equal((view * rho.a[None, None, :, None]).sum(axis=(0, 2)), T.a))
+        support = np.flatnonzero(rho.a != 0)
+        r, l_r = core._numerators(R.a.reshape(m_env, n, m_env, n)[:, :, support, :])
+        q, l_rho = core._numerators(rho.a[support])
+        t, l_t = core._numerators(T.a)
+        return bool(np.array_equal((r * q[None, None, :, None]).sum(axis=(0, 2)) * l_t, t * (l_r * l_rho)))
     Rf = R.to_float().a
     rho_f = rho.to_float().a
     Tf = T.to_float().a

@@ -338,6 +338,14 @@ class TestCommands:
         assert 1e-10 < result["defect"] <= result["tol"]
         assert all(c["pass"] for c in report["checks"])
 
+    def test_entropy_region_anchor_carries_input_defect(self, capsys, tmp_path):
+        # every column sums to 1 + 5e-10: the uniform anchor stays in the region
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps(bs.matrix_to_json(StochMatrix(np.full((4, 4), (1 + 5e-10) / 4)))))
+        code, report = run_json(capsys, ["entropy-region", str(path), "--grid", "8"])
+        assert code == 0
+        assert len(report["result"]["boundary"]) == 4
+
     def test_sinkhorn_output_revalidates(self, capsys, tmp_path):
         T = bs.two_state(0.2, 0.4, mode=FLOAT)
         path = tmp_path / "t.json"

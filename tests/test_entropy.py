@@ -164,6 +164,21 @@ class TestBoundaryScan:
         with pytest.raises(AnchorOutsideRegion):
             bs.region_boundary_scan(demon, ProbVec.point_mass(4, 1, mode=EXACT), [ProbVec.uniform(4, mode=EXACT)])
 
+    def test_anchor_allows_input_defect(self):
+        # every column sums to 1 + 5e-10, which validate accepts: H(T u) - H(u)
+        # is about 2e-10, past RESIDUAL_TOL but within 5e-10 * ln 4
+        T = StochMatrix(np.full((4, 4), (1 + 5e-10) / 4))
+        u = ProbVec.uniform(4)
+        assert bs.validate(T).bi
+        assert bs.shannon_entropy(T.a @ u.a) - bs.shannon_entropy(u) > RESIDUAL_TOL
+        points = bs.region_boundary_scan(T, u, [ProbVec.point_mass(4, k) for k in range(4)])
+        assert len(points) == 4
+
+    def test_anchor_outside_rejected_despite_defect(self, demon_float):
+        T = StochMatrix(demon_float.a * (1 + 5e-10))
+        with pytest.raises(AnchorOutsideRegion):
+            bs.region_boundary_scan(T, ProbVec.point_mass(4, 1), [ProbVec.uniform(4)])
+
     def test_rejects_wrong_length_direction(self):
         T = bs.two_state(0.3, 0.6, mode=FLOAT)
         with pytest.raises(DimensionMismatch):
