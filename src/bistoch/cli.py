@@ -283,7 +283,7 @@ def cmd_verify_dilation(args):
         inputs = [args.matrix, args.dilation]
     E = env_dilation.EnvDilation(env_size=rho.n, rho=rho, matrix=R)
     report = Report("verify-dilation", inputs)
-    report.check("marginal_identity", env_dilation.verify_env_dilation(T, E, trials=args.trials))
+    report.check("marginal_identity", env_dilation.verify_env_dilation(T, E))
     return report.emit()
 
 
@@ -474,7 +474,6 @@ def build_parser():
     p.add_argument("matrix")
     p.add_argument("dilation")
     p.add_argument("--rho", default=None, help="environment distribution (default: point mass at 0)")
-    p.add_argument("--trials", type=int, default=20)
 
     p = add("entropy", cmd_entropy, help="Shannon entropy of a distribution (nats)")
     p.add_argument("--vec", required=True)
@@ -495,7 +494,7 @@ def build_parser():
     p = add("sinkhorn", cmd_sinkhorn, help="Sinkhorn-Knopp balancing")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=core.RESULT_TOL)
-    p.add_argument("--max-iter", type=int, default=sinkhorn_mod.DEFAULT_MAX_ITER)
+    p.add_argument("--max-iter", type=_at_least(1), default=sinkhorn_mod.DEFAULT_MAX_ITER)
     p.add_argument("--out", default=None)
 
     p = add("demo", cmd_demo_maxwell, help="worked Maxwell-demon example with self-checks")

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from itertools import accumulate, chain
 
 import numpy as np
@@ -126,37 +127,51 @@ def product_right_inverse(n, rho):
     flat index ``i*n + m``.
     """
     m = rho.n
-    data = (rho.a[:, None, None] * np.eye(n, dtype=int)).reshape(n * m, n)
-    return RightInverse(partition=Partition.first_marginal(n, m), matrix=StochMatrix(data, mode=rho.mode))
+    # one shared zero, then the diagonal of each environment block: data[i, k, k] = rho[i]
+    data = np.full((m, n, n), Fraction(0) if rho.mode == EXACT else 0.0, dtype=rho.a.dtype)
+    ks = np.arange(n)
+    data[:, ks, ks] = rho.a[:, None]
+    matrix = StochMatrix(data.reshape(n * m, n), mode=rho.mode)
+    return RightInverse(partition=Partition.first_marginal(n, m), matrix=matrix)
 
 
-def _class_sums(P, A):
-    """``X @ A`` for the projection X of P: the rows of A summed class by class."""
-    out = np.zeros((P.n, *A.shape[1:]), dtype=A.dtype)
-    np.add.at(out, P.labels, A)
+def _class_sums(labels, n, A):
+    """``X @ A`` for the projection X onto n classes: the rows of A summed by their labels."""
+    out = np.zeros((n, *A.shape[1:]), dtype=A.dtype)
+    np.add.at(out, labels, A)
     return out
 
 
-def _check_section(P, Y):
-    defect = np.max(np.abs(_class_sums(P, Y.matrix.a) - np.eye(P.n, dtype=int)))
-    if defect > (0 if Y.matrix.mode == EXACT else core.RESIDUAL_TOL):
-        raise InvalidRightInverse("X @ Y differs from the identity")
-
-
 def coarse_grain(S, P, Y):
-    """Coarse grained version T = X S Y of a fine-grained stochastic matrix."""
+    """Coarse grained version T = X S Y of a fine-grained stochastic matrix.
+
+    Contracts only over the rows Y lifts into, its nonzero rows: all fine
+    states for the uniform section, one environment state for the product
+    section of a point mass.  Raises ``InvalidRightInverse`` unless
+    ``X @ Y`` is the identity (exactly, or to ``RESIDUAL_TOL`` in float
+    mode).  Exact mode runs on integer numerators: with S and Y over common
+    denominators L_S and L_Y, ``X Y = I`` iff ``X y = L_Y I``, and
+    ``X S Y = (X s)(y) / (L_S L_Y)``.
+    """
     if S.rows != P.d or S.cols != P.d:
         raise DimensionMismatch(f"matrix is {S.rows}x{S.cols}, partition has d={P.d}")
     if Y.matrix.rows != P.d or Y.matrix.cols != P.n:
         raise DimensionMismatch("right inverse shape disagrees with partition")
     core._require_same_mode(S, Y.matrix)
-    _check_section(P, Y)
+    rows = np.flatnonzero(Y.matrix.a.any(axis=1))
+    if rows.size == P.d:  # every row: a view keeps the memory layout, on which float matmul rounding depends
+        rows = slice(None)
+    labels = P.labels
+    s, y = S.a[:, rows], Y.matrix.a[rows]
+    l_s = l_y = 1
     if S.mode == EXACT:
-        # on integer numerators: X S Y = (X s)(y) / (L_S L_Y)
-        s, l_s = core._numerators(S.a)
-        y, l_y = core._numerators(Y.matrix.a)
-        return StochMatrix(core._fractions(_class_sums(P, s) @ y, l_s * l_y), mode=EXACT)
-    return StochMatrix(_class_sums(P, S.a) @ Y.matrix.a, mode=S.mode)
+        (s, l_s), (y, l_y) = core._numerators(s), core._numerators(y)
+    defect = _class_sums(labels[rows], P.n, y)
+    defect[np.diag_indices(P.n)] -= l_y
+    if np.max(np.abs(defect)) > (0 if S.mode == EXACT else core.RESIDUAL_TOL):
+        raise InvalidRightInverse("X @ Y differs from the identity")
+    xsy = _class_sums(labels, P.n, s) @ y
+    return StochMatrix(core._fractions(xsy, l_s * l_y) if S.mode == EXACT else xsy, mode=S.mode)
 
 
 def uniform_dilation(T, p):

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    IndexOutOfRange,
     ModeMismatch,
     NegativeEntry,
     NonFiniteEntry,
@@ -150,11 +151,11 @@ class ProbVec:
 
     @classmethod
     def point_mass(cls, n, k, mode=FLOAT):
+        if not 0 <= k < n:
+            raise IndexOutOfRange(f"point mass at {k} outside {n} states")
         entries = [0] * n
         entries[k] = 1
-        if mode == EXACT:
-            return cls(entries, mode=EXACT)
-        return cls([float(e) for e in entries], mode=FLOAT)
+        return cls(entries, mode=mode)
 
     @property
     def n(self):

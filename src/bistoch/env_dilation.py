@@ -8,7 +8,12 @@ m and environment index i are flattened environment-major, ``flat(m, i) =
 i*N + m``, so that the block view ``R.a.reshape(M, N, M, N)[i, m, j, k]``
 is ``R[(m,i),(k,j)]``: the first two axes are the environment and system
 index of the target state, the last two those of the source state.  The
-constructions and checks below are array expressions over this view.
+constructions below are array expressions over this view.
+
+Extraction and verification are coarse graining (:mod:`bistoch.coarse_grain`)
+over the first-marginal partition, whose class m holds the composite states
+(m, i): ``p (x) rho`` is ``Y p`` for the product section Y of rho, so the
+first marginal of ``R Y p`` is ``X R Y p``.
 
 Two constructions are provided: a closed-form "noisy" dilation that works in
 exact arithmetic, and a uni-stochastic dilation built from a unitary
@@ -19,11 +24,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import core
-from .coarse_grain import Partition, RightInverse, product_right_inverse
+from .coarse_grain import coarse_grain, product_right_inverse
 from .core import EXACT, FLOAT, ProbVec, StochMatrix
 from .errors import (
     DimensionMismatch,
@@ -95,8 +101,10 @@ def noisy_dilation(T):
         raise DimensionTooSmall("the noisy construction needs N >= 2")
     t = T.a.T  # t[i, m] = T[m, i]
     view = np.empty((n, n, n, n), dtype=T.a.dtype)  # view[i, m, j, k] = R[(m,i),(k,j)]
-    # an integer delta keeps exact entries Fractions
-    view[:, :, 0, :] = t[:, :, None] * np.eye(n, dtype=int)[:, None, :]
+    # one shared zero, then the delta: view[i, m, 0, i] = t[i, m]
+    view[:, :, 0, :] = Fraction(0) if T.mode == EXACT else 0.0
+    ks = np.arange(n)
+    view[ks, :, 0, ks] = t
     view[:, :, 1:, :] = ((1 - t) / (n * (n - 1)))[:, :, None, None]
     rho = ProbVec.point_mass(n, 0, mode=T.mode)
     return EnvDilation(env_size=n, rho=rho, matrix=StochMatrix(view.reshape(n * n, n * n), mode=T.mode))
@@ -105,8 +113,10 @@ def noisy_dilation(T):
 def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     """Recover T[m,n] = sum_i R[(m,i),(n,zero_index)] from a dilation matrix.
 
-    ``system_size`` defaults to sqrt(dim), the standard-dilation case of an
-    environment the same size as the system.
+    This is ``coarse_grain`` of R over the first-marginal partition with the
+    product section of a point mass at ``zero_index``.  ``system_size``
+    defaults to sqrt(dim), the standard-dilation case of an environment the
+    same size as the system.
     """
     if not R.is_square:
         raise NotSquare(f"{R.rows}x{R.cols}")
@@ -125,51 +135,30 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     m_env = R.rows // n
     if not 0 <= zero_index < m_env:
         raise IndexOutOfRange(f"zero_index {zero_index} outside environment of size {m_env}")
-    block = R.a.reshape(m_env, n, m_env, n)[:, :, zero_index, :]
-    if R.mode == EXACT:
-        nums, L = core._numerators(block)
-        return StochMatrix(core._fractions(nums.sum(axis=0), L), mode=EXACT)
-    return StochMatrix(block.sum(axis=0), mode=FLOAT)
+    Y = product_right_inverse(n, ProbVec.point_mass(m_env, zero_index, mode=R.mode))
+    return coarse_grain(R, Y.partition, Y)
 
 
-def verify_env_dilation(T, dilation, trials=20, seed=0):
+def verify_env_dilation(T, dilation):
     """Check the defining marginal identity of an environmental dilation.
 
-    Exact mode verifies sum_{ij} R[(m,i),(n,j)] rho[j] = T[m,n] symbolically,
-    which is equivalent to the identity holding for every p.  It contracts
-    over the support of rho only (one environment state in every standard
-    dilation), on integer numerators: with R, rho and T written over common
-    denominators L_R, L_rho and L_T, the identity reads
-    ``L_T * sum_ij r[i,m,j,n] q[j] == L_R * L_rho * t[m,n]``.  Float mode
-    checks all simplex vertices plus ``trials`` seeded pseudorandom points to
-    ``RESIDUAL_TOL``.
+    The first marginal of ``R (p (x) rho)`` is ``X R Y p`` for the
+    first-marginal projection X and the product section Y of rho (see
+    :func:`as_coarse_graining`), so the identity holds for every p iff
+    ``X R Y == T``: exact mode compares the two exactly, and float mode (or
+    any mix of modes, converted to float) entrywise to ``RESIDUAL_TOL``.
+    The error ``(X R Y - T) p`` is linear in p, so its largest entry over
+    the simplex is taken at a vertex, where it is an entry of ``X R Y - T``.
+    The contraction runs over the support of rho only, one environment
+    state in every standard dilation.
     """
-    n = T.rows
     R, rho = dilation.matrix, dilation.rho
-    m_env = dilation.env_size
-    if R.rows != n * m_env or rho.n != m_env:
+    if R.rows != T.rows * dilation.env_size or rho.n != dilation.env_size:
         raise DimensionMismatch("dilation dimensions disagree with T")
-    if T.mode == EXACT and R.mode == EXACT:
-        support = np.flatnonzero(rho.a != 0)
-        r, l_r = core._numerators(R.a.reshape(m_env, n, m_env, n)[:, :, support, :])
-        q, l_rho = core._numerators(rho.a[support])
-        t, l_t = core._numerators(T.a)
-        return bool(np.array_equal((r * q[None, None, :, None]).sum(axis=(0, 2)) * l_t, t * (l_r * l_rho)))
-    Rf = R.to_float().a
-    rho_f = rho.to_float().a
-    Tf = T.to_float().a
-    rng = np.random.default_rng(seed)
-    points = [np.eye(n)[k] for k in range(n)]
-    for _ in range(trials):
-        raw = rng.random(n)
-        points.append(raw / raw.sum())
-    for p in points:
-        lifted = np.outer(rho_f, p).reshape(-1)  # flat (m,i) = i*n + m
-        evolved = Rf @ lifted
-        marginal = evolved.reshape(m_env, n).sum(axis=0)
-        if np.max(np.abs(marginal - Tf @ p)) > core.RESIDUAL_TOL:
-            return False
-    return True
+    if T.mode == R.mode == rho.mode == EXACT:
+        return coarse_grain(R, *as_coarse_graining(dilation)) == T
+    dilation = EnvDilation(env_size=dilation.env_size, rho=rho.to_float(), matrix=R.to_float())
+    return coarse_grain(dilation.matrix, *as_coarse_graining(dilation)).allclose(T, tol=core.RESIDUAL_TOL)
 
 
 def as_coarse_graining(dilation):

@@ -48,8 +48,14 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "args",
-        [["entropy-region", "--grid", "0"], ["entropy-region", "--grid", "-2"], ["iterate", "--steps", "-1"]],
-        ids=["grid-zero", "grid-negative", "steps-negative"],
+        [
+            ["entropy-region", "--grid", "0"],
+            ["entropy-region", "--grid", "-2"],
+            ["iterate", "--steps", "-1"],
+            ["sinkhorn", "--max-iter", "0"],
+            ["sinkhorn", "--max-iter", "-1"],
+        ],
+        ids=["grid-zero", "grid-negative", "steps-negative", "max-iter-zero", "max-iter-negative"],
     )
     def test_out_of_range_count_is_usage_error(self, capsys, demon_file, uniform4_file, args):
         command, *flags = args
@@ -82,16 +88,21 @@ class TestExitCodes:
             ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2"], ["1/3"]]}, 2),
             ("validate", {"mode": "float", "rows": 2, "cols": 2, "data": [[math.nan, 1.0], [1.0, 0.0]]}, 2),
             ("entropy-region", {"mode": "float", "rows": 2, "cols": 3, "data": [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]}, 2),
+            # a tuple holds one payload per input file: a 2x2 dilation of a 4x4 matrix
+            ("verify-dilation", (bs.matrix_to_json(StochMatrix.identity(4, mode=EXACT)),
+                                 bs.matrix_to_json(StochMatrix.identity(2, mode=EXACT))), 2),
         ],
         ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
-             "non-square-region"],
+             "non-square-region", "dilation-smaller-than-matrix"],
     )
     def test_bad_input_file_gives_one_line_error(self, tmp_path, command, payload, code):
-        path = tmp_path / "input.json"
-        path.write_text(json.dumps(payload))
+        paths = []
+        for i, part in enumerate(payload if isinstance(payload, tuple) else (payload,)):
+            paths.append(tmp_path / f"input{i}.json")
+            paths[-1].write_text(json.dumps(part))
         env = {**os.environ, "PYTHONPATH": str(Path(bs.__file__).resolve().parents[1])}
         proc = subprocess.run(
-            [sys.executable, "-m", "bistoch.cli", *command.split(), str(path)],
+            [sys.executable, "-m", "bistoch.cli", *command.split(), *map(str, paths)],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == code
@@ -251,6 +262,12 @@ class TestCommands:
         code, report = run_json(capsys, ["verify-dilation", demon_file, str(dilation)])
         assert code == 0
         assert report["checks"][0]["pass"] is True
+
+    def test_verify_dilation_has_no_trials_flag(self, capsys, tmp_path, demon_file):
+        # the identity is checked exactly, or at the simplex vertices in float: there are no random trials
+        dilation = tmp_path / "dilation.json"
+        assert run(["dilate", "noisy", demon_file, "--out", str(dilation)]) == 0
+        assert run(["verify-dilation", demon_file, str(dilation), "--trials", "40"]) == 1
 
     def test_coarse_grain(self, capsys, tmp_path, demon_file):
         dilation = tmp_path / "dilation.json"

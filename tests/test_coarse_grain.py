@@ -313,6 +313,19 @@ class TestSectionCheck:
         with pytest.raises(InvalidRightInverse):
             bs.coarse_grain(StochMatrix.identity(4, mode=FLOAT), p, bad)
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize(
+        "rows",
+        [[[0, 1], [1, 0], [0, 0], [0, 0]], [[1, 0], [0, 0], [0, 0], [0, 0]]],
+        ids=["mass-in-the-wrong-class", "empty-column"],
+    )
+    def test_rejects_non_section_with_zero_rows(self, mode, rows):
+        # first-marginal classes {0, 2} and {1, 3}; rows 2 and 3 of Y are zero
+        p = Partition.first_marginal(2, 2)
+        bad = bs.RightInverse(partition=p, matrix=StochMatrix(rows, mode=mode))
+        with pytest.raises(InvalidRightInverse):
+            bs.coarse_grain(StochMatrix.identity(4, mode=mode), p, bad)
+
     def test_float_round_off_is_accepted(self):
         p = Partition(d=4, classes=((0, 2), (1, 3)))
         Y = bs.uniform_right_inverse(p, mode=FLOAT).matrix.a.copy()

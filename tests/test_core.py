@@ -5,7 +5,15 @@ import pytest
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
-from bistoch.errors import DimensionMismatch, ModeMismatch, NegativeEntry, NonFiniteEntry, NotSquare, NotStochastic
+from bistoch.errors import (
+    DimensionMismatch,
+    IndexOutOfRange,
+    ModeMismatch,
+    NegativeEntry,
+    NonFiniteEntry,
+    NotSquare,
+    NotStochastic,
+)
 
 from conftest import (
     random_prob_vec_float,
@@ -59,6 +67,15 @@ class TestValidate:
                 float_report.right,
                 float_report.bi,
             )
+
+
+class TestPointMass:
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("k", [-1, 3, 4])
+    def test_index_out_of_range(self, mode, k):
+        # a negative index must not wrap around to the last state
+        with pytest.raises(IndexOutOfRange):
+            ProbVec.point_mass(3, k, mode=mode)
 
 
 class TestIrreducible:

@@ -139,7 +139,19 @@ class TestVerifyEnvDilation:
     def test_unistochastic_dilation_verifies_float(self):
         T = bs.two_state(0.3, 0.7, mode=FLOAT)
         E = bs.unistochastic_env_dilation(T)
-        assert bs.verify_env_dilation(T, E, trials=40)
+        assert bs.verify_env_dilation(T, E)
+
+    @pytest.mark.parametrize("eps, holds", [(10 * bs.core.RESIDUAL_TOL, False), (bs.core.RESIDUAL_TOL / 10, True)])
+    def test_float_zero_environment_entry_to_residual_tol(self, demon_float, eps, holds):
+        E = bs.noisy_dilation(demon_float)
+        a = E.matrix.a.copy()
+        a[flat_index(1, 2, 4), flat_index(3, 0, 4)] += eps  # source (3, 0): zero environment
+        perturbed = EnvDilation(env_size=4, rho=E.rho, matrix=StochMatrix(a, mode=FLOAT))
+        assert bs.verify_env_dilation(demon_float, perturbed) is holds
+
+    def test_mixed_modes_verify_in_float(self, demon, demon_float):
+        assert bs.verify_env_dilation(demon, bs.noisy_dilation(demon_float)) is True
+        assert bs.verify_env_dilation(demon_float, bs.noisy_dilation(demon)) is True
 
 
 class TestAsCoarseGraining:

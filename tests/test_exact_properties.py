@@ -260,6 +260,21 @@ class TestCoarseGrain:
         assert_fractions_equal(T.a, ref_coarse_grain(S, P, Y))
 
     @SETTINGS
+    @given(
+        st.integers(1, 3),
+        st.lists(st.integers(0, 5), min_size=2, max_size=4).filter(lambda w: sum(w) > 0 and 0 in w),
+        st.data(),
+    )
+    def test_product_section_with_zero_rows(self, n, weights, data):
+        # rho has zero entries, so Y has zero rows, which the contraction skips
+        rho = ProbVec([Fraction(w, sum(weights)) for w in weights], mode=EXACT)
+        Y = bs.product_right_inverse(n, rho)
+        assert not Y.matrix.a.any(axis=1).all()
+        assert all(type(v) is Fraction for v in Y.matrix.a.flat)
+        S = data.draw(permutation_mixtures(d=Y.partition.d))
+        assert_fractions_equal(bs.coarse_grain(S, Y.partition, Y).a, ref_coarse_grain(S, Y.partition, Y))
+
+    @SETTINGS
     @given(shuffled_partitions(), st.data())
     def test_uniform_dilation(self, P, data):
         # T = X S Y with the uniform Y fixes p = (class sizes) / d: Y p is uniform
