@@ -148,10 +148,11 @@ def coarse_grain(S, P, Y):
     Contracts only over the rows Y lifts into, its nonzero rows: all fine
     states for the uniform section, one environment state for the product
     section of a point mass.  Raises ``InvalidRightInverse`` unless
-    ``X @ Y`` is the identity (exactly, or to ``RESIDUAL_TOL`` in float
-    mode).  Exact mode runs on integer numerators: with S and Y over common
-    denominators L_S and L_Y, ``X Y = I`` iff ``X y = L_Y I``, and
-    ``X S Y = (X s)(y) / (L_S L_Y)``.
+    ``X @ Y`` is the identity: exactly, or in float mode to ``DEFAULT_TOL``,
+    the defect at which a float input such as the ``ProbVec`` behind a
+    product section is accepted.  Exact mode runs on integer numerators:
+    with S and Y over common denominators L_S and L_Y, ``X Y = I`` iff
+    ``X y = L_Y I``, and ``X S Y = (X s)(y) / (L_S L_Y)``.
     """
     if S.rows != P.d or S.cols != P.d:
         raise DimensionMismatch(f"matrix is {S.rows}x{S.cols}, partition has d={P.d}")
@@ -168,7 +169,7 @@ def coarse_grain(S, P, Y):
         (s, l_s), (y, l_y) = core._numerators(s), core._numerators(y)
     defect = _class_sums(labels[rows], P.n, y)
     defect[np.diag_indices(P.n)] -= l_y
-    if np.max(np.abs(defect)) > (0 if S.mode == EXACT else core.RESIDUAL_TOL):
+    if np.max(np.abs(defect)) > (0 if S.mode == EXACT else core.DEFAULT_TOL):
         raise InvalidRightInverse("X @ Y differs from the identity")
     xsy = _class_sums(labels, P.n, s) @ y
     return StochMatrix(core._fractions(xsy, l_s * l_y) if S.mode == EXACT else xsy, mode=S.mode)

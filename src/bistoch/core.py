@@ -12,6 +12,13 @@ exact array run on its Python-int numerators over one common denominator
 leave the library.  In ``"float"`` mode entries are IEEE doubles and
 comparisons use the tolerances below.  The two modes never mix inside one
 object or one operation.
+
+The analysis of a stochastic matrix rests on two primitives shared by both
+modes: a breadth-first search over its boolean support (:func:`_reached`),
+which gives irreducibility and the closed communicating classes, and one
+linear solve per closed class for its stationary law
+(:func:`_class_stationary`), fraction-free on integer numerators in exact
+mode.
 """
 
 from __future__ import annotations
@@ -194,11 +201,11 @@ class ProbVec:
 
 
 class StochMatrix:
-    """Rectangular non-negative matrix.
+    """Rectangular non-negative matrix with at least one row and one column.
 
-    The constructor only enforces non-negative (and, in float mode, finite)
-    entries; whether the matrix is left-/right-/bi-stochastic is reported by
-    :func:`validate`.
+    The constructor only enforces the shape and non-negative (and, in float
+    mode, finite) entries; whether the matrix is left-/right-/bi-stochastic
+    is reported by :func:`validate`.
     """
 
     def __init__(self, data, mode=None):
@@ -209,6 +216,8 @@ class StochMatrix:
         arr = _as_array(data, mode)
         if arr.ndim != 2:
             raise DimensionMismatch("matrix data must be two-dimensional")
+        if 0 in arr.shape:
+            raise DimensionMismatch(f"{arr.shape[0]}x{arr.shape[1]} matrix has no entries")
         _check_entries(arr, mode)
         self.mode = mode
         self.a = arr
@@ -321,153 +330,99 @@ def validate(M, tol=DEFAULT_TOL):
     common denominator; the defects are Fractions.  Float mode allows
     ``|sum-1| <= tol``.  Negative entries are rejected at construction time,
     so only sum defects are reported here.  Irreducibility (a strongly
-    connected support digraph) is computed for a square left-stochastic
-    matrix and is False otherwise; only this function and
-    :func:`is_irreducible` compute it.
+    connected support digraph: state 0 reaches every state and every state
+    reaches state 0, two searches of :func:`_reached`) is computed for a
+    square left-stochastic matrix and is False otherwise; only this function
+    and :func:`is_irreducible` compute it.
     """
     report = _sum_check(M, tol)
-    if M.is_square and report.left:
-        report.irreducible = len(_strongly_connected_components(_support_adjacency(M))) == 1
-    else:
-        report.irreducible = False
+    report.irreducible = M.is_square and report.left and _strongly_connected(_support(M))
     return report
 
 
-def _support_adjacency(T):
-    """Adjacency lists of the digraph with edge n -> m whenever T[m, n] > 0."""
-    threshold = 0 if T.mode == EXACT else RESIDUAL_TOL
-    return [np.nonzero(T.a[:, k] > threshold)[0].tolist() for k in range(T.rows)]
+def _support(T):
+    """Boolean support of T: ``adj[m, n]`` is the edge n -> m of its digraph."""
+    return T.a > (0 if T.mode == EXACT else RESIDUAL_TOL)
 
 
-def _strongly_connected_components(adj):
-    """Kosaraju's algorithm, iterative; components in deterministic order."""
-    n = len(adj)
-    order = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        stack = [(root, iter(adj[root]))]
-        seen[root] = True
-        while stack:
-            u, it = stack[-1]
-            advanced = False
-            for v in it:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append((v, iter(adj[v])))
-                    advanced = True
-                    break
-            if not advanced:
-                order.append(u)
-                stack.pop()
-    reverse = [[] for _ in range(n)]
-    for u, outs in enumerate(adj):
-        for v in outs:
-            reverse[v].append(u)
-    assigned = [None] * n
-    components = []
-    for u in reversed(order):
-        if assigned[u] is not None:
-            continue
-        comp = []
-        stack = [u]
-        assigned[u] = len(components)
-        while stack:
-            w = stack.pop()
-            comp.append(w)
-            for v in reverse[w]:
-                if assigned[v] is None:
-                    assigned[v] = len(components)
-                    stack.append(v)
-        components.append(sorted(comp))
-    components.sort(key=min)
-    return components
+def _reached(adj, start, within=True):
+    """States reachable from ``start`` along the edges of ``adj`` inside ``within``.
+
+    Breadth-first: each step gathers the columns of the frontier at once.
+    Pass ``adj.T`` to search backwards.
+    """
+    seen = np.zeros(len(adj), dtype=bool)
+    seen[start] = True
+    frontier = seen
+    while frontier.any():
+        frontier = adj[:, frontier].any(axis=1) & within & ~seen
+        seen = seen | frontier
+    return seen
+
+
+def _strongly_connected(adj):
+    return bool(_reached(adj, 0).all() and _reached(adj.T, 0).all())
 
 
 def _recurrent_classes(T):
-    """Closed communicating classes of the support digraph, sorted by least state."""
-    adj = _support_adjacency(T)
-    components = _strongly_connected_components(adj)
-    index_of = {}
-    for ci, comp in enumerate(components):
-        for v in comp:
-            index_of[v] = ci
-    closed = []
-    for ci, comp in enumerate(components):
-        if all(index_of[v] == ci for u in comp for v in adj[u]):
-            closed.append(comp)
-    return closed
+    """Closed communicating classes of the support digraph, sorted by least state.
+
+    States are visited in increasing order.  The backward set of an unvisited
+    state n, searched among the unvisited states, is marked visited; n's class
+    is what n reaches inside that set, and it is closed iff no support edge
+    leaves it.  Every state that reaches a visited state is visited too, so
+    n's class lies among the unvisited states, and a closed class is found
+    at its least state.
+    """
+    adj = _support(T)
+    unvisited = np.ones(T.rows, dtype=bool)
+    classes = []
+    for n in range(T.rows):
+        if unvisited[n]:
+            back = _reached(adj.T, n, unvisited)
+            unvisited &= ~back
+            members = _reached(adj, n, back)
+            if not adj[np.ix_(~members, members)].any():
+                classes.append(np.flatnonzero(members))
+    return classes
 
 
 def is_irreducible(T):
     """True iff the support digraph of T is strongly connected."""
     _require_left_stochastic(T)
-    return len(_strongly_connected_components(_support_adjacency(T))) == 1
+    return _strongly_connected(_support(T))
 
 
-def _rref(rows):
-    """Reduced row echelon form over Fractions; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in rows]
-    n_cols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        pivot = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
+def _class_stationary(T, members):
+    """Stationary law of T on a closed class, zero elsewhere.
 
-
-def nullspace_exact(A):
-    """Basis of the exact nullspace of an object-dtype Fraction matrix.
-
-    Free variables are taken in increasing column order with value 1, which
-    makes the basis deterministic.
+    Solves ``(T_C - I) p = 0`` with its last row replaced by ``sum(p) = 1``,
+    which is nonsingular on a closed class.  Exact mode runs fraction-free
+    Gauss-Jordan elimination (Bareiss) on the integer numerators over their
+    common denominator L, ``(t - L I)``, and divides by the determinant it
+    leaves on the diagonal once, at the end.  It needs no pivot search: T
+    restricted to a proper subset S of the class leaks mass out of S, so
+    ``T_S - I`` and every leading minor of the system are nonsingular.
     """
-    n_rows, n_cols = A.shape
-    rref_rows, pivots = _rref([[Fraction(A[i, j]) for j in range(n_cols)] for i in range(n_rows)])
-    free = [c for c in range(n_cols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * n_cols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref_rows[r][f]
-        basis.append(np.array(vec, dtype=object))
-    return basis
-
-
-def _class_stationary_exact(T, members):
-    sub = T.a[np.ix_(members, members)] - np.eye(len(members), dtype=int)
-    vec = nullspace_exact(sub)[0]
-    full = np.full(T.rows, Fraction(0), dtype=object)
-    full[members] = vec / sum(vec)
-    return full
-
-
-def _class_stationary_float(T, members):
     k = len(members)
-    sub = T.a[np.ix_(members, members)].astype(float) - np.eye(k)
-    system = np.vstack([sub, np.ones((1, k))])
-    rhs = np.zeros(k + 1)
-    rhs[-1] = 1.0
-    sol, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    sol = np.clip(sol, 0.0, None)
-    sol /= sol.sum()
-    full = np.zeros(T.rows)
-    full[members] = sol
+    full = np.full(T.rows, Fraction(0) if T.mode == EXACT else 0.0, dtype=T.a.dtype)
+    if T.mode == FLOAT:
+        system = T.a[np.ix_(members, members)] - np.eye(k)
+        system[-1] = 1.0
+        sol = np.clip(np.linalg.solve(system, np.eye(k)[-1]), 0.0, None)
+        full[members] = sol / sol.sum()
+        return full
+    t, L = _numerators(T.a[np.ix_(members, members)])
+    t[np.diag_indices(k)] -= L
+    m = np.zeros((k, k + 1), dtype=object)  # [t - L I | 0], last row [1 ... 1 | 1]
+    m[:, :k] = t
+    m[-1] = 1
+    prev = 1
+    for c in range(k):
+        rest = np.arange(k) != c
+        m[rest] = (m[c, c] * m[rest] - m[rest, c][:, None] * m[c]) // prev
+        prev = m[c, c]
+    full[members] = _fractions(m[:, k], prev)
     return full
 
 
@@ -475,28 +430,25 @@ def fixed_point(T):
     """A fixed point of T in the simplex plus the fixed-point face structure.
 
     The fixed-point set of a stochastic matrix is a face of the simplex whose
-    dimension is one less than the number of closed communicating classes.
-    The reported representative is the average of the per-class stationary
-    distributions, which is deterministic and strictly positive on the union
-    of the closed classes.
+    dimension is one less than the number of closed communicating classes
+    (:func:`_recurrent_classes`).  Each class contributes its stationary law,
+    one linear solve (:func:`_class_stationary`); the basis holds their
+    differences from the first.  The reported representative is their
+    average, which is deterministic and strictly positive on the union of
+    the closed classes.
     """
     _require_left_stochastic(T)
-    classes = _recurrent_classes(T)
+    stationaries = [_class_stationary(T, c) for c in _recurrent_classes(T)]
     if T.mode == EXACT:
-        stationaries = [_class_stationary_exact(T, c) for c in classes]
         rep = sum(stationaries[1:], stationaries[0]) / Fraction(len(stationaries))
-        rep_vec = ProbVec(rep, mode=EXACT)
     else:
-        stationaries = [_class_stationary_float(T, c) for c in classes]
         rep = np.mean(stationaries, axis=0)
-        rep_vec = ProbVec(rep, mode=FLOAT)
-    basis = [s - stationaries[0] for s in stationaries[1:]]
-    face_dimension = len(classes) - 1
+    face_dimension = len(stationaries) - 1
     return FixedPointResult(
-        representative=rep_vec,
+        representative=ProbVec(rep, mode=T.mode),
         face_dimension=face_dimension,
         is_unique=face_dimension == 0,
-        basis=basis,
+        basis=[s - stationaries[0] for s in stationaries[1:]],
     )
 
 

@@ -130,6 +130,8 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
         if system_size * system_size != R.rows:
             raise DimensionMismatch("matrix size is not a perfect square; pass system_size")
     n = system_size
+    if n < 1:
+        raise DimensionMismatch(f"system size {n} is not positive")
     if R.rows % n != 0:
         raise DimensionMismatch(f"size {R.rows} is not a multiple of system size {n}")
     m_env = R.rows // n
@@ -146,11 +148,12 @@ def verify_env_dilation(T, dilation):
     first-marginal projection X and the product section Y of rho (see
     :func:`as_coarse_graining`), so the identity holds for every p iff
     ``X R Y == T``: exact mode compares the two exactly, and float mode (or
-    any mix of modes, converted to float) entrywise to ``RESIDUAL_TOL``.
-    The error ``(X R Y - T) p`` is linear in p, so its largest entry over
-    the simplex is taken at a vertex, where it is an entry of ``X R Y - T``.
-    The contraction runs over the support of rho only, one environment
-    state in every standard dilation.
+    any mix of modes, converted to float) entrywise to ``RESIDUAL_TOL +
+    |sum(rho) - 1|``, since Y carries rho's mass and ``ProbVec`` accepts a
+    sum defect up to ``DEFAULT_TOL``.  The error ``(X R Y - T) p`` is linear
+    in p, so its largest entry over the simplex is taken at a vertex, where
+    it is an entry of ``X R Y - T``.  The contraction runs over the support
+    of rho only, one environment state in every standard dilation.
     """
     R, rho = dilation.matrix, dilation.rho
     if R.rows != T.rows * dilation.env_size or rho.n != dilation.env_size:
@@ -158,7 +161,8 @@ def verify_env_dilation(T, dilation):
     if T.mode == R.mode == rho.mode == EXACT:
         return coarse_grain(R, *as_coarse_graining(dilation)) == T
     dilation = EnvDilation(env_size=dilation.env_size, rho=rho.to_float(), matrix=R.to_float())
-    return coarse_grain(dilation.matrix, *as_coarse_graining(dilation)).allclose(T, tol=core.RESIDUAL_TOL)
+    tol = core.RESIDUAL_TOL + abs(dilation.rho.a.sum() - 1.0)
+    return coarse_grain(dilation.matrix, *as_coarse_graining(dilation)).allclose(T, tol=tol)
 
 
 def as_coarse_graining(dilation):

@@ -91,9 +91,14 @@ class TestExitCodes:
             # a tuple holds one payload per input file: a 2x2 dilation of a 4x4 matrix
             ("verify-dilation", (bs.matrix_to_json(StochMatrix.identity(4, mode=EXACT)),
                                  bs.matrix_to_json(StochMatrix.identity(2, mode=EXACT))), 2),
+            ("validate", {"mode": "float", "rows": 1, "cols": 0, "data": [[]]}, 2),
+            ("validate", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
+            ("birkhoff", {"mode": "float", "rows": 1, "cols": 0, "data": [[]]}, 2),
+            ("birkhoff", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
         ],
         ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
-             "non-square-region", "dilation-smaller-than-matrix"],
+             "non-square-region", "dilation-smaller-than-matrix", "zero-columns-float", "zero-columns-exact",
+             "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact"],
     )
     def test_bad_input_file_gives_one_line_error(self, tmp_path, command, payload, code):
         paths = []
@@ -260,6 +265,17 @@ class TestCommands:
         assert run(["dilate", "noisy", demon_file, "--out", str(dilation)]) == 0
         capsys.readouterr()
         code, report = run_json(capsys, ["verify-dilation", demon_file, str(dilation)])
+        assert code == 0
+        assert report["checks"][0]["pass"] is True
+
+    def test_verify_dilation_float_rho_with_sum_defect(self, capsys, tmp_path, demon_float):
+        # ProbVec accepts a rho whose sum misses 1 by 1e-10; the identity holds up to that defect
+        files = {"T": bs.matrix_to_json(demon_float), "R": bs.matrix_to_json(bs.noisy_dilation(demon_float).matrix),
+                 "rho": bs.vector_to_json(ProbVec([1 + 1e-10, 0.0, 0.0, 0.0], mode=FLOAT))}
+        for name, payload in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        T, R, rho = (str(tmp_path / f"{name}.json") for name in files)
+        code, report = run_json(capsys, ["verify-dilation", T, R, "--rho", rho])
         assert code == 0
         assert report["checks"][0]["pass"] is True
 

@@ -332,3 +332,16 @@ class TestSectionCheck:
         Y[0, 0] += 1e-13
         T = bs.coarse_grain(StochMatrix.identity(4, mode=FLOAT), p, bs.RightInverse(partition=p, matrix=StochMatrix(Y)))
         assert T.allclose(StochMatrix.identity(2, mode=FLOAT), tol=1e-12)
+
+    @pytest.mark.parametrize("eps, accepted", [(bs.core.DEFAULT_TOL / 10, True), (10 * bs.core.DEFAULT_TOL, False)])
+    def test_float_section_held_to_default_tol(self, eps, accepted):
+        # a float section is an input, held to the defect at which a ProbVec is accepted
+        p = Partition(d=4, classes=((0, 2), (1, 3)))
+        Y = bs.uniform_right_inverse(p, mode=FLOAT).matrix.a.copy()
+        Y[0, 0] += eps
+        section = bs.RightInverse(partition=p, matrix=StochMatrix(Y))
+        if accepted:
+            assert bs.coarse_grain(StochMatrix.identity(4, mode=FLOAT), p, section).rows == 2
+        else:
+            with pytest.raises(InvalidRightInverse):
+                bs.coarse_grain(StochMatrix.identity(4, mode=FLOAT), p, section)

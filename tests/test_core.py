@@ -93,11 +93,21 @@ class TestIrreducible:
         import networkx as nx
 
         rng = np.random.default_rng(5)
-        for _ in range(50):
+        matrices = []
+        for i in range(80):
             n = int(rng.integers(2, 7))
-            a = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+            a = rng.random((n, n)) * (rng.random((n, n)) < (0.5 if i < 50 else 0.2))
             a += 1e-3 * np.eye(n)  # keep columns non-degenerate
-            T = StochMatrix(a / a.sum(axis=0), mode=FLOAT)
+            matrices.append(a / a.sum(axis=0))
+        for n in (1, 2, 6):
+            forward = np.eye(n, k=-1)  # k -> k + 1, the last state absorbing
+            forward[-1, -1] = 1
+            matrices += [forward, forward[::-1, ::-1], np.eye(n)]
+        # a leak below the round-off tolerance is no edge: two closed classes
+        matrices.append(np.array([[1.0, 1e-13], [0.0, 1.0 - 1e-13]]))
+        for a in matrices:
+            n = len(a)
+            T = StochMatrix(a, mode=FLOAT)
             g = nx.DiGraph()
             g.add_nodes_from(range(n))
             for m in range(n):
@@ -105,6 +115,12 @@ class TestIrreducible:
                     if T.a[m, k] > 1e-12:
                         g.add_edge(k, m)
             assert bs.is_irreducible(T) == nx.is_strongly_connected(g)
+            # closed classes, in least-state order, are the attracting components
+            closed = sorted((sorted(c) for c in nx.attracting_components(g)), key=min)
+            assert [c.tolist() for c in bs.core._recurrent_classes(T)] == closed
+            res = bs.fixed_point(T)
+            assert res.face_dimension == len(closed) - 1
+            assert np.flatnonzero(res.representative.a).tolist() == sorted(sum(closed, []))
 
     def test_requires_square_stochastic(self):
         with pytest.raises(NotSquare):

@@ -7,6 +7,7 @@ import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
 from bistoch.env_dilation import EnvDilation, flat_index
 from bistoch.errors import (
+    DimensionMismatch,
     DimensionTooSmall,
     IncompleteKrausSet,
     IndexOutOfRange,
@@ -123,6 +124,13 @@ class TestExtractDilated:
         with pytest.raises(IndexOutOfRange):
             bs.extract_dilated(demon_dilation_expected(), 4)
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize("system_size", [0, -4])
+    def test_rejects_system_size_below_one(self, mode, system_size):
+        # not a ZeroDivisionError, nor an environment of negative size
+        with pytest.raises(DimensionMismatch):
+            bs.extract_dilated(bs.noisy_dilation(bs.maxwell_demon(mode=mode)).matrix, 0, system_size=system_size)
+
 
 class TestVerifyEnvDilation:
     def test_noisy_dilation_verifies(self, demon):
@@ -148,6 +156,15 @@ class TestVerifyEnvDilation:
         a[flat_index(1, 2, 4), flat_index(3, 0, 4)] += eps  # source (3, 0): zero environment
         perturbed = EnvDilation(env_size=4, rho=E.rho, matrix=StochMatrix(a, mode=FLOAT))
         assert bs.verify_env_dilation(demon_float, perturbed) is holds
+
+    @pytest.mark.parametrize("eps, holds", [(0.0, True), (10 * (bs.core.RESIDUAL_TOL + 1e-10), False)])
+    def test_float_rho_sum_defect_widens_bound(self, demon_float, eps, holds):
+        # ProbVec accepts this rho; X R Y carries its sum defect of 1e-10, and no more than that is forgiven
+        rho = ProbVec([1 + 1e-10, 0.0, 0.0, 0.0], mode=FLOAT)
+        a = bs.noisy_dilation(demon_float).matrix.a.copy()
+        a[flat_index(1, 2, 4), flat_index(3, 0, 4)] += eps
+        dilation = EnvDilation(env_size=4, rho=rho, matrix=StochMatrix(a, mode=FLOAT))
+        assert bs.verify_env_dilation(demon_float, dilation) is holds
 
     def test_mixed_modes_verify_in_float(self, demon, demon_float):
         assert bs.verify_env_dilation(demon, bs.noisy_dilation(demon_float)) is True

@@ -75,6 +75,31 @@ def permutation_mixtures(draw, d=None):
 
 
 @st.composite
+def reducible_matrices(draw):
+    """Exact stochastic matrices with closed blocks and transient states, states shuffled.
+
+    A column of a block state spreads its mass over that block only, and a
+    column of a transient state over all states; zero weights may split a
+    block further.
+    """
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(sizes) + draw(st.integers(0, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    bounds = np.cumsum([0, *sizes])
+    columns = []
+    for k in range(n):
+        block = next((range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo <= k < hi), range(n))
+        q = int(rng.integers(1, 13))
+        column = [Fraction(0)] * n
+        for m, w in zip(block, _composition(rng, q, len(block))):
+            column[m] = Fraction(w, q)
+        columns.append(column)
+    order = draw(st.permutations(range(n)))
+    a = np.array(columns, dtype=object).T
+    return StochMatrix(a[np.ix_(order, order)], mode=EXACT)
+
+
+@st.composite
 def shuffled_partitions(draw, n=None):
     """Partition of d states into n classes, labels drawn in shuffled order."""
     n = n or draw(st.integers(1, 4))
@@ -106,14 +131,24 @@ def ref_validate(M):
     col_defect = max(abs(fsum(a[:, k]) - 1) for k in range(cols))
     row_defect = max(abs(fsum(a[m, :]) - 1) for m in range(rows))
     left, right = col_defect == 0, row_defect == 0
-    irreducible = False
-    if rows == cols and left:
-        # reachability closure of the support digraph n -> m when a[m, n] > 0
-        reach = [{n} | {m for m in range(rows) if a[m, n] > 0} for n in range(rows)]
-        for _ in range(rows):
-            reach = [set().union(*(reach[v] for v in r)) for r in reach]
-        irreducible = all(len(r) == rows for r in reach)
+    irreducible = rows == cols and left and all(len(r) == rows for r in ref_reach(a))
     return left, right, left and right and rows == cols, irreducible, col_defect, row_defect
+
+
+def ref_reach(a):
+    """Reachability closure of the support digraph n -> m when a[m, n] > 0."""
+    n = len(a)
+    reach = [{k} | {m for m in range(n) if a[m, k] > 0} for k in range(n)]
+    for _ in range(n):
+        reach = [set().union(*(reach[v] for v in r)) for r in reach]
+    return reach
+
+
+def ref_closed_classes(a):
+    """Closed classes: the reach sets of states that every state they reach reaches back."""
+    reach = ref_reach(a)
+    closed = {frozenset(reach[k]) for k in range(len(a)) if all(k in reach[m] for m in reach[k])}
+    return sorted((sorted(c) for c in closed), key=min)
 
 
 def ref_extract(R, zero_index, n):
@@ -171,6 +206,23 @@ class TestValidate:
         assert report.max_column_defect == ref_validate(M)[4]
         if report.max_column_defect:
             assert not report.left and not report.irreducible
+
+
+class TestFixedPoint:
+    @SETTINGS
+    @given(reducible_matrices())
+    def test_class_laws_span_the_face(self, T):
+        closed = ref_closed_classes(T.a)
+        res = bs.fixed_point(T)
+        assert res.face_dimension == len(closed) - 1 and res.is_unique is (len(closed) == 1)
+        rep = res.representative.a
+        assert all(type(v) is Fraction for v in rep) and all(type(v) is Fraction for b in res.basis for v in b)
+        assert (T.a @ rep).tolist() == rep.tolist()
+        # rep is the mean of the class laws and the basis their differences from the first law
+        first = rep - sum(res.basis, np.full(T.rows, Fraction(0), dtype=object)) / len(closed)
+        for members, law in zip(closed, [first] + [first + b for b in res.basis]):
+            assert (T.a @ law).tolist() == law.tolist() and sum(law) == 1
+            assert np.flatnonzero(law).tolist() == members and all(v >= 0 for v in law)
 
 
 class TestExtract:
@@ -313,14 +365,14 @@ class TestNumerators:
 
 @pytest.fixture
 def no_irreducibility(monkeypatch):
-    def refuse(adj):
-        raise AssertionError("irreducibility computed for a caller that does not read it")
+    def refuse(adj, start, within=True):
+        raise AssertionError("support digraph searched for a caller that does not read it")
 
-    monkeypatch.setattr(core, "_strongly_connected_components", refuse)
+    monkeypatch.setattr(core, "_reached", refuse)
 
 
 class TestNoUnreadWork:
-    """Only ``validate`` and ``is_irreducible`` build the support digraph's components."""
+    """Only ``validate``, ``is_irreducible`` and ``fixed_point`` search the support digraph."""
 
     def test_dilations_checks_and_decomposition(self, demon, no_irreducibility):
         E = bs.noisy_dilation(demon)
