@@ -6,7 +6,7 @@ command-specific result payload.  Dilation subcommands always embed a
 verification check; an unverified dilation is never emitted.
 
 Exit codes: 0 success with all checks passing, 1 usage or I/O error,
-2 validation or verification failure.
+2 validation or verification failure, or a request too large for memory.
 """
 
 from __future__ import annotations
@@ -519,7 +519,7 @@ def run(argv):
     except DemoMismatch as exc:
         print(f"demo mismatch: {exc}", file=sys.stderr)
         return 2
-    except BistochError as exc:
+    except (BistochError, MemoryError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate, chain
 
 import numpy as np
@@ -55,11 +56,15 @@ class Partition:
     def class_sizes(self):
         return tuple(len(c) for c in self.classes)
 
-    @property
+    @cached_property
     def labels(self):
-        """Class index of each fine state: ``labels[nu] == k`` iff nu is in class k."""
+        """Class index of each fine state: ``labels[nu] == k`` iff nu is in class k.
+
+        Computed once per partition and shared by every caller, so read-only.
+        """
         labels = np.empty(self.d, dtype=int)
         labels[np.concatenate(self.classes).astype(int)] = np.repeat(np.arange(self.n), self.class_sizes)
+        labels.flags.writeable = False
         return labels
 
     @property
@@ -150,9 +155,10 @@ def coarse_grain(S, P, Y):
     section of a point mass.  Raises ``InvalidRightInverse`` unless
     ``X @ Y`` is the identity: exactly, or in float mode to ``DEFAULT_TOL``,
     the defect at which a float input such as the ``ProbVec`` behind a
-    product section is accepted.  Exact mode runs on integer numerators:
-    with S and Y over common denominators L_S and L_Y, ``X Y = I`` iff
-    ``X y = L_Y I``, and ``X S Y = (X s)(y) / (L_S L_Y)``.
+    product section is accepted.  It reads the numerators s and y of S and
+    Y over their denominators L_S and L_Y (``StochMatrix.nums`` and
+    ``.den``): ``X Y = I`` iff ``X y = L_Y I``, and ``X S Y = (X s)(y) /
+    (L_S L_Y)``, on Python ints in exact mode.
     """
     if S.rows != P.d or S.cols != P.d:
         raise DimensionMismatch(f"matrix is {S.rows}x{S.cols}, partition has d={P.d}")
@@ -163,16 +169,13 @@ def coarse_grain(S, P, Y):
     if rows.size == P.d:  # every row: a view keeps the memory layout, on which float matmul rounding depends
         rows = slice(None)
     labels = P.labels
-    s, y = S.a[:, rows], Y.matrix.a[rows]
-    l_s = l_y = 1
-    if S.mode == EXACT:
-        (s, l_s), (y, l_y) = core._numerators(s), core._numerators(y)
+    s, y = S.nums[:, rows], Y.matrix.nums[rows]
     defect = _class_sums(labels[rows], P.n, y)
-    defect[np.diag_indices(P.n)] -= l_y
+    defect[np.diag_indices(P.n)] -= Y.matrix.den
     if np.max(np.abs(defect)) > (0 if S.mode == EXACT else core.DEFAULT_TOL):
         raise InvalidRightInverse("X @ Y differs from the identity")
     xsy = _class_sums(labels, P.n, s) @ y
-    return StochMatrix(core._fractions(xsy, l_s * l_y) if S.mode == EXACT else xsy, mode=S.mode)
+    return StochMatrix(core._fractions(xsy, S.den * Y.matrix.den) if S.mode == EXACT else xsy, mode=S.mode)
 
 
 def uniform_dilation(T, p):

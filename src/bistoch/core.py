@@ -6,10 +6,12 @@ left-stochastic when every *column* sums to one.
 
 Matrices and vectors carry one of two numeric modes.  In ``"exact"`` mode
 entries are :class:`fractions.Fraction` objects held in object-dtype numpy
-arrays; all comparisons are exact.  Sums, comparisons and peels over a whole
-exact array run on its Python-int numerators over one common denominator
-(:func:`_numerators`), and results become Fractions again only where they
-leave the library.  In ``"float"`` mode entries are IEEE doubles and
+arrays; all comparisons are exact.  Each exact object computes its
+Python-int numerators over one common denominator once, at construction
+(``nums`` and ``den``, see :class:`_Entries`); sums, comparisons and peels
+over a whole object read them, and results become Fractions again only
+where they leave the library (:func:`_fractions`).  In ``"float"`` mode
+entries are IEEE doubles, an array is its own numerators over ``1.0``, and
 comparisons use the tolerances below.  The two modes never mix inside one
 object or one operation.
 
@@ -78,27 +80,13 @@ def _exact_entry(value):
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _as_array(data, mode):
-    if mode == EXACT:
-        arr = np.empty(np.shape(data), dtype=object)
-        flat_in = np.asarray(data, dtype=object).reshape(-1)
-        arr.reshape(-1)[:] = [v if isinstance(v, Fraction) else _exact_entry(v) for v in flat_in]
-        return arr
-    return np.array(data, dtype=float)
-
-
-def _infer_mode(data):
-    flat = np.asarray(data, dtype=object).reshape(-1)
-    if any(isinstance(v, (float, np.floating)) for v in flat):
-        return FLOAT
-    return EXACT
-
-
 def _numerators(a):
     """Python-int numerators of an exact array over one common denominator.
 
     Returns ``(nums, L)`` with L the lcm of the entries' denominators and
     ``a == nums / L`` entrywise; sums and comparisons of ``nums`` are exact.
+    Only the constructor of :class:`_Entries` calls it: kernels read the
+    ``nums`` and ``den`` it stored.
     """
     ratios = [v.as_integer_ratio() for v in a.flat]
     L = math.lcm(*{den for _, den in ratios})
@@ -117,15 +105,64 @@ def _raise_first(error, arr, mask):
         raise error(idx, arr[idx])
 
 
-def _check_entries(arr, mode):
-    if mode == FLOAT:
-        _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
-    # an exact entry is negative iff its numerator is
-    negative = [v.numerator < 0 for v in arr.flat] if mode == EXACT else arr < -DEFAULT_TOL
-    _raise_first(NegativeEntry, arr, np.reshape(negative, arr.shape))
+class _Entries:
+    """Shared base of :class:`ProbVec` and :class:`StochMatrix`: a numeric
+    mode and an array ``a`` of checked entries.
+
+    The mode is inferred from the data unless given: any float entry makes it
+    ``"float"``.  Each object computes its numerators once, at construction,
+    in the pass that checks the entries' signs.  Exact entries stay Fractions
+    in ``a`` and also become Python-int numerators ``nums`` over the lcm
+    ``den`` of their denominators, so ``a == nums / den``; a float array is
+    its own numerators over ``den = 1.0``.  Sums and comparisons over a whole
+    object read ``nums`` and ``den`` and never convert ``a`` again.
+    """
+
+    def __init__(self, data, mode=None):
+        if mode is None:
+            floats = (isinstance(v, (float, np.floating)) for v in np.asarray(data, dtype=object).flat)
+            mode = FLOAT if any(floats) else EXACT
+        if mode == EXACT:
+            arr = np.empty(np.shape(data), dtype=object)
+            flat = np.asarray(data, dtype=object).flat
+            arr.reshape(-1)[:] = [v if isinstance(v, Fraction) else _exact_entry(v) for v in flat]
+        elif mode == FLOAT:
+            arr = np.array(data, dtype=float)
+        else:
+            raise ValueError(f"unknown mode {mode!r}")
+        self._check_shape(arr)
+        if mode == FLOAT:
+            _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
+        nums, den = _numerators(arr) if mode == EXACT else (arr, 1.0)
+        # den > 0, so an exact entry is negative iff its numerator is
+        _raise_first(NegativeEntry, arr, nums < (0 if mode == EXACT else -DEFAULT_TOL))
+        self.mode, self.a, self.nums, self.den = mode, arr, nums, den
+
+    def _value(self, num):
+        """A sum of numerators as a value: a Fraction over ``den``, or a float."""
+        return Fraction(num, self.den) if self.mode == EXACT else float(num)
+
+    def __getitem__(self, idx):
+        return self.a[idx]
+
+    def to_float(self):
+        if self.mode == FLOAT:
+            return self
+        return type(self)(self.a.astype(float), mode=FLOAT)
+
+    def __eq__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.mode == other.mode and bool(np.array_equal(self.a, other.a))
+
+    def allclose(self, other, tol=RESIDUAL_TOL):
+        if self.a.shape != other.a.shape:
+            return False
+        d = self.to_float().a - other.to_float().a
+        return bool(np.max(np.abs(d)) <= tol)
 
 
-class ProbVec:
+class ProbVec(_Entries):
     """Point of the probability simplex: non-negative entries summing to 1.
 
     In float mode the sum may miss 1, and an entry may fall below 0, by at
@@ -133,22 +170,15 @@ class ProbVec:
     """
 
     def __init__(self, entries, mode=None):
-        if mode is None:
-            mode = _infer_mode(entries)
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {mode!r}")
-        arr = _as_array(entries, mode)
+        super().__init__(entries, mode)
+        total = self.nums.sum()
+        if abs(total - self.den) > (0 if self.mode == EXACT else DEFAULT_TOL):
+            raise NotStochastic(f"entries sum to {self._value(total)}, expected 1")
+
+    @staticmethod
+    def _check_shape(arr):
         if arr.ndim != 1:
             raise DimensionMismatch("probability vector must be one-dimensional")
-        _check_entries(arr, mode)
-        total = arr.sum()
-        if mode == EXACT:
-            if total != 1:
-                raise NotStochastic(f"entries sum to {total}, expected 1")
-        elif abs(total - 1.0) > DEFAULT_TOL:
-            raise NotStochastic(f"entries sum to {total}, expected 1")
-        self.mode = mode
-        self.a = arr
 
     @classmethod
     def uniform(cls, n, mode=FLOAT):
@@ -170,37 +200,16 @@ class ProbVec:
 
     def is_interior(self):
         """True when every entry is strictly positive."""
-        if self.mode == EXACT:
-            return all(v > 0 for v in self.a)
-        return bool(np.all(self.a > RESIDUAL_TOL))
-
-    def to_float(self):
-        if self.mode == FLOAT:
-            return self
-        return ProbVec(np.array([float(v) for v in self.a]), mode=FLOAT)
+        return bool(np.all(self.nums > (0 if self.mode == EXACT else RESIDUAL_TOL)))
 
     def __len__(self):
         return self.n
-
-    def __getitem__(self, k):
-        return self.a[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, ProbVec):
-            return NotImplemented
-        return self.mode == other.mode and bool(np.array_equal(self.a, other.a))
-
-    def allclose(self, other, tol=RESIDUAL_TOL):
-        if self.n != other.n:
-            return False
-        d = self.to_float().a - other.to_float().a
-        return bool(np.max(np.abs(d)) <= tol)
 
     def __repr__(self):
         return f"ProbVec({list(self.a)!r}, mode={self.mode!r})"
 
 
-class StochMatrix:
+class StochMatrix(_Entries):
     """Rectangular non-negative matrix with at least one row and one column.
 
     The constructor only enforces the shape and non-negative (and, in float
@@ -208,19 +217,12 @@ class StochMatrix:
     is reported by :func:`validate`.
     """
 
-    def __init__(self, data, mode=None):
-        if mode is None:
-            mode = _infer_mode(data)
-        if mode not in (EXACT, FLOAT):
-            raise ValueError(f"unknown mode {mode!r}")
-        arr = _as_array(data, mode)
+    @staticmethod
+    def _check_shape(arr):
         if arr.ndim != 2:
             raise DimensionMismatch("matrix data must be two-dimensional")
         if 0 in arr.shape:
             raise DimensionMismatch(f"{arr.shape[0]}x{arr.shape[1]} matrix has no entries")
-        _check_entries(arr, mode)
-        self.mode = mode
-        self.a = arr
 
     @classmethod
     def identity(cls, n, mode=FLOAT):
@@ -240,25 +242,6 @@ class StochMatrix:
     @property
     def is_square(self):
         return self.rows == self.cols
-
-    def __getitem__(self, idx):
-        return self.a[idx]
-
-    def to_float(self):
-        if self.mode == FLOAT:
-            return self
-        return StochMatrix(self.a.astype(float), mode=FLOAT)
-
-    def __eq__(self, other):
-        if not isinstance(other, StochMatrix):
-            return NotImplemented
-        return self.mode == other.mode and bool(np.array_equal(self.a, other.a))
-
-    def allclose(self, other, tol=RESIDUAL_TOL):
-        if self.a.shape != other.a.shape:
-            return False
-        d = self.to_float().a - other.to_float().a
-        return bool(np.max(np.abs(d)) <= tol)
 
     def __repr__(self):
         return f"StochMatrix({self.rows}x{self.cols}, mode={self.mode!r})"
@@ -294,25 +277,19 @@ def _require_left_stochastic(T):
     report = _sum_check(T)
     if not report.left:
         raise NotStochastic(f"column sums deviate by {report.max_column_defect}")
+    return report
 
 
 def _sum_check(M, tol=DEFAULT_TOL):
     """The row and column sums part of :func:`validate`; ``irreducible`` is None.
 
-    Exact mode sums the integer numerators over their common denominator L and
-    compares each sum with L; the defects go back to Fractions at the end.
+    Each row and column sum of the numerators of M is compared with their
+    denominator: exactly in exact mode, where the defects are Fractions, and
+    to ``tol`` in float mode.
     """
-    if M.mode == EXACT:
-        nums, L = _numerators(M.a)
-        col_defect = Fraction(max(abs(s - L) for s in nums.sum(axis=0)), L)
-        row_defect = Fraction(max(abs(s - L) for s in nums.sum(axis=1)), L)
-        left = col_defect == 0
-        right = row_defect == 0
-    else:
-        col_defect = float(np.max(np.abs(M.a.sum(axis=0) - 1.0)))
-        row_defect = float(np.max(np.abs(M.a.sum(axis=1) - 1.0)))
-        left = col_defect <= tol
-        right = row_defect <= tol
+    col_defect, row_defect = (M._value(np.max(np.abs(M.nums.sum(axis=axis) - M.den))) for axis in (0, 1))
+    limit = 0 if M.mode == EXACT else tol
+    left, right = col_defect <= limit, row_defect <= limit
     return StochasticityReport(
         left=left,
         right=right,
@@ -342,7 +319,7 @@ def validate(M, tol=DEFAULT_TOL):
 
 def _support(T):
     """Boolean support of T: ``adj[m, n]`` is the edge n -> m of its digraph."""
-    return T.a > (0 if T.mode == EXACT else RESIDUAL_TOL)
+    return T.nums > (0 if T.mode == EXACT else RESIDUAL_TOL)
 
 
 def _reached(adj, start, within=True):
@@ -412,7 +389,7 @@ def _class_stationary(T, members):
         sol = np.clip(np.linalg.solve(system, np.eye(k)[-1]), 0.0, None)
         full[members] = sol / sol.sum()
         return full
-    t, L = _numerators(T.a[np.ix_(members, members)])
+    t, L = T.nums[np.ix_(members, members)], T.den
     t[np.diag_indices(k)] -= L
     m = np.zeros((k, k + 1), dtype=object)  # [t - L I | 0], last row [1 ... 1 | 1]
     m[:, :k] = t

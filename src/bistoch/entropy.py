@@ -22,6 +22,7 @@ from .errors import (
     DimensionTooSmall,
     NoPerfectMatching,
     NotBiStochastic,
+    NotStochastic,
 )
 
 
@@ -42,9 +43,11 @@ def _entropy_gap(Tf, arr):
 
 
 def in_decreasing_region(T, p, tol=RESIDUAL_TOL):
-    """True iff applying T does not increase the entropy of p."""
+    """True iff applying the left-stochastic T does not increase the entropy of p."""
     if T.cols != (p.n if isinstance(p, ProbVec) else len(p)):
         raise DimensionMismatch("matrix and vector dimensions disagree")
+    if not core._sum_check(T).left:
+        raise NotStochastic("matrix is not left-stochastic")
     arr = p.to_float().a if isinstance(p, ProbVec) else np.asarray(p, dtype=float)
     return _entropy_gap(T.to_float().a, arr) <= tol
 
@@ -73,7 +76,8 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
     each ray's samples are returned as its ``samples``.  At the first sample
     with k >= 1 leaving the region, bisection refines the last inside
     parameter to ``BISECTION_TOL``.  Rays that never leave the region return
-    their endpoint with ``full_segment_inside`` set.
+    their endpoint with ``full_segment_inside`` set.  T must be square and
+    left-stochastic (``NotStochastic`` otherwise).
 
     The anchor a is accepted when ``H(T a) - H(a) <= RESIDUAL_TOL + delta *
     max(1, ln n)``, with delta the largest column-sum defect of T: the
@@ -91,7 +95,7 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
         raise DimensionMismatch(f"{T.rows}x{T.cols} matrix with length-{n} anchor")
     Tf = T.to_float().a
     a = anchor.to_float().a
-    delta = float(core._sum_check(T).max_column_defect)
+    delta = float(core._require_left_stochastic(T).max_column_defect)
     if _entropy_gap(Tf, a) > RESIDUAL_TOL + delta * max(1.0, math.log(n)):
         raise AnchorOutsideRegion("anchor must lie in the entropy-decreasing region")
     grid = np.arange(resolution + 1) / resolution
@@ -259,7 +263,7 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
         )
     n = S.rows
     exact = S.mode == EXACT
-    resid, L = core._numerators(S.a) if exact else (S.a.copy(), None)
+    resid, L = S.nums.copy(), S.den
     threshold = 0 if exact else RESIDUAL_TOL
     cols = np.arange(n)
     terms = []

@@ -88,6 +88,7 @@ class TestExitCodes:
             ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2"], ["1/3"]]}, 2),
             ("validate", {"mode": "float", "rows": 2, "cols": 2, "data": [[math.nan, 1.0], [1.0, 0.0]]}, 2),
             ("entropy-region", {"mode": "float", "rows": 2, "cols": 3, "data": [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]}, 2),
+            ("entropy-region", {"mode": "float", "rows": 2, "cols": 2, "data": [[2, 0], [0, 2]]}, 2),
             # a tuple holds one payload per input file: a 2x2 dilation of a 4x4 matrix
             ("verify-dilation", (bs.matrix_to_json(StochMatrix.identity(4, mode=EXACT)),
                                  bs.matrix_to_json(StochMatrix.identity(2, mode=EXACT))), 2),
@@ -97,8 +98,8 @@ class TestExitCodes:
             ("birkhoff", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
         ],
         ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
-             "non-square-region", "dilation-smaller-than-matrix", "zero-columns-float", "zero-columns-exact",
-             "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact"],
+             "non-square-region", "non-stochastic-region", "dilation-smaller-than-matrix", "zero-columns-float",
+             "zero-columns-exact", "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact"],
     )
     def test_bad_input_file_gives_one_line_error(self, tmp_path, command, payload, code):
         paths = []
@@ -113,6 +114,20 @@ class TestExitCodes:
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    def test_memory_error_gives_one_line_error(self, capsys, monkeypatch, tmp_path):
+        # a uniform dilation whose lcm is astronomical asks numpy for terabytes;
+        # the refusal is simulated, so that nothing that large is ever requested
+        def exhausted(T, p):
+            raise MemoryError("Unable to allocate 41.2 TiB for an array with shape (2378600, 2378600)")
+
+        monkeypatch.setattr("bistoch.cli.uniform_dilation", exhausted)
+        path = tmp_path / "T.json"
+        path.write_text(json.dumps(bs.matrix_to_json(bs.two_state(Fraction(1, 3), Fraction(1, 2)))))
+        assert run(["dilate", "uniform", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: MemoryError: ") and len(captured.err.strip().splitlines()) == 1
 
     def test_non_square_iterate_gives_one_line_error(self, tmp_path):
         matrix, vector = tmp_path / "T.json", tmp_path / "p.json"

@@ -297,6 +297,13 @@ class TestLabels:
         assert p.labels.tolist() == [0, 2, 1, 2, 0, 2]
         assert Partition.from_json(p.to_json()) == p
 
+    def test_labels_computed_once_and_read_only(self):
+        p = Partition(d=6, classes=((4, 0), (2,), (5, 1, 3)))
+        assert p.labels is p.labels
+        with pytest.raises(ValueError):
+            p.labels[0] = 1
+        assert p == Partition(d=6, classes=((0, 4), (2,), (1, 3, 5)))
+
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (1, 4), (3, 2), (4, 5)])
     def test_first_marginal(self, n, m):
         # flat(k, i) = i*n + k lies in class k

@@ -77,6 +77,11 @@ class TestPointMass:
         with pytest.raises(IndexOutOfRange):
             ProbVec.point_mass(3, k, mode=mode)
 
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_only_positive_entries_are_interior(self, mode):
+        assert ProbVec.uniform(3, mode=mode).is_interior()
+        assert not ProbVec.point_mass(3, 1, mode=mode).is_interior()
+
 
 class TestIrreducible:
     def test_demon_matrix_reducible(self, demon):

@@ -8,7 +8,7 @@ import bistoch as bs
 from bistoch import EXACT, FLOAT, Partition, ProbVec, StochMatrix
 from bistoch.core import RESIDUAL_TOL
 from bistoch.entropy import EntropyLedger
-from bistoch.errors import AnchorOutsideRegion, DimensionMismatch, NotBiStochastic
+from bistoch.errors import AnchorOutsideRegion, DimensionMismatch, NotBiStochastic, NotStochastic
 
 from conftest import (
     demon_dilation_expected,
@@ -17,6 +17,13 @@ from conftest import (
     random_prob_vec_float,
     random_stochastic_exact,
     random_stochastic_float,
+)
+
+
+# column sums 2, and 0.75: H(T p) of a vector off the simplex is no entropy
+# ([[2, 0], [0, 2]] gives -1.386 at the uniform p)
+NON_STOCHASTIC = pytest.mark.parametrize(
+    "data", [[[2.0, 0.0], [0.0, 2.0]], [[0.5, 0.5], [0.25, 0.25]]], ids=["sum-2", "sum-0.75"]
 )
 
 
@@ -80,6 +87,11 @@ class TestDecreasingRegion:
         # entropy is exactly preserved on the fixed-point face
         p = ProbVec([Fraction(1, 2), 0, 0, Fraction(1, 2)], mode=EXACT)
         assert bs.in_decreasing_region(demon, p)
+
+    @NON_STOCHASTIC
+    def test_rejects_non_stochastic(self, data):
+        with pytest.raises(NotStochastic):
+            bs.in_decreasing_region(StochMatrix(data), ProbVec.uniform(2))
 
     def test_identity_region_is_everything(self):
         rng = np.random.default_rng(72)
@@ -178,6 +190,11 @@ class TestBoundaryScan:
         T = StochMatrix(demon_float.a * (1 + 5e-10))
         with pytest.raises(AnchorOutsideRegion):
             bs.region_boundary_scan(T, ProbVec.point_mass(4, 1), [ProbVec.uniform(4)])
+
+    @NON_STOCHASTIC
+    def test_rejects_non_stochastic(self, data):
+        with pytest.raises(NotStochastic):
+            bs.region_boundary_scan(StochMatrix(data), ProbVec.uniform(2), [ProbVec.point_mass(2, 0)])
 
     def test_rejects_wrong_length_direction(self):
         T = bs.two_state(0.3, 0.6, mode=FLOAT)

@@ -351,6 +351,8 @@ class TestBirkhoff:
         assert all(type(w) is Fraction and w > 0 for w, _ in dec.terms)
         assert dec.residual_mass == 0 and type(dec.residual_mass) is Fraction
         assert dec.reconstruct(mode=EXACT) == S
+        # peeling works on a copy: the input's numerators are left intact
+        assert bs.birkhoff_decompose(S).terms == dec.terms
 
 
 class TestNumerators:
@@ -361,6 +363,12 @@ class TestNumerators:
         assert all(type(v) is int for v in nums.flat)
         assert L == np.lcm.reduce([v.denominator for v in M.a.flat])
         assert_fractions_equal(core._fractions(nums, L), M.a)
+        # the constructor keeps the same numerators
+        assert all(type(v) is int for v in M.nums.flat) and type(M.den) is int
+        assert M.den == L and M.nums.tolist() == nums.tolist()
+        assert_fractions_equal(core._fractions(M.nums, M.den), M.a)
+        F = M.to_float()
+        assert F.nums is F.a and F.den == 1.0
 
 
 @pytest.fixture
@@ -371,8 +379,36 @@ def no_irreducibility(monkeypatch):
     monkeypatch.setattr(core, "_reached", refuse)
 
 
+@pytest.fixture
+def converted(monkeypatch):
+    """The entries ``core._numerators`` converts, one list per call."""
+    calls = []
+    numerators = core._numerators
+
+    def counting(a):
+        calls.append(list(a.flat))
+        return numerators(a)
+
+    monkeypatch.setattr(core, "_numerators", counting)
+    return calls
+
+
 class TestNoUnreadWork:
-    """Only ``validate``, ``is_irreducible`` and ``fixed_point`` search the support digraph."""
+    """Only ``validate``, ``is_irreducible`` and ``fixed_point`` search the
+    support digraph, and only the constructor converts entries to numerators."""
+
+    def test_no_entry_of_a_prebuilt_dilation_is_converted_again(self, demon, converted):
+        E = bs.noisy_dilation(demon)
+        R = E.matrix
+        converted.clear()
+        T, verified, report, dec = (
+            bs.extract_dilated(R, 0), bs.verify_env_dilation(demon, E), core._sum_check(R), bs.birkhoff_decompose(R)
+        )
+        entries_of_r = {id(v) for v in R.a.flat}
+        assert not any(id(v) in entries_of_r for call in converted for v in call)
+        # what these calls convert are point masses, sections and results, each smaller than R
+        assert converted and max(len(call) for call in converted) < R.a.size
+        assert T == demon and verified is True and report.bi and dec.reconstruct(mode=EXACT) == R
 
     def test_dilations_checks_and_decomposition(self, demon, no_irreducibility):
         E = bs.noisy_dilation(demon)
