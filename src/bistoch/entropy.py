@@ -215,44 +215,52 @@ class BirkhoffDecomposition:
         return StochMatrix(total, mode=mode)
 
 
-def _augment(adjacency, match_row, c, visited):
-    for r in adjacency[c]:
-        if r in visited:
-            continue
-        visited.add(r)
-        if match_row.get(r) is None or _augment(adjacency, match_row, match_row[r], visited):
-            match_row[r] = c
-            return True
-    return False
+def _augment(adjacency, match_row, c):
+    """Match column c by one augmenting path, searched depth first.
 
-
-def _perfect_matching(adjacency, n):
-    """Column-to-row perfect matching by augmenting paths.
-
-    Rows are tried in increasing index order, which makes the decomposition
-    deterministic.  Returns sigma with sigma[c] the matched row, or None.
+    ``adjacency[c]`` lists the rows of column c's support in increasing
+    order and ``match_row[r]`` is the column matched to row r, or None.
+    Rows are tried in increasing index order, so matching columns 0, 1, ...
+    from an empty matching is deterministic.  The search keeps its path on
+    an explicit stack, so the path length meets no recursion limit.
+    Returns False, with ``match_row`` unchanged, when no augmenting path
+    exists.
     """
-    match_row = {}
-    for c in range(n):
-        if not _augment(adjacency, match_row, c, set()):
-            return None
-    sigma = [0] * n
-    for r, c in match_row.items():
-        sigma[c] = r
-    return sigma
+    visited = [False] * len(match_row)
+    path = [(None, c, iter(adjacency[c]))]  # (row it was entered by, column, rows not yet tried)
+    while path:
+        for r in path[-1][2]:
+            if not visited[r]:
+                break
+        else:
+            path.pop()
+            continue
+        if match_row[r] is None:
+            for entered_by, col, _ in reversed(path):
+                match_row[r] = col
+                r = entered_by
+            return True
+        visited[r] = True
+        path.append((r, match_row[r], iter(adjacency[match_row[r]])))
+    return False
 
 
 def birkhoff_decompose(S, tol=DEFAULT_TOL):
     """Greedy peeling of a bi-stochastic matrix into permutation matrices.
 
-    Repeatedly finds a perfect matching on the positive-support bipartite
+    Repeatedly takes a perfect matching on the positive-support bipartite
     graph, removes the minimum matched entry times that permutation and
-    recurses on the residual.  Exact mode peels the integer numerators of S
-    over their common denominator L to a residual of exactly zero and
-    returns each weight w as ``Fraction(w, L)``.  Float mode treats entries
-    up to ``RESIDUAL_TOL`` as zero and also stops when the residual support
-    has no perfect matching: an input accepted at row and column defect
-    delta can leave such a residual.  By Hall's theorem its mass is at most
+    continues on the residual.  The support graph is built once and the
+    matching is kept from one peel to the next: a peel removes only the
+    matched edges it empties, and only their columns are matched again, by
+    an iterative augmenting-path search (:func:`_augment`).  The first term
+    is the matching of columns 0, 1, ... in turn from an empty matching.
+    Exact mode peels the integer numerators of S over their common
+    denominator L to a residual of exactly zero and returns each weight w
+    as ``Fraction(w, L)``.  Float mode treats entries up to
+    ``RESIDUAL_TOL`` as zero and also stops when the residual support has
+    no perfect matching: an input accepted at row and column defect delta
+    can leave such a residual.  By Hall's theorem its mass is at most
     ``2*n*delta + n*n*RESIDUAL_TOL``; :class:`NoPerfectMatching` is raised
     only past that bound.  The mass left is returned as ``residual_mass``.
     """
@@ -266,15 +274,22 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     resid, L = S.nums.copy(), S.den
     threshold = 0 if exact else RESIDUAL_TOL
     cols = np.arange(n)
+    adjacency = [np.flatnonzero(col > threshold).tolist() for col in resid.T]
+    edges = sum(map(len, adjacency))
+    match_row = [None] * n
+    unmatched = range(n)
     terms = []
-    while resid.max() > threshold:
-        adjacency = [np.flatnonzero(col > threshold).tolist() for col in resid.T]
-        sigma = _perfect_matching(adjacency, n)
-        if sigma is None:
-            break
+    # edges only disappear, so the support is empty exactly when resid <= threshold
+    while edges and all(_augment(adjacency, match_row, c) for c in unmatched):
+        sigma = np.argsort(match_row)  # the column-to-row inverse of match_row
         w = resid[sigma, cols].min()
         resid[sigma, cols] -= w  # sigma is a permutation: no index repeats
-        terms.append((w, tuple(sigma)))
+        terms.append((w, tuple(sigma.tolist())))
+        unmatched = np.flatnonzero(resid[sigma, cols] <= threshold).tolist()
+        for c in unmatched:
+            adjacency[c].remove(sigma[c])
+            match_row[sigma[c]] = None
+        edges -= len(unmatched)
     residual_mass = max(resid.sum(axis=0).max(), resid.sum(axis=1).max())
     if exact:
         terms = [(Fraction(w, L), sigma) for w, sigma in terms]

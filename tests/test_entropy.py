@@ -337,6 +337,15 @@ class TestBirkhoff:
         second = bs.birkhoff_decompose(S)
         assert first.terms == second.terms
 
+    def test_long_augmenting_path(self):
+        # S = (I + C) / 2 with C the cyclic shift: matching the last column
+        # re-routes every earlier one, a path of length d
+        d = 1100
+        S = StochMatrix(0.5 * (np.eye(d) + np.roll(np.eye(d), 1, axis=0)), mode=FLOAT)
+        dec = bs.birkhoff_decompose(S)
+        assert len(dec.terms) == 2 and all(w > 0 for w, _ in dec.terms)
+        assert np.max(np.abs(dec.reconstruct(mode=FLOAT).a - S.a)) <= dec.residual_mass + RESIDUAL_TOL
+
     def test_rejects_non_bistochastic(self, demon):
         with pytest.raises(NotBiStochastic):
             bs.birkhoff_decompose(demon)

@@ -4,7 +4,9 @@ Exact sums, checks and peels run on integer numerators over one common
 denominator inside the library; every result must equal, in value and in
 ``Fraction`` entry type, what plain Fraction arithmetic gives.  Matrices are
 drawn with nonzero defects and with pairwise-coprime denominators, and
-partitions with shuffled classes.
+partitions with shuffled classes.  Birkhoff peeling is also checked in
+float mode on the same permutation mixtures, and its augmenting-path search
+against the recursive from-scratch matcher it replaced.
 """
 
 from fractions import Fraction
@@ -14,8 +16,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bistoch as bs
-from bistoch import EXACT, Partition, ProbVec, RightInverse, StochMatrix, core
-from bistoch.entropy import _perfect_matching
+from bistoch import EXACT, FLOAT, Partition, ProbVec, RightInverse, StochMatrix, core, entropy
+from bistoch.core import RESIDUAL_TOL
+from bistoch.entropy import _augment
+
+from conftest import random_permutation_mixture
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -58,9 +63,9 @@ def exact_matrices(draw, kind=None, square=True):
 
 
 @st.composite
-def permutation_mixtures(draw, d=None):
-    """Exact bi-stochastic matrix: a mixture of permutations whose weights have
-    pairwise-coprime denominators."""
+def permutation_mixtures(draw, d=None, mode=EXACT):
+    """Bi-stochastic matrix: a mixture of permutations whose weights have
+    pairwise-coprime denominators, exact or rounded to float."""
     d = d or draw(st.integers(1, 7))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     terms = draw(st.integers(1, 5))
@@ -71,7 +76,18 @@ def permutation_mixtures(draw, d=None):
         sigma = rng.permutation(d)
         for c in range(d):
             S[sigma[c], c] += w
-    return StochMatrix(S, mode=EXACT)
+    S = StochMatrix(S, mode=EXACT)
+    return S if mode == EXACT else S.to_float()
+
+
+@st.composite
+def supports(draw):
+    """Column adjacency lists of a bipartite graph on n rows and n columns,
+    with a planted perfect matching in about half the draws."""
+    n = draw(st.integers(1, 8))
+    edges = draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))
+    planted = draw(st.one_of(st.none(), st.permutations(range(n))))
+    return [[r for r in range(n) if edges[r * n + c] or (planted is not None and planted[c] == r)] for c in range(n)]
 
 
 @st.composite
@@ -172,18 +188,52 @@ def ref_coarse_grain(S, P, Y):
 
 
 def ref_birkhoff(S):
-    """Greedy peeling on Fractions with the library's matching routine."""
+    """Greedy peeling on Fractions that keeps its matching, with the library's
+    augmenting-path search: after each peel only the columns whose matched
+    entry fell to zero are matched again."""
     resid = [[Fraction(v) for v in row] for row in S.a.tolist()]
     n = S.rows
+    adjacency = [[r for r in range(n) if resid[r][c] > 0] for c in range(n)]
+    match_row = [None] * n
+    emptied = range(n)
     terms = []
     while max(max(row) for row in resid) > 0:
-        adjacency = [[r for r in range(n) if resid[r][c] > 0] for c in range(n)]
-        sigma = _perfect_matching(adjacency, n)
+        assert all(_augment(adjacency, match_row, c) for c in emptied)
+        sigma = [match_row.index(c) for c in range(n)]
         w = min(resid[sigma[c]][c] for c in range(n))
         for c in range(n):
             resid[sigma[c]][c] -= w
         terms.append((w, tuple(sigma)))
+        emptied = [c for c in range(n) if resid[sigma[c]][c] == 0]
+        for c in emptied:
+            adjacency[c].remove(sigma[c])
+            match_row[sigma[c]] = None
     return terms
+
+
+def _recursive_augment(adjacency, match_row, c, visited):
+    for r in adjacency[c]:
+        if r in visited:
+            continue
+        visited.add(r)
+        if match_row.get(r) is None or _recursive_augment(adjacency, match_row, match_row[r], visited):
+            match_row[r] = c
+            return True
+    return False
+
+
+def recursive_perfect_matching(adjacency, n):
+    """The column-to-row matcher peeling used before it kept its matching:
+    recursive augmenting paths from an empty matching, rows in increasing
+    order.  Returns sigma with sigma[c] the matched row, or None."""
+    match_row = {}
+    for c in range(n):
+        if not _recursive_augment(adjacency, match_row, c, set()):
+            return None
+    sigma = [0] * n
+    for r, c in match_row.items():
+        sigma[c] = r
+    return sigma
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +403,45 @@ class TestBirkhoff:
         assert dec.reconstruct(mode=EXACT) == S
         # peeling works on a copy: the input's numerators are left intact
         assert bs.birkhoff_decompose(S).terms == dec.terms
+
+    @SETTINGS
+    @given(st.integers(1, 12).flatmap(lambda d: permutation_mixtures(d=d, mode=FLOAT)))
+    def test_float_mixtures(self, S):
+        dec = bs.birkhoff_decompose(S)
+        assert all(w > 0 for w, _ in dec.terms)
+        assert len(dec.terms) <= (S.rows - 1) ** 2 + 1
+        assert np.max(np.abs(dec.reconstruct(mode=FLOAT).a - S.a)) <= dec.residual_mass + RESIDUAL_TOL
+        assert bs.birkhoff_decompose(S).terms == dec.terms
+
+    def test_matching_is_kept(self, monkeypatch):
+        # each augmentation after the first matching follows a support edge a peel emptied
+        calls = []
+
+        def counting(*args):
+            calls.append(args[2])
+            return _augment(*args)
+
+        monkeypatch.setattr(entropy, "_augment", counting)
+        S = random_permutation_mixture(np.random.default_rng(48), 48, mode=EXACT)
+        dec = bs.birkhoff_decompose(S)
+        assert dec.reconstruct(mode=EXACT) == S
+        assert len(calls) <= S.rows + np.count_nonzero(S.nums)
+
+
+class TestAugment:
+    @SETTINGS
+    @given(supports())
+    def test_matches_recursive_matcher(self, adjacency):
+        # from an empty matching, columns 0, 1, ... in turn, as the first peel does
+        n = len(adjacency)
+        match_row = [None] * n
+        for c in range(n):
+            before = list(match_row)
+            if not _augment(adjacency, match_row, c):
+                assert match_row == before
+                assert recursive_perfect_matching(adjacency, n) is None
+                return
+        assert [match_row.index(c) for c in range(n)] == recursive_perfect_matching(adjacency, n)
 
 
 class TestNumerators:
