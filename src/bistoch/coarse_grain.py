@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate, chain
 
 import numpy as np
@@ -78,8 +78,14 @@ class Partition:
         return cls(d=bounds[-1], classes=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
 
     @classmethod
+    @lru_cache(maxsize=32, typed=True)
     def first_marginal(cls, n, m):
-        """Class k = {(k, i) : i < m} under the flattening flat(k, i) = i*n + k."""
+        """Class k = {(k, i) : i < m} under the flattening flat(k, i) = i*n + k.
+
+        Cached: every extraction and verification of a dilation of the same
+        shape shares one partition, safe to share because it is frozen and
+        its ``labels`` are read-only.
+        """
         return cls(d=n * m, classes=tuple(tuple(range(k, n * m, n)) for k in range(n)))
 
     def to_json(self):

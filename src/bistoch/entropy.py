@@ -72,11 +72,16 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
     """Locate the boundary of the entropy-decreasing region along rays.
 
     For each direction point q the segment p(t) = (1-t) anchor + t q is
-    sampled at the ``resolution + 1`` points t = k / resolution, all at once;
-    each ray's samples are returned as its ``samples``.  At the first sample
-    with k >= 1 leaving the region, bisection refines the last inside
-    parameter to ``BISECTION_TOL``.  Rays that never leave the region return
-    their endpoint with ``full_segment_inside`` set.  T must be square and
+    sampled at the ``resolution + 1`` points t = k / resolution, one ray at
+    a time; each ray's samples are returned as its ``samples``.  A ray
+    exits at its first sample with k >= 1 outside the region.  The exited
+    rays are then bisected together, one stacked entropy evaluation per
+    step, each refining its last inside parameter on its own to
+    ``BISECTION_TOL``: a ray stops when its own bracket is that narrow, so
+    it takes the same steps, and gets the same result, as bisected alone.
+    Rays that never leave the region return their endpoint with
+    ``full_segment_inside`` set.  ``directions`` is read once, and each is
+    checked before any ray is sampled.  T must be square and
     left-stochastic (``NotStochastic`` otherwise).
 
     The anchor a is accepted when ``H(T a) - H(a) <= RESIDUAL_TOL + delta *
@@ -98,41 +103,50 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
     delta = float(core._require_left_stochastic(T).max_column_defect)
     if _entropy_gap(Tf, a) > RESIDUAL_TOL + delta * max(1.0, math.log(n)):
         raise AnchorOutsideRegion("anchor must lie in the entropy-decreasing region")
-    grid = np.arange(resolution + 1) / resolution
-    results = []
+    Q = []
     for q in directions:
         qf = q.to_float().a if isinstance(q, ProbVec) else np.asarray(q, dtype=float)
         if qf.shape != (n,):
             raise DimensionMismatch(f"length-{n} anchor with direction of shape {qf.shape}")
-        seg = lambda t: (1.0 - t) * a + t * qf
-        P = seg(grid[:, None])
+        Q.append(qf)
+    Q = np.array(Q, dtype=float).reshape(len(Q), n)
+
+    def entropies(t, rays):
+        """Points p(t) on the given rays, one per row, with H(p) and H(T p) row by row."""
+        P = (1.0 - t)[:, None] * a + t[:, None] * Q[rays]
         # matmul of a stack of vectors: the same product per row as Tf @ p
-        h_p, h_tp = shannon_entropy(P), shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
-        samples = np.column_stack([grid, P, h_p, h_tp])
+        return P, shannon_entropy(P), shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
+
+    grid = np.arange(resolution + 1) / resolution
+    samples = []
+    exit_k = np.zeros(len(Q), dtype=int)  # first grid index k >= 1 outside the region, 0 if none
+    for i in range(len(Q)):  # one ray's grid at a time, so memory does not grow with the rays
+        P, h_p, h_tp = entropies(grid, [i])
+        samples.append(np.column_stack([grid, P, h_p, h_tp]))
         exits = np.flatnonzero(h_tp[1:] - h_p[1:] > RESIDUAL_TOL)
-        if len(exits):
-            k = int(exits[0]) + 1
-            lo, hi = (k - 1) / resolution, k / resolution
-            while hi - lo > BISECTION_TOL:
-                mid = 0.5 * (lo + hi)
-                if _entropy_gap(Tf, seg(mid)) <= RESIDUAL_TOL:
-                    lo = mid
-                else:
-                    hi = mid
-        else:
-            lo = 1.0
-        pt = seg(lo)
-        results.append(
-            BoundaryPoint(
-                t=lo,
-                point=pt,
-                h_p=shannon_entropy(pt),
-                h_tp=shannon_entropy(Tf @ pt),
-                full_segment_inside=not len(exits),
-                samples=samples,
-            )
+        exit_k[i] = exits[0] + 1 if len(exits) else 0
+    exited = exit_k > 0
+    # a ray that never exits gets lo = hi = 1: its bracket is closed from the start
+    lo = np.where(exited, (exit_k - 1) / resolution, 1.0)
+    hi = np.where(exited, exit_k / resolution, 1.0)
+    while (active := np.flatnonzero(hi - lo > BISECTION_TOL)).size:
+        mid = 0.5 * (lo[active] + hi[active])
+        _, h_p, h_tp = entropies(mid, active)
+        inside = h_tp - h_p <= RESIDUAL_TOL
+        lo[active[inside]] = mid[inside]
+        hi[active[~inside]] = mid[~inside]
+    points, h_p, h_tp = entropies(lo, slice(None))
+    return [
+        BoundaryPoint(
+            t=float(lo[i]),
+            point=points[i],
+            h_p=float(h_p[i]),
+            h_tp=float(h_tp[i]),
+            full_segment_inside=not exited[i],
+            samples=samples[i],
         )
-    return results
+        for i in range(len(Q))
+    ]
 
 
 @dataclass
@@ -205,13 +219,18 @@ class BirkhoffDecomposition:
         return sum(w for w, _ in self.terms)
 
     def reconstruct(self, mode=FLOAT):
+        """The sum of the weighted permutation matrices.
+
+        One unbuffered ``np.add.at`` over the stacked terms: each entry
+        receives its weights in term order, as a term-by-term loop adds them.
+        """
         if mode == EXACT:
             total = np.full((self.n, self.n), Fraction(0), dtype=object)
         else:
             total = np.zeros((self.n, self.n))
-        columns = np.arange(self.n)
-        for w, sigma in self.terms:
-            total[sigma, columns] += w
+        rows = np.array([sigma for _, sigma in self.terms], dtype=int).reshape(-1, self.n)
+        weights = np.array([w for w, _ in self.terms], dtype=total.dtype)
+        np.add.at(total, (rows, np.arange(self.n)), weights[:, None])
         return StochMatrix(total, mode=mode)
 
 

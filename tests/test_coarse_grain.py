@@ -310,6 +310,7 @@ class TestLabels:
         p = Partition.first_marginal(n, m)
         assert p.labels.tolist() == [flat % n for flat in range(n * m)]
         assert p.class_sizes == (m,) * n
+        assert Partition.first_marginal(n, m) is p  # built once per shape and shared
 
 
 class TestSectionCheck:

@@ -6,8 +6,8 @@ import pytest
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, Partition, ProbVec, StochMatrix
-from bistoch.core import RESIDUAL_TOL
-from bistoch.entropy import EntropyLedger
+from bistoch.core import BISECTION_TOL, RESIDUAL_TOL
+from bistoch.entropy import BirkhoffDecomposition, BoundaryPoint, EntropyLedger
 from bistoch.errors import AnchorOutsideRegion, DimensionMismatch, NotBiStochastic, NotStochastic
 
 from conftest import (
@@ -46,6 +46,44 @@ def ledger_through_dilation(T, p):
         marginal_1=marginal_1,
         marginal_2=marginal_2,
     )
+
+
+def scan_reference(T, anchor, directions, resolution):
+    """Reference region scan: rays one at a time, one scalar entropy gap per bisection step."""
+    Tf, a = T.to_float().a, anchor.to_float().a
+    grid = np.arange(resolution + 1) / resolution
+    results = []
+    for q in directions:
+        qf = q.to_float().a if isinstance(q, ProbVec) else np.asarray(q, dtype=float)
+        seg = lambda t: (1.0 - t) * a + t * qf
+        P = seg(grid[:, None])
+        h_p, h_tp = bs.shannon_entropy(P), bs.shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
+        exits = np.flatnonzero(h_tp[1:] - h_p[1:] > RESIDUAL_TOL)
+        lo = 1.0
+        if len(exits):
+            k = int(exits[0]) + 1
+            lo, hi = (k - 1) / resolution, k / resolution
+            while hi - lo > BISECTION_TOL:
+                mid = 0.5 * (lo + hi)
+                pt = seg(mid)
+                if bs.shannon_entropy(Tf @ pt) - bs.shannon_entropy(pt) <= RESIDUAL_TOL:
+                    lo = mid
+                else:
+                    hi = mid
+        pt = seg(lo)
+        samples = np.column_stack([grid, P, h_p, h_tp])
+        results.append(
+            BoundaryPoint(lo, pt, bs.shannon_entropy(pt), bs.shannon_entropy(Tf @ pt), not len(exits), samples)
+        )
+    return results
+
+
+def reconstruct_reference(dec, mode):
+    """Reference reconstruction: the weighted permutation matrices added one term at a time."""
+    total = np.full((dec.n, dec.n), Fraction(0), dtype=object) if mode == EXACT else np.zeros((dec.n, dec.n))
+    for w, sigma in dec.terms:
+        total[sigma, np.arange(dec.n)] += w
+    return total
 
 
 class TestShannonEntropy:
@@ -225,6 +263,51 @@ class TestBoundaryScan:
                 assert bp.t == 1.0
 
 
+    @pytest.mark.parametrize("resolution", [64, 37])
+    @pytest.mark.parametrize("n", [4, 9, 20])
+    def test_matches_per_ray_reference(self, demon, n, resolution):
+        # the rays are bisected together; every output must be the one-ray-at-a-time result, bit for bit
+        rng = np.random.default_rng(1000 + n)
+        cases = [(random_stochastic_float(rng, n), ProbVec.uniform(n))]
+        if n == 4:
+            cases.append((demon, ProbVec([Fraction(1, 2), 0, 0, Fraction(1, 2)], mode=EXACT)))
+        for T, anchor in cases:
+            mode = T.mode
+            directions = [ProbVec.point_mass(n, k, mode=mode) for k in range(n)]
+            directions += [rng.dirichlet(np.ones(n)) for _ in range(4)]
+            points = bs.region_boundary_scan(T, anchor, directions, resolution=resolution)
+            expected = scan_reference(T, anchor, directions, resolution)
+            assert len(points) == len(expected)
+            assert any(not bp.full_segment_inside for bp in points)
+            for bp, ref in zip(points, expected):
+                assert type(bp.t) is float and type(bp.h_p) is float and type(bp.h_tp) is float
+                assert float.hex(bp.t) == float.hex(ref.t)
+                assert float.hex(bp.h_p) == float.hex(ref.h_p)
+                assert float.hex(bp.h_tp) == float.hex(ref.h_tp)
+                assert np.array_equal(bp.point, ref.point)
+                assert np.array_equal(bp.samples, ref.samples)
+                assert bp.full_segment_inside is ref.full_segment_inside
+
+    def test_empty_and_generator_directions(self, demon):
+        anchor = ProbVec([Fraction(1, 2), 0, 0, Fraction(1, 2)], mode=EXACT)
+        assert bs.region_boundary_scan(demon, anchor, []) == []
+        assert bs.region_boundary_scan(demon, anchor, iter([])) == []
+        directions = [ProbVec.point_mass(4, k, mode=EXACT) for k in range(4)]
+        from_generator = bs.region_boundary_scan(demon, anchor, (q for q in directions))
+        from_list = bs.region_boundary_scan(demon, anchor, directions)
+        assert [bp.t for bp in from_generator] == [bp.t for bp in from_list]
+        assert len(from_generator) == 4
+
+    def test_bad_direction_raises_before_any_ray(self, demon, monkeypatch):
+        # a wrong direction after good ones is refused before any entropy of a ray is taken
+        anchor = ProbVec.uniform(4, mode=EXACT)
+        calls = []
+        monkeypatch.setattr(bs.entropy, "shannon_entropy", lambda p: calls.append(p) or 0.0)
+        with pytest.raises(DimensionMismatch):
+            bs.region_boundary_scan(demon, anchor, [ProbVec.point_mass(4, 0), np.ones(3) / 3])
+        assert len(calls) == 2  # the anchor test's two entropies only
+
+
 class TestEntropyLedger:
     def test_demon_uniform_golden(self, demon):
         ledger = bs.entropy_ledger(demon, ProbVec.uniform(4, mode=EXACT))
@@ -349,6 +432,21 @@ class TestBirkhoff:
     def test_rejects_non_bistochastic(self, demon):
         with pytest.raises(NotBiStochastic):
             bs.birkhoff_decompose(demon)
+
+    def test_reconstruct_matches_term_loop(self):
+        rng = np.random.default_rng(83)
+        a = rng.random((6, 6)) + 0.01
+        noisy = bs.noisy_dilation(StochMatrix(a / a.sum(axis=0), mode=FLOAT)).matrix
+        dec = bs.birkhoff_decompose(noisy)
+        assert len(dec.terms) > 36
+        assert np.array_equal(dec.reconstruct(mode=FLOAT).a, reconstruct_reference(dec, FLOAT))
+        for _ in range(5):
+            dec = bs.birkhoff_decompose(random_permutation_mixture(rng, 7, terms=6, mode=EXACT))
+            got, expected = dec.reconstruct(mode=EXACT).a, reconstruct_reference(dec, EXACT)
+            assert all(type(x) is Fraction for x in got.flat)
+            assert np.array_equal(got, expected)
+        empty = BirkhoffDecomposition(n=3, terms=[], residual_mass=0.0)
+        assert np.array_equal(empty.reconstruct(mode=FLOAT).a, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("sinkhorn_tol", [1e-10, 1e-9])
     def test_sinkhorn_output_within_hall_bound(self, sinkhorn_tol):
