@@ -125,9 +125,15 @@ def _class_sizes(P):
 
 
 def uniform_right_inverse(P, mode=EXACT):
-    """Right inverse spreading each class mass uniformly over its members."""
-    X = projection_matrix(P, mode=mode)
-    return RightInverse(partition=P, matrix=StochMatrix(X.a.T / _class_sizes(P), mode=mode))
+    """Right inverse spreading each class mass uniformly over its members.
+
+    ``Y[nu, k] = 1 / |c_k|`` iff ``labels[nu] == k``: N divisions, gathered
+    into a shared zero.
+    """
+    one = Fraction(1) if mode == EXACT else 1.0
+    data = np.full((P.d, P.n), 0 * one, dtype=object)
+    data[np.arange(P.d), P.labels] = (one / _class_sizes(P))[P.labels]
+    return RightInverse(partition=P, matrix=StochMatrix(data, mode=mode))
 
 
 def product_right_inverse(n, rho):

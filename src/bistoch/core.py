@@ -8,12 +8,15 @@ Matrices and vectors carry one of two numeric modes.  In ``"exact"`` mode
 entries are :class:`fractions.Fraction` objects held in object-dtype numpy
 arrays; all comparisons are exact.  Each exact object computes its
 Python-int numerators over one common denominator once, at construction
-(``nums`` and ``den``, see :class:`_Entries`); sums, comparisons and peels
-over a whole object read them, and results become Fractions again only
-where they leave the library (:func:`_fractions`).  In ``"float"`` mode
-entries are IEEE doubles, an array is its own numerators over ``1.0``, and
-comparisons use the tolerances below.  The two modes never mix inside one
-object or one operation.
+(``nums`` and ``den``, see :class:`_Entries`).  The constructor and the JSON
+encoder convert each distinct entry object once (:func:`_distinct`), so the
+entries a broadcast or gather shares stay shared, in ``a`` and in ``nums``.
+Sums, comparisons and peels over a whole object read ``nums`` and ``den``,
+and results become Fractions again only where they leave the library
+(:func:`_fractions`).  In ``"float"`` mode entries are IEEE doubles, an
+array is its own numerators over ``1.0``, and comparisons use the
+tolerances below.  The two modes never mix inside one object or one
+operation.
 
 The analysis of a stochastic matrix rests on two primitives shared by both
 modes: a breadth-first search over its boolean support (:func:`_reached`),
@@ -71,13 +74,21 @@ BISECTION_TOL = 1e-9
 
 
 def _exact_entry(value):
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, Rational):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (float, Rational, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def _distinct(data):
+    """The distinct objects of an object array, and for each entry the index of its object.
+
+    Entries are told apart by identity, which is safe because ``data`` holds
+    a reference to every object while their ids are taken.
+    """
+    flat = data.reshape(-1)
+    ids = np.fromiter(map(id, flat), np.uintp, flat.size)
+    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
+    return flat[first], inverse
 
 
 def _numerators(a):
@@ -111,11 +122,14 @@ class _Entries:
 
     The mode is inferred from the data unless given: any float entry makes it
     ``"float"``.  Each object computes its numerators once, at construction,
-    in the pass that checks the entries' signs.  Exact entries stay Fractions
-    in ``a`` and also become Python-int numerators ``nums`` over the lcm
-    ``den`` of their denominators, so ``a == nums / den``; a float array is
-    its own numerators over ``den = 1.0``.  Sums and comparisons over a whole
-    object read ``nums`` and ``den`` and never convert ``a`` again.
+    before the pass that checks the entries' signs.  Exact entries stay
+    Fractions in ``a`` and also become Python-int numerators ``nums`` over
+    the lcm ``den`` of their denominators, so ``a == nums / den``; a float
+    array is its own numerators over ``den = 1.0``.  Exact data is converted
+    once per distinct entry object (:func:`_distinct`), and an object shared
+    by many entries of ``data`` stays shared in ``a``.  Sums and comparisons
+    over a whole object read ``nums`` and ``den`` and never convert ``a``
+    again.
     """
 
     def __init__(self, data, mode=None):
@@ -123,17 +137,19 @@ class _Entries:
             floats = (isinstance(v, (float, np.floating)) for v in np.asarray(data, dtype=object).flat)
             mode = FLOAT if any(floats) else EXACT
         if mode == EXACT:
-            arr = np.empty(np.shape(data), dtype=object)
-            flat = np.asarray(data, dtype=object).flat
-            arr.reshape(-1)[:] = [v if isinstance(v, Fraction) else _exact_entry(v) for v in flat]
+            data = np.asarray(data, dtype=object)
+            distinct, inverse = _distinct(data)
+            distinct = np.array([v if isinstance(v, Fraction) else _exact_entry(v) for v in distinct], dtype=object)
+            nums, den = _numerators(distinct)
+            arr, nums = distinct[inverse].reshape(data.shape), nums[inverse].reshape(data.shape)
         elif mode == FLOAT:
             arr = np.array(data, dtype=float)
+            nums, den = arr, 1.0
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._check_shape(arr)
         if mode == FLOAT:
             _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
-        nums, den = _numerators(arr) if mode == EXACT else (arr, 1.0)
         # den > 0, so an exact entry is negative iff its numerator is
         _raise_first(NegativeEntry, arr, nums < (0 if mode == EXACT else -DEFAULT_TOL))
         self.mode, self.a, self.nums, self.den = mode, arr, nums, den
@@ -371,24 +387,26 @@ def is_irreducible(T):
 
 
 def _class_stationary(T, members):
-    """Stationary law of T on a closed class, zero elsewhere.
+    """Stationary law of T on a closed class, zero elsewhere, as ``(num, den)``.
 
     Solves ``(T_C - I) p = 0`` with its last row replaced by ``sum(p) = 1``,
-    which is nonsingular on a closed class.  Exact mode runs fraction-free
-    Gauss-Jordan elimination (Bareiss) on the integer numerators over their
-    common denominator L, ``(t - L I)``, and divides by the determinant it
-    leaves on the diagonal once, at the end.  It needs no pivot search: T
-    restricted to a proper subset S of the class leaks mass out of S, so
-    ``T_S - I`` and every leading minor of the system are nonsingular.
+    which is nonsingular on a closed class.  Float mode returns the law over
+    ``1.0``.  Exact mode runs fraction-free Gauss-Jordan elimination
+    (Bareiss) on the integer numerators over their common denominator L,
+    ``(t - L I)``, and returns the integer solution column over the
+    determinant it leaves on the diagonal (which may be negative).  It needs
+    no pivot search: T restricted to a proper subset S of the class leaks
+    mass out of S, so ``T_S - I`` and every leading minor of the system are
+    nonsingular.
     """
     k = len(members)
-    full = np.full(T.rows, Fraction(0) if T.mode == EXACT else 0.0, dtype=T.a.dtype)
+    full = np.zeros(T.rows, dtype=T.nums.dtype)
     if T.mode == FLOAT:
         system = T.a[np.ix_(members, members)] - np.eye(k)
         system[-1] = 1.0
         sol = np.clip(np.linalg.solve(system, np.eye(k)[-1]), 0.0, None)
         full[members] = sol / sol.sum()
-        return full
+        return full, 1.0
     t, L = T.nums[np.ix_(members, members)], T.den
     t[np.diag_indices(k)] -= L
     m = np.zeros((k, k + 1), dtype=object)  # [t - L I | 0], last row [1 ... 1 | 1]
@@ -399,8 +417,8 @@ def _class_stationary(T, members):
         rest = np.arange(k) != c
         m[rest] = (m[c, c] * m[rest] - m[rest, c][:, None] * m[c]) // prev
         prev = m[c, c]
-    full[members] = _fractions(m[:, k], prev)
-    return full
+    full[members] = m[:, k]
+    return full, prev
 
 
 def fixed_point(T):
@@ -412,20 +430,24 @@ def fixed_point(T):
     one linear solve (:func:`_class_stationary`); the basis holds their
     differences from the first.  The reported representative is their
     average, which is deterministic and strictly positive on the union of
-    the closed classes.
+    the closed classes.  Exact mode combines the laws on integer numerators
+    over the lcm of their denominators, and makes Fractions once at the end.
     """
     _require_left_stochastic(T)
-    stationaries = [_class_stationary(T, c) for c in _recurrent_classes(T)]
+    laws = [_class_stationary(T, c) for c in _recurrent_classes(T)]
     if T.mode == EXACT:
-        rep = sum(stationaries[1:], stationaries[0]) / Fraction(len(stationaries))
+        L = math.lcm(*(den for _, den in laws))
+        nums = np.stack([num * (L // den) for num, den in laws])
+        rep, basis = _fractions(nums.sum(axis=0), L * len(laws)), _fractions(nums[1:] - nums[0], L)
     else:
-        rep = np.mean(stationaries, axis=0)
-    face_dimension = len(stationaries) - 1
+        nums = np.stack([num for num, _ in laws])
+        rep, basis = nums.mean(axis=0), nums[1:] - nums[0]
+    face_dimension = len(laws) - 1
     return FixedPointResult(
         representative=ProbVec(rep, mode=T.mode),
         face_dimension=face_dimension,
         is_unique=face_dimension == 0,
-        basis=[s - stationaries[0] for s in stationaries[1:]],
+        basis=list(basis),
     )
 
 
@@ -478,17 +500,18 @@ def iterate(T, p, steps):
 # Vectors are stored with cols = 1.
 # ---------------------------------------------------------------------------
 
-def _exact_entry_to_json(v):
-    num, den = v.as_integer_ratio()
-    return num if den == 1 else f"{num}/{den}"
+def _to_json(mode, a):
+    """The JSON object of a 2-D entry array; each distinct exact object is encoded once."""
+    rows, cols = a.shape
+    if mode == EXACT:
+        distinct, inverse = _distinct(a)
+        ratios = (v.as_integer_ratio() for v in distinct)
+        a = np.array([num if den == 1 else f"{num}/{den}" for num, den in ratios], dtype=object)[inverse]
+    return {"mode": mode, "rows": rows, "cols": cols, "data": a.reshape(rows, cols).tolist()}
 
 
 def matrix_to_json(M):
-    if M.mode == EXACT:
-        data = [[_exact_entry_to_json(v) for v in row] for row in M.a]
-    else:
-        data = [[float(v) for v in row] for row in M.a]
-    return {"mode": M.mode, "rows": M.rows, "cols": M.cols, "data": data}
+    return _to_json(M.mode, M.a)
 
 
 def matrix_from_json(obj):
@@ -500,11 +523,7 @@ def matrix_from_json(obj):
 
 
 def vector_to_json(p):
-    if p.mode == EXACT:
-        data = [[_exact_entry_to_json(v)] for v in p.a]
-    else:
-        data = [[float(v)] for v in p.a]
-    return {"mode": p.mode, "rows": p.n, "cols": 1, "data": data}
+    return _to_json(p.mode, p.a[:, None])
 
 
 def vector_from_json(obj):

@@ -4,9 +4,11 @@ Exact sums, checks and peels run on integer numerators over one common
 denominator inside the library; every result must equal, in value and in
 ``Fraction`` entry type, what plain Fraction arithmetic gives.  Matrices are
 drawn with nonzero defects and with pairwise-coprime denominators, and
-partitions with shuffled classes.  Birkhoff peeling is also checked in
-float mode on the same permutation mixtures, and its augmenting-path search
-against the recursive from-scratch matcher it replaced.
+partitions with shuffled classes.  Entry objects shared by a gather or a
+broadcast must give the same values as fresh copies.  Birkhoff peeling is
+also checked in float mode on the same permutation mixtures, and its
+augmenting-path search against the recursive from-scratch matcher it
+replaced.
 """
 
 from fractions import Fraction
@@ -20,7 +22,7 @@ from bistoch import EXACT, FLOAT, Partition, ProbVec, RightInverse, StochMatrix,
 from bistoch.core import RESIDUAL_TOL
 from bistoch.entropy import _augment
 
-from conftest import random_permutation_mixture
+from conftest import random_permutation_mixture, random_stochastic_exact
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -520,3 +522,49 @@ class TestNoUnreadWork:
     def test_validate_still_reports_irreducibility(self, demon):
         assert bs.validate(demon).irreducible is False
         assert bs.validate(bs.two_state(Fraction(1, 3), Fraction(1, 2))).irreducible is True
+
+
+def _mixed(a):
+    """The entries of a Fraction array as new objects: Fraction, str and int (or Fraction) in turn."""
+    forms = (Fraction, str, lambda v: int(v) if v.denominator == 1 else Fraction(v))
+    out = np.empty(a.shape, dtype=object)
+    out.reshape(-1)[:] = [forms[k % 3](v) for k, v in enumerate(a.flat)]
+    return out
+
+
+class TestSharedEntries:
+    """Exact data is converted once per distinct entry object, and sharing never changes a value."""
+
+    @SETTINGS
+    @given(exact_matrices(square=False), st.data())
+    def test_sharing_never_changes_a_value(self, M, data):
+        rows, cols = M.a.shape
+        r = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=8))
+        c = data.draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=8))
+        k = data.draw(st.integers(1, 4))
+        # the gather repeats rows (the first at least once) and columns, the
+        # broadcast repeats each entry of a law k times
+        shared = _mixed(M.a)[np.ix_([*r, r[0]], c)]
+        law = M.a[:, 0] / M.a[:, 0].sum()
+        shared_law = np.broadcast_to(_mixed(law / k)[:, None], (rows, k)).reshape(-1)
+        assert len({id(v) for v in shared.flat}) < shared.size
+        for shared_data, cls, to_json in ((shared, StochMatrix, core.matrix_to_json),
+                                          (shared_law, ProbVec, core.vector_to_json)):
+            fresh = np.empty(shared_data.shape, dtype=object)
+            fresh.reshape(-1)[:] = [Fraction(v) for v in shared_data.flat]
+            A, B = cls(shared_data, mode=EXACT), cls(fresh, mode=EXACT)
+            assert_fractions_equal(A.a, B.a)
+            assert A.nums.tolist() == B.nums.tolist() and all(type(v) is int for v in A.nums.flat)
+            assert A.den == B.den and type(A.den) is int
+            assert to_json(A) == to_json(B)
+
+    def test_noisy_dilation_converts_each_distinct_entry_once(self, converted):
+        n = 12
+        T = random_stochastic_exact(np.random.default_rng(n), n)
+        converted.clear()
+        R = bs.noisy_dilation(T).matrix
+        # a zero, the T[m, i] and the (1 - T[m, i]) / (N(N-1)): 2N^2 + 1 objects among the N^4 entries
+        (call,) = [call for call in converted if len(call) > n]
+        assert R.a.size == n**4 and len(call) <= 2 * n * n + 1
+        assert {id(v) for v in call} == {id(v) for v in R.a.flat}
+        assert_fractions_equal(bs.extract_dilated(R, 0).a, T.a)
