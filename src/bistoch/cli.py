@@ -114,6 +114,11 @@ def _write_json(path, payload):
         fh.write("\n")
 
 
+#: where a report's one-item-per-line list goes (see ``Report.emit``); JSON
+#: writes it as "\u0000rows", which no file name can hold
+_ROWS = "\0rows"
+
+
 class Report:
     def __init__(self, command, inputs):
         self.body = {
@@ -136,9 +141,14 @@ class Report:
     def output(self, path):
         self.body["outputs"].append(path)
 
-    def emit(self):
-        json.dump(self.body, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+    def emit(self, rows=()):
+        """Write the report to stdout as indented JSON and return the exit code.
+
+        ``rows`` replaces a ``_ROWS`` placeholder in the body: a list written
+        one item per line, each item as compact JSON.
+        """
+        listed = "[" + ",".join("\n" + json.dumps(item) for item in rows) + "\n]"
+        sys.stdout.write(json.dumps(self.body, indent=1).replace(json.dumps(_ROWS), listed, 1) + "\n")
         return 0 if all(c["pass"] for c in self.body["checks"]) else 2
 
 
@@ -332,18 +342,20 @@ def cmd_birkhoff(args):
     S = _load_matrix(args.matrix, args.mode)
     dec = entropy_mod.birkhoff_decompose(S, tol=args.tol)
     report = Report("birkhoff", [args.matrix])
-    terms = [{"weight": w, "permutation": sigma} for w, sigma in dec.terms]
-    report.body["result"] = _fmt(
-        {"terms": terms, "term_count": len(terms), "weight_sum": dec.weight_sum(), "residual_mass": dec.residual_mass}
-    )
+    result = {"term_count": len(dec.weights), "weight_sum": dec.weight_sum(), "residual_mass": dec.residual_mass}
+    report.body["result"] = {"terms": _ROWS, **_fmt(result)}
     # both checks allow the mass that peeling left unexplained; the weights
     # also carry the input's column defect: sum(w) = colsum(S) - colsum(residual)
     tol = _tol(S, dec.residual_mass + core.RESIDUAL_TOL)
-    report.check("reconstruction", defect=np.max(np.abs(dec.reconstruct(mode=S.mode).a - S.a)), tol=tol)
+    R = dec.reconstruct(mode=S.mode)
+    # max |R - S| on numerators: R.a - S.a in float mode, no Fraction arithmetic in exact mode
+    report.check("reconstruction", defect=R._value(np.max(np.abs(R.nums * S.den - S.nums * R.den))) / S.den, tol=tol)
     column_defect = core._sum_check(S, args.tol).max_column_defect
     tol = _tol(S, dec.residual_mass + column_defect + core.RESIDUAL_TOL)
     report.check("weights_sum_to_one", defect=abs(dec.weight_sum() - 1), tol=tol)
-    return report.emit()
+    # one term per line, and only the weights go through _fmt: a permutation is already a list of ints
+    terms = ({"weight": _fmt(w), "permutation": sigma} for w, sigma in zip(dec.weights, dec.perms.tolist()))
+    return report.emit(terms)
 
 
 def cmd_sinkhorn(args):

@@ -41,6 +41,7 @@ from .errors import (
     ModeMismatch,
     NegativeEntry,
     NonFiniteEntry,
+    NotBiStochastic,
     NotSquare,
     NotStochastic,
 )
@@ -167,9 +168,15 @@ class _Entries:
         return type(self)(self.a.astype(float), mode=FLOAT)
 
     def __eq__(self, other):
+        """Same type, mode and entries, compared as ``den`` and ``nums``.
+
+        In exact mode these are canonical: ``den`` is the lcm of the reduced
+        denominators, so equal entries give equal ``den`` and ``nums``.  A
+        float array is its own numerators over ``1.0``.
+        """
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self.mode == other.mode and bool(np.array_equal(self.a, other.a))
+        return self.mode == other.mode and self.den == other.den and bool(np.array_equal(self.nums, other.nums))
 
     def allclose(self, other, tol=RESIDUAL_TOL):
         if self.a.shape != other.a.shape:
@@ -293,6 +300,13 @@ def _require_left_stochastic(T):
     report = _sum_check(T)
     if not report.left:
         raise NotStochastic(f"column sums deviate by {report.max_column_defect}")
+    return report
+
+
+def _require_bistochastic(M, tol=DEFAULT_TOL):
+    report = _sum_check(M, tol)
+    if not report.bi:
+        raise NotBiStochastic(f"column defect {report.max_column_defect}, row defect {report.max_row_defect}")
     return report
 
 
@@ -514,12 +528,21 @@ def matrix_to_json(M):
     return _to_json(M.mode, M.a)
 
 
+def _shared(rows):
+    """JSON rows with equal strings and ints made one object, so the
+    constructor converts each distinct value once where ``json.loads`` made
+    one object per entry.  Other entries, and rows that are not lists, are
+    kept as they are."""
+    seen = {}
+    return [[seen.setdefault(v, v) if type(v) in (str, int) else v for v in r] if type(r) is list else r for r in rows]
+
+
 def matrix_from_json(obj):
     mode = obj["mode"]
     data = obj["data"]
     if len(data) != obj["rows"] or any(len(r) != obj["cols"] for r in data):
         raise DimensionMismatch("data shape disagrees with declared rows/cols")
-    return StochMatrix(data, mode=mode)
+    return StochMatrix(_shared(data), mode=mode)
 
 
 def vector_to_json(p):
@@ -529,7 +552,7 @@ def vector_to_json(p):
 def vector_from_json(obj):
     if obj["cols"] != 1:
         raise DimensionMismatch("vector JSON must have cols = 1")
-    entries = [row[0] for row in obj["data"]]
+    entries = [row[0] for row in _shared(obj["data"])]
     if len(entries) != obj["rows"]:
         raise DimensionMismatch("data shape disagrees with declared rows")
     return ProbVec(entries, mode=obj["mode"])

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -21,7 +22,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
     NoPerfectMatching,
-    NotBiStochastic,
     NotStochastic,
 )
 
@@ -201,10 +201,14 @@ def entropy_ledger(T, p):
     )
 
 
-@dataclass
+@dataclass(eq=False)  # array fields have no single truth value, so no field-wise ==
 class BirkhoffDecomposition:
-    """Convex combination of permutations: terms (weight, sigma) with the
-    permutation matrix P[sigma[c], c] = 1.
+    """Convex combination of permutations, held as arrays: row j of the k x n
+    int array ``perms`` is sigma_j, with the permutation matrix
+    P[sigma_j[c], c] = 1, and ``weights[j]`` is its weight, float64 in float
+    mode and a ``Fraction`` in exact mode.  ``terms`` reads the same terms
+    as a list of ``(weight, tuple(sigma))`` pairs, built once from the
+    arrays; the arrays are what the decomposition is.
 
     ``residual_mass`` is the largest row or column sum of what peeling left
     of the input.  It is 0 in exact mode; in float mode it bounds, up to
@@ -212,26 +216,45 @@ class BirkhoffDecomposition:
     """
 
     n: int
-    terms: list
+    perms: np.ndarray
+    weights: np.ndarray
     residual_mass: object
 
+    @cached_property
+    def terms(self):
+        return [(w, tuple(sigma)) for w, sigma in zip(self.weights, self.perms.tolist())]
+
+    def _over_lcm(self):
+        """The weights as Python-int numerators over the lcm of their denominators."""
+        ratios = [w.as_integer_ratio() for w in self.weights]
+        L = math.lcm(*{den for _, den in ratios})
+        return np.array([num * (L // den) for num, den in ratios], dtype=object), L
+
     def weight_sum(self):
-        return sum(w for w, _ in self.terms)
+        """The sum of the weights: added in term order in float mode, one
+        sum of numerators in exact mode."""
+        if self.weights.dtype != object:
+            return sum(self.weights.tolist())
+        nums, L = self._over_lcm()
+        return Fraction(sum(nums), L)
 
     def reconstruct(self, mode=FLOAT):
         """The sum of the weighted permutation matrices.
 
-        One unbuffered ``np.add.at`` over the stacked terms: each entry
-        receives its weights in term order, as a term-by-term loop adds them.
+        Term j adds its weight at the flat indices ``perms[j] * n + c``, all
+        terms in one unbuffered ``np.add.at``: each entry receives its
+        weights in term order, as a term-by-term loop adds them.  Exact mode
+        adds Python-int numerators over the lcm of the weights'
+        denominators and makes one ``Fraction`` per distinct sum.
         """
+        n = self.n
+        nums, L = self._over_lcm() if mode == EXACT else (self.weights.astype(float), 1.0)
+        total = np.zeros(n * n, dtype=nums.dtype)
+        np.add.at(total, (self.perms * n + np.arange(n)).reshape(-1), np.repeat(nums, n))
         if mode == EXACT:
-            total = np.full((self.n, self.n), Fraction(0), dtype=object)
-        else:
-            total = np.zeros((self.n, self.n))
-        rows = np.array([sigma for _, sigma in self.terms], dtype=int).reshape(-1, self.n)
-        weights = np.array([w for w, _ in self.terms], dtype=total.dtype)
-        np.add.at(total, (rows, np.arange(self.n)), weights[:, None])
-        return StochMatrix(total, mode=mode)
+            value_of = {num: Fraction(num, L) for num in set(total.tolist())}
+            total = np.frompyfunc(value_of.get, 1, 1)(total)
+        return StochMatrix(total.reshape(n, n), mode=mode)
 
 
 def _augment(adjacency, match_row, c):
@@ -274,6 +297,10 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     matched edges it empties, and only their columns are matched again, by
     an iterative augmenting-path search (:func:`_augment`).  The first term
     is the matching of columns 0, 1, ... in turn from an empty matching.
+    Each peel reads and writes the residual at the flat indices
+    ``sigma * n + c``: one gather, one min and one scatter.  The terms are
+    stacked into the arrays of :class:`BirkhoffDecomposition` once, at the
+    end.
     Exact mode peels the integer numerators of S over their common
     denominator L to a residual of exactly zero and returns each weight w
     as ``Fraction(w, L)``.  Float mode treats entries up to
@@ -283,37 +310,36 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     ``2*n*delta + n*n*RESIDUAL_TOL``; :class:`NoPerfectMatching` is raised
     only past that bound.  The mass left is returned as ``residual_mass``.
     """
-    report = core._sum_check(S, tol)
-    if not report.bi:
-        raise NotBiStochastic(
-            f"column defect {report.max_column_defect}, row defect {report.max_row_defect}"
-        )
+    report = core._require_bistochastic(S, tol)
     n = S.rows
     exact = S.mode == EXACT
-    resid, L = S.nums.copy(), S.den
+    resid = S.nums.copy()
+    flat = resid.reshape(-1)  # a view: the residual read and written through flat indices
     threshold = 0 if exact else RESIDUAL_TOL
     cols = np.arange(n)
     adjacency = [np.flatnonzero(col > threshold).tolist() for col in resid.T]
     edges = sum(map(len, adjacency))
     match_row = [None] * n
     unmatched = range(n)
+    sigma = np.empty(n, dtype=np.intp)
     terms = []
     # edges only disappear, so the support is empty exactly when resid <= threshold
     while edges and all(_augment(adjacency, match_row, c) for c in unmatched):
-        sigma = np.argsort(match_row)  # the column-to-row inverse of match_row
-        w = resid[sigma, cols].min()
-        resid[sigma, cols] -= w  # sigma is a permutation: no index repeats
-        terms.append((w, tuple(sigma.tolist())))
-        unmatched = np.flatnonzero(resid[sigma, cols] <= threshold).tolist()
+        sigma[match_row] = cols  # the column-to-row inverse of match_row
+        idx = sigma * n + cols  # sigma is a permutation: no index repeats
+        entries = flat[idx]
+        w = entries.min()
+        flat[idx] = entries = entries - w
+        terms.append((w, idx))
+        unmatched = (entries <= threshold).nonzero()[0].tolist()
         for c in unmatched:
             adjacency[c].remove(sigma[c])
             match_row[sigma[c]] = None
         edges -= len(unmatched)
-    residual_mass = max(resid.sum(axis=0).max(), resid.sum(axis=1).max())
-    if exact:
-        terms = [(Fraction(w, L), sigma) for w, sigma in terms]
-        residual_mass = Fraction(residual_mass, L)
+    residual_mass = S._value(max(resid.sum(axis=0).max(), resid.sum(axis=1).max()))
     delta = max(report.max_column_defect, report.max_row_defect)
     if residual_mass > (0 if exact else 2 * n * delta + n * n * RESIDUAL_TOL):
         raise NoPerfectMatching(f"residual of mass {residual_mass} has no perfect matching on its support")
-    return BirkhoffDecomposition(n=n, terms=terms, residual_mass=residual_mass)
+    perms = np.array([idx for _, idx in terms], dtype=np.intp).reshape(-1, n) // n
+    weights = np.array([S._value(w) for w, _ in terms])
+    return BirkhoffDecomposition(n=n, perms=perms, weights=weights, residual_mass=residual_mass)

@@ -36,7 +36,6 @@ from .errors import (
     DimensionTooSmall,
     IncompleteKrausSet,
     IndexOutOfRange,
-    NotBiStochastic,
     NotSquare,
 )
 
@@ -120,11 +119,7 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     """
     if not R.is_square:
         raise NotSquare(f"{R.rows}x{R.cols}")
-    report = core._sum_check(R, tol)
-    if not report.bi:
-        raise NotBiStochastic(
-            f"column defect {report.max_column_defect}, row defect {report.max_row_defect}"
-        )
+    core._require_bistochastic(R, tol)
     if system_size is None:
         system_size = math.isqrt(R.rows)
         if system_size * system_size != R.rows:

@@ -11,9 +11,10 @@ import pytest
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
-from bistoch.cli import run
+from bistoch.cli import Report, _fmt, run
+from bistoch.core import RESIDUAL_TOL
 
-from conftest import demon_dilation_expected
+from conftest import demon_dilation_expected, random_stochastic_exact, random_stochastic_float
 
 
 @pytest.fixture
@@ -369,6 +370,35 @@ class TestCommands:
         assert code == 0
         assert [c["name"] for c in report["checks"]] == ["reconstruction", "weights_sum_to_one"]
         assert all(c["pass"] and c["defect"] <= c["tol"] for c in report["checks"])
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_birkhoff_report_one_line_per_term(self, capsys, tmp_path, mode):
+        # each term is written on one line; as JSON values the report equals
+        # the one made by passing the whole result, permutations included,
+        # through _fmt, with the defects computed entry by entry
+        rng = np.random.default_rng(84)
+        T = random_stochastic_exact(rng, 3) if mode == EXACT else random_stochastic_float(rng, 4)
+        S = bs.noisy_dilation(T).matrix
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(bs.matrix_to_json(S)))
+        code = run(["birkhoff", str(path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        dec = bs.birkhoff_decompose(S)
+        terms = [{"weight": w, "permutation": sigma} for w, sigma in dec.terms]
+        want = Report("birkhoff", [str(path)])
+        want.body["result"] = _fmt(
+            {"terms": terms, "term_count": len(terms), "weight_sum": dec.weight_sum(), "residual_mass": dec.residual_mass}
+        )
+        exact = mode == EXACT
+        defect = np.max(np.abs(dec.reconstruct(mode=mode).a - S.a))
+        want.check("reconstruction", defect=defect, tol=0 if exact else dec.residual_mass + RESIDUAL_TOL)
+        tol = 0 if exact else dec.residual_mass + bs.validate(S).max_column_defect + RESIDUAL_TOL
+        want.check("weights_sum_to_one", defect=abs(dec.weight_sum() - 1), tol=tol)
+        assert json.loads(out) == want.body
+        lines = [line for line in out.splitlines() if '"permutation"' in line]
+        assert len(lines) == len(dec.terms) > 1
+        assert [json.loads(line.rstrip(",")) for line in lines] == want.body["result"]["terms"]
 
     @pytest.mark.parametrize(
         "argv, check",

@@ -445,7 +445,7 @@ class TestBirkhoff:
             got, expected = dec.reconstruct(mode=EXACT).a, reconstruct_reference(dec, EXACT)
             assert all(type(x) is Fraction for x in got.flat)
             assert np.array_equal(got, expected)
-        empty = BirkhoffDecomposition(n=3, terms=[], residual_mass=0.0)
+        empty = BirkhoffDecomposition(n=3, perms=np.empty((0, 3), dtype=np.intp), weights=np.empty(0), residual_mass=0.0)
         assert np.array_equal(empty.reconstruct(mode=FLOAT).a, np.zeros((3, 3)))
 
     @pytest.mark.parametrize("sinkhorn_tol", [1e-10, 1e-9])

@@ -8,9 +8,12 @@ partitions with shuffled classes.  Entry objects shared by a gather or a
 broadcast must give the same values as fresh copies.  Birkhoff peeling is
 also checked in float mode on the same permutation mixtures, and its
 augmenting-path search against the recursive from-scratch matcher it
-replaced.
+replaced.  Exact ``==``, which compares numerators, must agree with
+comparing the Fractions, and the JSON round trip must give back the same
+object in both modes.
 """
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -415,6 +418,22 @@ class TestBirkhoff:
         assert np.max(np.abs(dec.reconstruct(mode=FLOAT).a - S.a)) <= dec.residual_mass + RESIDUAL_TOL
         assert bs.birkhoff_decompose(S).terms == dec.terms
 
+    @SETTINGS
+    @given(st.sampled_from([EXACT, FLOAT]).flatmap(lambda mode: permutation_mixtures(mode=mode)))
+    def test_arrays_are_the_terms(self, S):
+        # row j of perms and weights[j] are term j, in the same order
+        dec = bs.birkhoff_decompose(S)
+        k = len(dec.terms)
+        assert dec.perms.shape == (k, S.rows) and dec.perms.dtype == np.intp and dec.weights.shape == (k,)
+        assert [(w, tuple(sigma)) for w, sigma in zip(dec.weights, dec.perms.tolist())] == dec.terms
+        assert all(sorted(sigma) == list(range(S.rows)) for sigma in dec.perms.tolist())
+        if S.mode == EXACT:
+            assert dec.weights.dtype == object and all(type(w) is Fraction for w in dec.weights)
+        else:
+            assert dec.weights.dtype == np.float64
+        # the weights add in term order in both modes
+        assert dec.weight_sum() == sum(w for w, _ in dec.terms)
+
     def test_matching_is_kept(self, monkeypatch):
         # each augmentation after the first matching follows a support edge a peel emptied
         calls = []
@@ -568,3 +587,102 @@ class TestSharedEntries:
         assert R.a.size == n**4 and len(call) <= 2 * n * n + 1
         assert {id(v) for v in call} == {id(v) for v in R.a.flat}
         assert_fractions_equal(bs.extract_dilated(R, 0).a, T.a)
+
+
+def _changed(M, i, j, delta):
+    """M with delta added to entry (i, j)."""
+    a = M.a.copy()
+    a[i, j] += delta
+    return StochMatrix(a, mode=EXACT)
+
+
+class TestExactEquality:
+    """Exact ``==`` compares ``den`` and ``nums``; it must agree with
+    comparing the Fractions entry by entry."""
+
+    @staticmethod
+    def ref_equal(A, B):
+        return A.a.shape == B.a.shape and A.a.tolist() == B.a.tolist()
+
+    @SETTINGS
+    @given(exact_matrices(square=False), exact_matrices(square=False))
+    def test_two_draws(self, M, N):
+        # shapes and denominators differ between most draws
+        assert (M == N) is self.ref_equal(M, N) is (N == M)
+        assert (M == M) is True
+
+    @SETTINGS
+    @given(exact_matrices(square=False), st.data())
+    def test_shared_entries(self, M, data):
+        rows, cols = M.a.shape
+        r = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=8))
+        c = data.draw(st.lists(st.integers(0, cols - 1), min_size=1, max_size=8))
+        gathered = StochMatrix(_mixed(M.a)[np.ix_([*r, r[0]], c)], mode=EXACT)
+        fresh = StochMatrix([[Fraction(v) for v in row] for row in M.a[np.ix_([*r, r[0]], c)]], mode=EXACT)
+        assert gathered == fresh and fresh == gathered
+        k = data.draw(st.integers(1, 4))
+        law = M.a[:, 0] / M.a[:, 0].sum()
+        broadcast = ProbVec(np.broadcast_to(_mixed(law / k)[:, None], (rows, k)).reshape(-1), mode=EXACT)
+        copied = ProbVec([Fraction(v) for v in np.repeat(law / k, k)], mode=EXACT)
+        assert broadcast == copied and copied == broadcast
+
+    @SETTINGS
+    @given(exact_matrices(square=False), st.data())
+    def test_one_changed_entry(self, M, data):
+        rows, cols = M.a.shape
+        i, j = data.draw(st.integers(0, rows - 1)), data.draw(st.integers(0, cols - 1))
+        delta = Fraction(1, data.draw(st.sampled_from([1, 2, 3, 7, M.den, 2 * M.den])))
+        C = _changed(M, i, j, delta)
+        assert self.ref_equal(C, M) is False
+        assert (C == M) is False and (M == C) is False
+        assert _changed(M, i, j, 0) == M
+
+    @SETTINGS
+    @given(exact_matrices(kind="stochastic", square=False))
+    def test_other_types_and_modes(self, M):
+        p = ProbVec(M.a[:, 0], mode=EXACT)
+        column = StochMatrix(M.a[:, :1], mode=EXACT)
+        assert p.__eq__(column) is NotImplemented and column.__eq__(p) is NotImplemented
+        assert (p == column) is False and (column == p) is False
+        F = M.to_float()
+        assert (M == F) is False and (F == M) is False
+        assert (p == p.to_float()) is False
+
+
+class TestJsonRoundTrip:
+    """``from_json(to_json(x)) == x`` in both modes, through a JSON string."""
+
+    @SETTINGS
+    @given(exact_matrices(square=False), st.booleans(), st.data())
+    def test_matrix(self, M, as_float, data):
+        rows, cols = M.a.shape
+        r = data.draw(st.lists(st.integers(0, rows - 1), min_size=1, max_size=8))
+        M = StochMatrix(M.a[np.ix_(r, range(cols))], mode=EXACT)  # repeated rows share their entries
+        M = M.to_float() if as_float else M
+        back = core.matrix_from_json(json.loads(json.dumps(core.matrix_to_json(M))))
+        assert back == M and back.mode == M.mode
+        if M.mode == EXACT:
+            assert_fractions_equal(back.a, M.a)
+            assert back.den == M.den and back.nums.tolist() == M.nums.tolist()
+
+    @SETTINGS
+    @given(exact_matrices(kind="stochastic", square=False), st.booleans())
+    def test_vector(self, M, as_float):
+        p = ProbVec(M.a[:, -1], mode=EXACT)
+        p = p.to_float() if as_float else p
+        back = core.vector_from_json(json.loads(json.dumps(core.vector_to_json(p))))
+        assert back == p and back.mode == p.mode
+        if p.mode == EXACT:
+            assert_fractions_equal(back.a, p.a)
+            assert back.den == p.den and back.nums.tolist() == p.nums.tolist()
+
+    def test_decoding_converts_each_distinct_value_once(self, converted):
+        n = 6
+        R = bs.noisy_dilation(random_stochastic_exact(np.random.default_rng(n), n)).matrix
+        obj = json.loads(json.dumps(core.matrix_to_json(R)))
+        converted.clear()
+        back = core.matrix_from_json(obj)
+        (call,) = converted
+        assert len(call) == len({v for v in R.a.flat}) <= 2 * n * n + 1
+        assert back == R
+        assert_fractions_equal(back.a, R.a)
