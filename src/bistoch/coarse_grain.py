@@ -127,13 +127,15 @@ def _class_sizes(P):
 def uniform_right_inverse(P, mode=EXACT):
     """Right inverse spreading each class mass uniformly over its members.
 
-    ``Y[nu, k] = 1 / |c_k|`` iff ``labels[nu] == k``: N divisions, gathered
-    into a shared zero.
+    ``Y[nu, k] = 1 / |c_k|`` iff ``labels[nu] == k``: N divisions and a
+    zero, the values of ``Y``, and an int code per entry that selects one.
     """
     one = Fraction(1) if mode == EXACT else 1.0
-    data = np.full((P.d, P.n), 0 * one, dtype=object)
-    data[np.arange(P.d), P.labels] = (one / _class_sizes(P))[P.labels]
-    return RightInverse(partition=P, matrix=StochMatrix(data, mode=mode))
+    values = np.concatenate([[0 * one], one / _class_sizes(P)])
+    codes = np.zeros((P.d, P.n), dtype=np.intp)
+    codes[np.arange(P.d), P.labels] = 1 + P.labels
+    matrix = StochMatrix._from_codes(values, codes) if mode == EXACT else StochMatrix(values[codes], mode=mode)
+    return RightInverse(partition=P, matrix=matrix)
 
 
 def product_right_inverse(n, rho):
@@ -187,7 +189,9 @@ def coarse_grain(S, P, Y):
     if np.max(np.abs(defect)) > (0 if S.mode == EXACT else core.DEFAULT_TOL):
         raise InvalidRightInverse("X @ Y differs from the identity")
     xsy = _class_sums(labels, P.n, s) @ y
-    return StochMatrix(core._fractions(xsy, S.den * Y.matrix.den) if S.mode == EXACT else xsy, mode=S.mode)
+    if S.mode == EXACT:
+        return core._gathered(StochMatrix, core._fractions(xsy, S.den * Y.matrix.den), ...)
+    return StochMatrix(xsy, mode=S.mode)
 
 
 def uniform_dilation(T, p):
@@ -211,8 +215,8 @@ def uniform_dilation(T, p):
     partition = Partition.consecutive([int(v * d) for v in p.a])
     Y = uniform_right_inverse(partition, mode=EXACT)
     c = partition.labels
-    # N^2 divisions, then a gather that shares the quotients among the d^2 entries
-    S = StochMatrix((T.a / _class_sizes(partition)[:, None])[np.ix_(c, c)], mode=EXACT)
+    # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: N^2 quotients, gathered by codes
+    S = core._gathered(StochMatrix, T.a / _class_sizes(partition)[:, None], np.ix_(c, c))
     report = core._sum_check(S)
     roundtrip = coarse_grain(S, partition, Y)
     checks = {

@@ -8,10 +8,15 @@ Matrices and vectors carry one of two numeric modes.  In ``"exact"`` mode
 entries are :class:`fractions.Fraction` objects held in object-dtype numpy
 arrays; all comparisons are exact.  Each exact object computes its
 Python-int numerators over one common denominator once, at construction
-(``nums`` and ``den``, see :class:`_Entries`).  The constructor and the JSON
-encoder convert each distinct entry object once (:func:`_distinct`), so the
-entries a broadcast or gather shares stay shared, in ``a`` and in ``nums``.
-Sums, comparisons and peels over a whole object read ``nums`` and ``den``,
+(``nums`` and ``den``, see :class:`_Entries`).  It also keeps how its
+entries share values: ``a == values[codes]``.  The public constructor finds
+the distinct entry objects by one id pass (:func:`_distinct`); a kernel that
+builds an object from a few values passes their codes instead
+(:meth:`_Entries._from_codes`), and the JSON encoder reads the codes, so no
+other pass over the entries looks for shared values.  Each value is
+converted once, and entries that share a value share one object, in ``a``
+and in ``nums``.  Sums, comparisons and peels over a whole object read
+``nums`` and ``den``,
 and results become Fractions again only where they leave the library
 (:func:`_fractions`).  In ``"float"`` mode entries are IEEE doubles, an
 array is its own numerators over ``1.0``, and comparisons use the
@@ -92,6 +97,14 @@ def _distinct(data):
     return flat[first], inverse
 
 
+def _float(value):
+    """``float(value)``, or an infinity of its sign where it is too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _numerators(a):
     """Python-int numerators of an exact array over one common denominator.
 
@@ -110,6 +123,11 @@ def _fractions(nums, L):
     return np.array([Fraction(num, L) for num in nums.flat], dtype=object).reshape(nums.shape)
 
 
+def _gathered(cls, values, index):
+    """The exact object of ``values[index]``, for an array of Fractions each its own value."""
+    return cls._from_codes(values.reshape(-1), np.arange(values.size).reshape(values.shape)[index])
+
+
 def _raise_first(error, arr, mask):
     """Raise ``error(index, value)`` for the first masked entry in row-major order."""
     if mask.any():
@@ -123,14 +141,21 @@ class _Entries:
 
     The mode is inferred from the data unless given: any float entry makes it
     ``"float"``.  Each object computes its numerators once, at construction,
-    before the pass that checks the entries' signs.  Exact entries stay
-    Fractions in ``a`` and also become Python-int numerators ``nums`` over
-    the lcm ``den`` of their denominators, so ``a == nums / den``; a float
-    array is its own numerators over ``den = 1.0``.  Exact data is converted
-    once per distinct entry object (:func:`_distinct`), and an object shared
-    by many entries of ``data`` stays shared in ``a``.  Sums and comparisons
+    before the check of the entries' signs.  Exact entries stay Fractions in
+    ``a`` and also become Python-int numerators ``nums`` over the lcm ``den``
+    of their denominators, so ``a == nums / den``; a float array is its own
+    numerators over ``den = 1.0``.  An exact object also keeps the
+    factorisation ``a == values[codes]``: ``values`` is a 1-D object array
+    of distinct Fraction objects and ``codes`` an int array of the object's
+    shape (a float object has ``values = codes = None``).  The public
+    constructor takes them from one id pass over ``data`` (:func:`_distinct`),
+    so an object shared by many entries of ``data`` is converted once and
+    stays shared in ``a``; :meth:`_from_codes` takes them from a kernel.
+    Either way every exact construction goes through :meth:`_set_exact`,
+    which converts and sign-checks each value once.  Sums and comparisons
     over a whole object read ``nums`` and ``den`` and never convert ``a``
-    again.
+    again.  A float entry too large for a double, such as an exact
+    ``1e400``, is a :class:`NonFiniteEntry`.
     """
 
     def __init__(self, data, mode=None):
@@ -140,20 +165,50 @@ class _Entries:
         if mode == EXACT:
             data = np.asarray(data, dtype=object)
             distinct, inverse = _distinct(data)
-            distinct = np.array([v if isinstance(v, Fraction) else _exact_entry(v) for v in distinct], dtype=object)
-            nums, den = _numerators(distinct)
-            arr, nums = distinct[inverse].reshape(data.shape), nums[inverse].reshape(data.shape)
+            values = np.array([v if isinstance(v, Fraction) else _exact_entry(v) for v in distinct], dtype=object)
+            self._set_exact(values, inverse.reshape(data.shape))
         elif mode == FLOAT:
-            arr = np.array(data, dtype=float)
-            nums, den = arr, 1.0
+            try:
+                arr = np.array(data, dtype=float)
+            except OverflowError:  # an exact entry too large for a float, reported as infinite below
+                arr = np.frompyfunc(_float, 1, 1)(np.asarray(data, dtype=object)).astype(float)
+            self._check_shape(arr)
+            _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
+            _raise_first(NegativeEntry, arr, arr < -DEFAULT_TOL)
+            self.mode, self.a, self.nums, self.den, self.values, self.codes = mode, arr, arr, 1.0, None, None
         else:
             raise ValueError(f"unknown mode {mode!r}")
-        self._check_shape(arr)
-        if mode == FLOAT:
-            _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
-        # den > 0, so an exact entry is negative iff its numerator is
-        _raise_first(NegativeEntry, arr, nums < (0 if mode == EXACT else -DEFAULT_TOL))
-        self.mode, self.a, self.nums, self.den = mode, arr, nums, den
+        self._check_sum()
+
+    @classmethod
+    def _from_codes(cls, values, codes):
+        """The exact object with entries ``values[codes]``, built without an id pass.
+
+        For kernels that know which entries share a value: ``values`` holds
+        Fractions, ``codes`` is an int array of the object's shape, and every
+        value is the value of some entry, so that ``den`` stays the lcm of
+        the entries' denominators.
+        """
+        obj = cls.__new__(cls)
+        obj._set_exact(values, codes)
+        obj._check_sum()
+        return obj
+
+    def _set_exact(self, values, codes):
+        """Check and store an exact object from its distinct values and their codes.
+
+        Numerators are computed once per value, and so is the sign check: a
+        negative numerator is traced to its first entry only when one exists.
+        """
+        self._check_shape(codes)
+        nums, den = _numerators(values)
+        arr, negative = values[codes], nums < 0
+        if negative.any():  # den > 0, so an exact entry is negative iff its numerator is
+            _raise_first(NegativeEntry, arr, negative[codes])
+        self.mode, self.a, self.nums, self.den, self.values, self.codes = EXACT, arr, nums[codes], den, values, codes
+
+    def _check_sum(self):
+        """A constraint on the sum of the entries: none for a matrix."""
 
     def _value(self, num):
         """A sum of numerators as a value: a Fraction over ``den``, or a float."""
@@ -165,7 +220,7 @@ class _Entries:
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return type(self)(self.a.astype(float), mode=FLOAT)
+        return type(self)(self.a, mode=FLOAT)
 
     def __eq__(self, other):
         """Same type, mode and entries, compared as ``den`` and ``nums``.
@@ -192,8 +247,7 @@ class ProbVec(_Entries):
     most ``DEFAULT_TOL``.
     """
 
-    def __init__(self, entries, mode=None):
-        super().__init__(entries, mode)
+    def _check_sum(self):
         total = self.nums.sum()
         if abs(total - self.den) > (0 if self.mode == EXACT else DEFAULT_TOL):
             raise NotStochastic(f"entries sum to {self._value(total)}, expected 1")
@@ -213,9 +267,10 @@ class ProbVec(_Entries):
     def point_mass(cls, n, k, mode=FLOAT):
         if not 0 <= k < n:
             raise IndexOutOfRange(f"point mass at {k} outside {n} states")
-        entries = [0] * n
-        entries[k] = 1
-        return cls(entries, mode=mode)
+        at_k = [int(i == k) for i in range(n)]  # in exact mode, codes into [0, 1]
+        if mode == EXACT:
+            return cls._from_codes(np.array([Fraction(0), Fraction(1)], dtype=object), np.array(at_k, dtype=np.intp))
+        return cls(at_k, mode=mode)
 
     @property
     def n(self):
@@ -514,18 +569,21 @@ def iterate(T, p, steps):
 # Vectors are stored with cols = 1.
 # ---------------------------------------------------------------------------
 
-def _to_json(mode, a):
-    """The JSON object of a 2-D entry array; each distinct exact object is encoded once."""
-    rows, cols = a.shape
-    if mode == EXACT:
-        distinct, inverse = _distinct(a)
-        ratios = (v.as_integer_ratio() for v in distinct)
-        a = np.array([num if den == 1 else f"{num}/{den}" for num, den in ratios], dtype=object)[inverse]
-    return {"mode": mode, "rows": rows, "cols": cols, "data": a.reshape(rows, cols).tolist()}
+def _to_json(M, shape):
+    """The JSON object of ``M``'s entries as a 2-D array of the given shape.
+
+    Exact mode encodes each of ``M.values`` once and gathers the strings by
+    ``M.codes``.
+    """
+    a = M.a
+    if M.mode == EXACT:
+        ratios = (v.as_integer_ratio() for v in M.values)
+        a = np.array([num if den == 1 else f"{num}/{den}" for num, den in ratios], dtype=object)[M.codes]
+    return {"mode": M.mode, "rows": shape[0], "cols": shape[1], "data": a.reshape(shape).tolist()}
 
 
 def matrix_to_json(M):
-    return _to_json(M.mode, M.a)
+    return _to_json(M, M.a.shape)
 
 
 def _shared(rows):
@@ -546,7 +604,7 @@ def matrix_from_json(obj):
 
 
 def vector_to_json(p):
-    return _to_json(p.mode, p.a[:, None])
+    return _to_json(p, (p.n, 1))
 
 
 def vector_from_json(obj):

@@ -332,9 +332,9 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
         flat[idx] = entries = entries - w
         terms.append((w, idx))
         unmatched = (entries <= threshold).nonzero()[0].tolist()
-        for c in unmatched:
-            adjacency[c].remove(sigma[c])
-            match_row[sigma[c]] = None
+        for c in unmatched:  # the row as a Python int, which list.remove compares fast
+            adjacency[c].remove(r := int(sigma[c]))
+            match_row[r] = None
         edges -= len(unmatched)
     residual_mass = S._value(max(resid.sum(axis=0).max(), resid.sum(axis=1).max()))
     delta = max(report.max_column_defect, report.max_row_defect)

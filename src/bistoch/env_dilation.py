@@ -92,21 +92,26 @@ def noisy_dilation(T):
                          (1 - T[m,i]) / (N(N-1))    otherwise,
 
     which is bi-stochastic and satisfies sum_i R[(m,i),(n,0)] = T[m,n].
-    Preserves the numeric mode of T.
+    Preserves the numeric mode of T.  Exact mode makes the same block-view
+    assignments on codes, which index the values ``[0, *T.values, *(1 -
+    T.values)/(N(N-1))]``: R is built from at most 2N^2 + 1 Fractions, with
+    no id pass over its N^4 entries.
     """
     core._require_left_stochastic(T)
     n = T.rows
     if n < 2:
         raise DimensionTooSmall("the noisy construction needs N >= 2")
-    t = T.a.T  # t[i, m] = T[m, i]
-    view = np.empty((n, n, n, n), dtype=T.a.dtype)  # view[i, m, j, k] = R[(m,i),(k,j)]
-    # one shared zero, then the delta: view[i, m, 0, i] = t[i, m]
-    view[:, :, 0, :] = Fraction(0) if T.mode == EXACT else 0.0
+    exact = T.mode == EXACT
+    t = 1 + T.codes.T if exact else T.a.T  # t[i, m] = T[m, i], or its code in exact mode
+    view = np.empty((n, n, n, n), dtype=t.dtype)  # view[i, m, j, k] = R[(m,i),(k,j)]
+    view[:, :, 0, :] = 0
     ks = np.arange(n)
-    view[ks, :, 0, ks] = t
-    view[:, :, 1:, :] = ((1 - t) / (n * (n - 1)))[:, :, None, None]
-    rho = ProbVec.point_mass(n, 0, mode=T.mode)
-    return EnvDilation(env_size=n, rho=rho, matrix=StochMatrix(view.reshape(n * n, n * n), mode=T.mode))
+    view[ks, :, 0, ks] = t  # the delta: view[i, m, 0, i] = t[i, m]
+    view[:, :, 1:, :] = (t + len(T.values) if exact else (1 - t) / (n * (n - 1)))[:, :, None, None]
+    view = view.reshape(n * n, n * n)
+    values = np.concatenate([[Fraction(0)], T.values, (1 - T.values) / (n * (n - 1))]) if exact else None
+    matrix = StochMatrix._from_codes(values, view) if exact else StochMatrix(view, mode=FLOAT)
+    return EnvDilation(env_size=n, rho=ProbVec.point_mass(n, 0, mode=T.mode), matrix=matrix)
 
 
 def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):

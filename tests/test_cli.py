@@ -97,10 +97,16 @@ class TestExitCodes:
             ("validate", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
             ("birkhoff", {"mode": "float", "rows": 1, "cols": 0, "data": [[]]}, 2),
             ("birkhoff", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
+            # an exact entry too large for a float, where a command converts it
+            *((command, {"mode": "exact", "rows": 1, "cols": 1, "data": [["1e400"]]}, 2)
+              for command in ("sinkhorn", "entropy-region", "dilate unistochastic", "validate --mode float",
+                              "fixed-point --mode float")),
         ],
         ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
              "non-square-region", "non-stochastic-region", "dilation-smaller-than-matrix", "zero-columns-float",
-             "zero-columns-exact", "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact"],
+             "zero-columns-exact", "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact",
+             "overflow-sinkhorn", "overflow-region", "overflow-unistochastic", "overflow-validate-float",
+             "overflow-fixed-point-float"],
     )
     def test_bad_input_file_gives_one_line_error(self, tmp_path, command, payload, code):
         paths = []

@@ -10,7 +10,9 @@ also checked in float mode on the same permutation mixtures, and its
 augmenting-path search against the recursive from-scratch matcher it
 replaced.  Exact ``==``, which compares numerators, must agree with
 comparing the Fractions, and the JSON round trip must give back the same
-object in both modes.
+object in both modes.  An object built from values and codes must be the
+object the public constructor builds from the same entries, and the
+dilations built that way must equal what they gave built entry by entry.
 """
 
 import json
@@ -24,6 +26,7 @@ import bistoch as bs
 from bistoch import EXACT, FLOAT, Partition, ProbVec, RightInverse, StochMatrix, core, entropy
 from bistoch.core import RESIDUAL_TOL
 from bistoch.entropy import _augment
+from bistoch.errors import NegativeEntry, NotStochastic
 
 from conftest import random_permutation_mixture, random_stochastic_exact
 
@@ -686,3 +689,116 @@ class TestJsonRoundTrip:
         assert len(call) == len({v for v in R.a.flat}) <= 2 * n * n + 1
         assert back == R
         assert_fractions_equal(back.a, R.a)
+
+
+def _fresh(values, codes):
+    """``values[codes]`` with a new Fraction object for every entry."""
+    out = np.empty(codes.shape, dtype=object)
+    out.reshape(-1)[:] = [Fraction(v) for v in values[codes].flat]
+    return out
+
+
+def _surjective_codes(rng, k, shape):
+    """Random codes into k values of the given shape, each value used at least once."""
+    codes = rng.integers(0, k, size=shape)
+    codes.reshape(-1)[rng.permutation(codes.size)[:k]] = np.arange(k)
+    return codes
+
+
+def assert_same_object(A, B):
+    """A and B agree in entries and their type, numerators, ``==`` and JSON."""
+    assert type(A) is type(B)
+    assert_fractions_equal(A.a, B.a)
+    assert A.nums.tolist() == B.nums.tolist() and all(type(v) is int for v in A.nums.flat)
+    assert A.den == B.den and type(A.den) is int
+    assert A == B and B == A
+    to_json = core.vector_to_json if isinstance(A, ProbVec) else core.matrix_to_json
+    assert to_json(A) == to_json(B)
+    assert_fractions_equal(A.values[A.codes], A.a)
+
+
+def ref_noisy_dilation(T):
+    """The noisy dilation built the old way: the entries gathered, then the public constructor."""
+    n = T.rows
+    t = T.a.T
+    view = np.empty((n, n, n, n), dtype=object)
+    view[:, :, 0, :] = Fraction(0)
+    ks = np.arange(n)
+    view[ks, :, 0, ks] = t
+    view[:, :, 1:, :] = ((1 - t) / (n * (n - 1)))[:, :, None, None]
+    return StochMatrix(view.reshape(n * n, n * n), mode=EXACT)
+
+
+class TestValueCodes:
+    """An object built from values and codes (``_from_codes``) is the object
+    the public constructor builds from the same entries as fresh copies, and
+    kernels that build from codes give what they gave built the old way."""
+
+    @SETTINGS
+    @given(exact_matrices(square=False), st.data())
+    def test_from_codes_matrix(self, M, data):
+        rows, cols = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 6))
+        k = data.draw(st.integers(1, min(M.a.size, rows * cols)))
+        values = np.array([Fraction(v) for v in M.a.flat[:k]], dtype=object)
+        codes = _surjective_codes(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))), k, (rows, cols))
+        assert_same_object(StochMatrix._from_codes(values, codes), StochMatrix(_fresh(values, codes), mode=EXACT))
+        # a negative value is reported at the same first entry, with the same value
+        j = data.draw(st.integers(0, k - 1))
+        values[j] = -values[j] - Fraction(1, 3)
+        errors = []
+        for build in (StochMatrix._from_codes, lambda v, c: StochMatrix(_fresh(v, c), mode=EXACT)):
+            with pytest.raises(NegativeEntry) as info:
+                build(values, codes)
+            errors.append((info.value.index, info.value.value, type(info.value.value)))
+        assert errors[0] == errors[1] and errors[0][0] == tuple(int(i) for i in np.argwhere(codes == j)[0])
+
+    @SETTINGS
+    @given(exact_matrices(kind="stochastic", square=False), st.data())
+    def test_from_codes_vector(self, M, data):
+        # each entry of a law split k ways: the codes repeat each value k times, shuffled
+        k = data.draw(st.integers(1, 4))
+        values = np.array([v / k for v in M.a[:, 0]], dtype=object)
+        codes = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(np.repeat(np.arange(M.rows), k))
+        assert_same_object(ProbVec._from_codes(values, codes), ProbVec(_fresh(values, codes), mode=EXACT))
+        with pytest.raises(NotStochastic):  # every entry twice: the sum is 2
+            ProbVec._from_codes(values, np.concatenate([codes, codes]))
+
+    @SETTINGS
+    @given(exact_matrices(kind="stochastic"))
+    def test_noisy_dilation(self, T):
+        if T.rows < 2:
+            return
+        E = bs.noisy_dilation(T)
+        assert_same_object(E.matrix, ref_noisy_dilation(T))
+        assert_same_object(E.rho, ProbVec([Fraction(int(i == 0)) for i in range(T.rows)], mode=EXACT))
+
+    @SETTINGS
+    @given(shuffled_partitions(), st.data())
+    def test_uniform_dilation(self, P, data):
+        S = data.draw(permutation_mixtures(d=P.d))
+        T = bs.coarse_grain(S, P, bs.uniform_right_inverse(P))
+        dil = bs.uniform_dilation(T, ProbVec([Fraction(s, P.d) for s in P.class_sizes], mode=EXACT))
+        c = dil.partition.labels
+        sizes = np.array(dil.partition.class_sizes, dtype=object)
+        assert_same_object(dil.matrix, StochMatrix((T.a / sizes[:, None])[np.ix_(c, c)], mode=EXACT))
+        Y = np.full((dil.partition.d, T.rows), Fraction(0), dtype=object)
+        Y[np.arange(dil.partition.d), c] = (Fraction(1) / sizes)[c]
+        assert_same_object(dil.right_inverse.matrix, StochMatrix(Y, mode=EXACT))
+        args = dil.matrix, dil.partition, dil.right_inverse
+        assert_same_object(bs.coarse_grain(*args), StochMatrix(ref_coarse_grain(*args), mode=EXACT))
+
+    def test_prebuilt_objects_take_no_id_pass(self, monkeypatch):
+        T = random_stochastic_exact(np.random.default_rng(6), 6)
+        R = bs.noisy_dilation(T).matrix
+        p = bs.fixed_point(T).representative
+        S = bs.two_state(Fraction(1, 3), Fraction(1, 2))
+        q = ProbVec([Fraction(2, 5), Fraction(3, 5)], mode=EXACT)
+        want = core.matrix_to_json(ref_noisy_dilation(T)), core.vector_to_json(ProbVec(list(p.a), mode=EXACT))
+
+        def refuse(data):
+            raise AssertionError("an id pass over entries whose sharing is known")
+
+        monkeypatch.setattr(core, "_distinct", refuse)
+        assert (core.matrix_to_json(R), core.vector_to_json(p)) == want
+        assert bs.noisy_dilation(T).matrix == R
+        assert bs.uniform_dilation(S, q).checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
