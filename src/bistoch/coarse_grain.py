@@ -179,7 +179,7 @@ def coarse_grain(S, P, Y):
     if Y.matrix.rows != P.d or Y.matrix.cols != P.n:
         raise DimensionMismatch("right inverse shape disagrees with partition")
     core._require_same_mode(S, Y.matrix)
-    rows = np.flatnonzero(Y.matrix.a.any(axis=1))
+    rows = np.flatnonzero(Y.matrix.nums.any(axis=1))
     if rows.size == P.d:  # every row: a view keeps the memory layout, on which float matmul rounding depends
         rows = slice(None)
     labels = P.labels

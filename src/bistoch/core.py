@@ -152,10 +152,14 @@ class _Entries:
     so an object shared by many entries of ``data`` is converted once and
     stays shared in ``a``; :meth:`_from_codes` takes them from a kernel.
     Either way every exact construction goes through :meth:`_set_exact`,
-    which converts and sign-checks each value once.  Sums and comparisons
-    over a whole object read ``nums`` and ``den`` and never convert ``a``
-    again.  A float entry too large for a double, such as an exact
-    ``1e400``, is a :class:`NonFiniteEntry`.
+    which converts and sign-checks each value once.  Every float
+    construction goes through :meth:`_set_float`, which checks the shape and
+    the finite, non-negative entries: the public constructor on a copy of
+    ``data``, :meth:`_from_array` on a fresh array a kernel hands over, so a
+    large float result is not copied.  Sums and comparisons over a whole
+    object read ``nums`` and ``den`` and never convert ``a`` again.  A float
+    entry too large for a double, such as an exact ``1e400``, is a
+    :class:`NonFiniteEntry`.
     """
 
     def __init__(self, data, mode=None):
@@ -172,10 +176,7 @@ class _Entries:
                 arr = np.array(data, dtype=float)
             except OverflowError:  # an exact entry too large for a float, reported as infinite below
                 arr = np.frompyfunc(_float, 1, 1)(np.asarray(data, dtype=object)).astype(float)
-            self._check_shape(arr)
-            _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
-            _raise_first(NegativeEntry, arr, arr < -DEFAULT_TOL)
-            self.mode, self.a, self.nums, self.den, self.values, self.codes = mode, arr, arr, 1.0, None, None
+            self._set_float(arr)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._check_sum()
@@ -193,6 +194,25 @@ class _Entries:
         obj._set_exact(values, codes)
         obj._check_sum()
         return obj
+
+    @classmethod
+    def _from_array(cls, arr):
+        """The float object holding ``arr`` itself, a float64 array no one else writes to.
+
+        The float counterpart of :meth:`_from_codes`, for kernels that hand
+        over a fresh array: the public constructor would copy it.
+        """
+        obj = cls.__new__(cls)
+        obj._set_float(arr)
+        obj._check_sum()
+        return obj
+
+    def _set_float(self, arr):
+        """Check and store a float object: its shape, then finite and non-negative entries."""
+        self._check_shape(arr)
+        _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
+        _raise_first(NegativeEntry, arr, arr < -DEFAULT_TOL)
+        self.mode, self.a, self.nums, self.den, self.values, self.codes = FLOAT, arr, arr, 1.0, None, None
 
     def _set_exact(self, values, codes):
         """Check and store an exact object from its distinct values and their codes.

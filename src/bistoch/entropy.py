@@ -9,6 +9,7 @@ point, also for exact-mode inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -72,11 +73,13 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
     """Locate the boundary of the entropy-decreasing region along rays.
 
     For each direction point q the segment p(t) = (1-t) anchor + t q is
-    sampled at the ``resolution + 1`` points t = k / resolution, one ray at
-    a time; each ray's samples are returned as its ``samples``.  A ray
-    exits at its first sample with k >= 1 outside the region.  The exited
-    rays are then bisected together, one stacked entropy evaluation per
-    step, each refining its last inside parameter on its own to
+    sampled at the ``resolution + 1`` points t = k / resolution, for a
+    positive integer ``resolution`` (``ValueError`` otherwise).  The grids of
+    all rays are evaluated together, in one stacked entropy evaluation, and
+    each ray's grid is returned as its ``samples``.  A ray exits at its
+    first sample with k >= 1 outside the region.  The exited rays are then
+    bisected together, one stacked entropy evaluation per step, each
+    refining its last inside parameter on its own to
     ``BISECTION_TOL``: a ray stops when its own bracket is that narrow, so
     it takes the same steps, and gets the same result, as bisected alone.
     Rays that never leave the region return their endpoint with
@@ -95,6 +98,8 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
     whenever the normalised image passes, ``H(q') - H(a) <= RESIDUAL_TOL``,
     the raw image passes the bound above.
     """
+    if not isinstance(resolution, numbers.Integral) or resolution < 1:
+        raise ValueError(f"resolution must be a positive integer, not {resolution!r}")
     n = anchor.n
     if not T.is_square or n != T.rows:
         raise DimensionMismatch(f"{T.rows}x{T.cols} matrix with length-{n} anchor")
@@ -117,15 +122,13 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
         # matmul of a stack of vectors: the same product per row as Tf @ p
         return P, shannon_entropy(P), shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
 
-    grid = np.arange(resolution + 1) / resolution
-    samples = []
-    exit_k = np.zeros(len(Q), dtype=int)  # first grid index k >= 1 outside the region, 0 if none
-    for i in range(len(Q)):  # one ray's grid at a time, so memory does not grow with the rays
-        P, h_p, h_tp = entropies(grid, [i])
-        samples.append(np.column_stack([grid, P, h_p, h_tp]))
-        exits = np.flatnonzero(h_tp[1:] - h_p[1:] > RESIDUAL_TOL)
-        exit_k[i] = exits[0] + 1 if len(exits) else 0
-    exited = exit_k > 0
+    r, g = len(Q), resolution + 1
+    t = np.tile(np.arange(g) / resolution, r)  # row i * g + k: ray i at t = k / resolution
+    P, h_p, h_tp = entropies(t, np.repeat(np.arange(r), g))
+    samples = np.column_stack([t, P, h_p, h_tp]).reshape(r, g, n + 3)
+    outside = (h_tp - h_p > RESIDUAL_TOL).reshape(r, g)[:, 1:]
+    exited = outside.any(axis=1)
+    exit_k = outside.argmax(axis=1) + 1  # first grid index k >= 1 outside the region, where one is
     # a ray that never exits gets lo = hi = 1: its bracket is closed from the start
     lo = np.where(exited, (exit_k - 1) / resolution, 1.0)
     hi = np.where(exited, exit_k / resolution, 1.0)

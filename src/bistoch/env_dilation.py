@@ -16,8 +16,13 @@ over the first-marginal partition, whose class m holds the composite states
 first marginal of ``R Y p`` is ``X R Y p``.
 
 Two constructions are provided: a closed-form "noisy" dilation that works in
-exact arithmetic, and a uni-stochastic dilation built from a unitary
-completion of the isometry induced by a Kraus representation of T.
+exact arithmetic, and a uni-stochastic dilation built from an orthogonal
+completion of the isometry induced by a Kraus representation of T.  That
+completion is the Householder product of a QR factorization of the
+isometry, written in closed form: N^2 (2N - 1) nonzeros at most, in O(N^4)
+time, where forming it by a complete QR costs O(N^5).  Both float
+constructions hand their fresh N^2 x N^2 array to :class:`StochMatrix`
+without a copy (``_from_array``).
 """
 
 from __future__ import annotations
@@ -110,7 +115,7 @@ def noisy_dilation(T):
     view[:, :, 1:, :] = (t + len(T.values) if exact else (1 - t) / (n * (n - 1)))[:, :, None, None]
     view = view.reshape(n * n, n * n)
     values = np.concatenate([[Fraction(0)], T.values, (1 - T.values) / (n * (n - 1))]) if exact else None
-    matrix = StochMatrix._from_codes(values, view) if exact else StochMatrix(view, mode=FLOAT)
+    matrix = StochMatrix._from_codes(values, view) if exact else StochMatrix._from_array(view)
     return EnvDilation(env_size=n, rho=ProbVec.point_mass(n, 0, mode=T.mode), matrix=matrix)
 
 
@@ -207,21 +212,48 @@ def stochastic_from_kraus(kraus):
 def unistochastic_dilation(T):
     """Standard dilation whose matrix is the entrywise square of an orthogonal U.
 
-    Builds the N^2 x N isometry whose column n holds sqrt(T[m,n]) at the
-    composite states (m, n), completes it to a real orthogonal matrix and
-    squares the entries.  The completion is a Householder QR factorization
-    of the isometry; the completing columns are not unique, so any orthogonal
-    completion of the isometry is an equally valid result.  Float mode only.
+    The N^2 x N isometry whose column k holds v_k = sqrt(T[:, k]) in
+    environment block k, at the composite states (m, k), is completed to a
+    real orthogonal U, and R = U * U entrywise.  Any orthogonal completion of
+    the isometry is an equally valid result; this one is the Householder
+    product Q = H_0 H_1 ... H_{N-1} of the QR factorization of the isometry
+    under the LAPACK ``dgeqrf``/``dlarfg`` conventions, written in closed
+    form instead of formed by an O(N^5) QR completion.  Float mode only.
+
+    Derivation, with vh_k = v_k / |v_k|.  Step 0 reflects x = v_0 in block 0:
+    with alpha = x[0] and beta = -copysign(|x|, alpha), the reflector is
+    H_0 = I - tau w w^T with w = [1, x[1:] / (alpha - beta)] and tau =
+    (beta - alpha) / beta.  (LAPACK takes H_0 = I when x[1:] = 0; then
+    alpha = |x| > 0, and this H_0 differs from I only at [0, 0], which U
+    does not read.)  Step k >= 1 sees
+    column k untouched by the earlier reflectors, with alpha = 0 at row k
+    (a row of block 0), so tau = 1 and w = e_k + vh_k: H_k acts on row k
+    and block k only, and H_1, ..., H_{N-1} commute.  In the block view
+    ``u[i, m', j, m] = U[(m',i),(m,j)]``, with the isometry columns' signs
+    made positive as the QR's R factor demands:
+
+        u[k, :, 0, k] = vh_k,
+        u[K, m', K, m] = delta(m', m) - vh_K[m] vh_K[m']   for K >= 1,
+        u[0, m', K, m] = -vh_K[m] H_0[m', K]              for K >= 1,
+
+    and every other entry is 0: U has N^2 (2N - 1) nonzeros at most, and
+    costs O(N^4) to write out.
     """
     core._require_left_stochastic(T)
     n = T.rows
-    iso = np.zeros((n, n, n))  # iso[i, m, k]: row flat(m, i), column k
+    v = np.sqrt(T.to_float().a).T  # v[k] = sqrt(T[:, k])
+    vh = v / np.linalg.norm(v, axis=1)[:, None]
+    alpha, tail = v[0, 0], v[0, 1:]
+    beta = -math.copysign(math.hypot(alpha, np.linalg.norm(tail)), alpha)
+    w = np.concatenate([[1.0], tail / (alpha - beta)])
+    h0 = np.eye(n) - (beta - alpha) / beta * np.outer(w, w)  # only its columns K >= 1 are read
+    u = np.zeros((n, n, n, n))  # u[i, m', j, m] = U[(m',i),(m,j)]
     ks = np.arange(n)
-    iso[ks, :, ks] = np.sqrt(T.to_float().a).T
-    q, r = np.linalg.qr(iso.reshape(n * n, n), mode="complete")
-    # columns flat(k, 0) = k carry the isometry; QR returns them up to sign
-    q[:, :n] *= np.sign(np.diag(r))
-    return UnitaryDilation(unitary=q, matrix=StochMatrix(q**2, mode=FLOAT))
+    u[ks, :, 0, ks] = vh
+    u[ks[1:], :, ks[1:], :] = np.eye(n) - vh[1:, :, None] * vh[1:, None, :]
+    u[0, :, 1:, :] = -h0[:, 1:, None] * vh[None, 1:, :]
+    u = u.reshape(n * n, n * n)
+    return UnitaryDilation(unitary=u, matrix=StochMatrix._from_array(u**2))
 
 
 def unistochastic_env_dilation(T):

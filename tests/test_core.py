@@ -55,6 +55,32 @@ class TestValidate:
             StochMatrix([[1.0, 1.0], [bad, 0.0]])
         assert exc_info.value.index == (1, 0)
 
+    @pytest.mark.parametrize(
+        "cls, data",
+        [
+            (StochMatrix, [[0.5, -0.2], [0.6, -0.1]]),
+            (StochMatrix, [[1.0, 1.0], [float("nan"), 0.0]]),
+            (StochMatrix, [[1.0, -1.0], [float("inf"), 0.0]]),
+            (StochMatrix, [[0.5, 0.5], [0.5, -2e-9]]),
+            (ProbVec, [0.5, float("-inf"), 0.5]),
+            (ProbVec, [1.5, -0.5]),
+        ],
+    )
+    def test_from_array_raises_as_the_public_constructor(self, cls, data):
+        with pytest.raises((NegativeEntry, NonFiniteEntry)) as public:
+            cls(data, mode=FLOAT)
+        with pytest.raises(type(public.value)) as handed_over:
+            cls._from_array(np.array(data))
+        assert handed_over.value.index == public.value.index
+        assert repr(handed_over.value.value) == repr(public.value.value)
+
+    def test_from_array_keeps_the_array_and_the_constructor_copies(self):
+        data = np.full((2, 2), 0.5)
+        assert StochMatrix._from_array(data).a is data
+        assert not np.shares_memory(StochMatrix(data, mode=FLOAT).a, data)
+        assert not np.shares_memory(ProbVec(data[0], mode=FLOAT).a, data)
+        assert StochMatrix._from_array(data) == StochMatrix(data, mode=FLOAT)
+
     def test_mode_consistency(self):
         rng = np.random.default_rng(11)
         for _ in range(20):

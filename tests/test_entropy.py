@@ -234,6 +234,19 @@ class TestBoundaryScan:
         with pytest.raises(NotStochastic):
             bs.region_boundary_scan(StochMatrix(data), ProbVec.uniform(2), [ProbVec.point_mass(2, 0)])
 
+    @pytest.mark.parametrize("resolution", [0, -3, 2.5, 1.0, "64", None])
+    def test_rejects_resolution_not_a_positive_integer(self, resolution):
+        # 0 would give NaN samples that never exit, 2.5 a grid past t = 1
+        T = bs.two_state(0.3, 0.6, mode=FLOAT)
+        with pytest.raises(ValueError, match="resolution"):
+            bs.region_boundary_scan(T, ProbVec.uniform(2), [ProbVec.point_mass(2, 0)], resolution=resolution)
+
+    @pytest.mark.parametrize("resolution", [1, np.int64(3)])
+    def test_accepts_integer_resolution(self, demon, resolution):
+        anchor = ProbVec([Fraction(1, 2), 0, 0, Fraction(1, 2)], mode=EXACT)
+        (bp,) = bs.region_boundary_scan(demon, anchor, [ProbVec.point_mass(4, 1, mode=EXACT)], resolution=resolution)
+        assert bp.samples.shape == (int(resolution) + 1, 7) and not bp.full_segment_inside
+
     def test_rejects_wrong_length_direction(self):
         T = bs.two_state(0.3, 0.6, mode=FLOAT)
         with pytest.raises(DimensionMismatch):

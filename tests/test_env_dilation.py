@@ -2,9 +2,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
+from bistoch.core import RESIDUAL_TOL
 from bistoch.env_dilation import EnvDilation, flat_index
 from bistoch.errors import (
     DimensionMismatch,
@@ -37,6 +39,44 @@ def noisy_dilation_by_entries(T):
                         value = (1 - T.a[m, i]) / (n * (n - 1))
                     data[flat_index(m, i, n)][flat_index(k, j, n)] = value
     return StochMatrix(data, mode=T.mode)
+
+
+def qr_reference(T):
+    """Reference: the orthogonal completion by numpy's Householder QR of the isometry.
+
+    Column k of the N^2 x N isometry holds sqrt(T[:, k]) at the composite
+    states (m, k); the complete Q is formed by LAPACK, and its first N
+    columns are signed to carry the isometry itself.
+    """
+    n = T.rows
+    iso = np.zeros((n, n, n))  # iso[i, m, k]: row flat(m, i), column k
+    ks = np.arange(n)
+    iso[ks, :, ks] = np.sqrt(T.to_float().a).T
+    q, r = np.linalg.qr(iso.reshape(n * n, n), mode="complete")
+    q[:, :n] *= np.sign(np.diag(r))
+    return q
+
+
+@st.composite
+def float_matrices_with_zeros(draw):
+    """Float left-stochastic matrices, N = 1-8, about a drawn share of entries zero.
+
+    Each column keeps at least one positive entry; ``first`` pins column 0 to
+    a point mass at 0 (then H_0 = I), or makes T[0, 0] zero (then alpha = 0).
+    The columns may carry a sum defect that ``validate`` accepts, so that
+    |v_k| differs from 1 by more than round-off.
+    """
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.random((n, n)) * (rng.random((n, n)) >= draw(st.sampled_from([0.0, 0.3, 0.7])))
+    a[rng.integers(n, size=n), np.arange(n)] += 0.1
+    first = draw(st.sampled_from(["free", "point_mass", "zero"]))
+    if first == "point_mass":
+        a[:, 0] = np.eye(n)[0]
+    elif first == "zero" and n > 1:
+        a[0, 0], a[1, 0] = 0.0, a[1, 0] + 0.1
+    defect = draw(st.sampled_from([0.0, 5e-10, -5e-10]))
+    return StochMatrix(a / a.sum(axis=0) * (1 + defect), mode=FLOAT)
 
 
 class TestNoisyDilation:
@@ -267,6 +307,39 @@ class TestUnistochasticDilation:
         T = bs.two_state(0.42, 0.17, mode=FLOAT)
         dil = bs.unistochastic_dilation(T)
         assert np.allclose(dil.matrix.a, dil.unitary**2)
+
+    @staticmethod
+    def assert_matches_qr(T):
+        u, q = bs.unistochastic_dilation(T).unitary, qr_reference(T)
+        assert u.shape == q.shape
+        assert np.max(np.abs(u - q)) <= 1e-15
+        assert np.array_equal(u == 0, q == 0)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(float_matrices_with_zeros())
+    def test_matches_qr_reference(self, T):
+        self.assert_matches_qr(T)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5])
+    def test_matches_qr_reference_on_permutations(self, n):
+        self.assert_matches_qr(StochMatrix.identity(n))
+        for shift in range(1, n):
+            self.assert_matches_qr(StochMatrix(np.roll(np.eye(n), shift, axis=0)))
+        self.assert_matches_qr(StochMatrix(np.eye(n)[::-1]))
+
+    def test_matches_qr_reference_on_small_cases(self, demon):
+        self.assert_matches_qr(demon)
+        self.assert_matches_qr(StochMatrix([[1.0]]))
+        self.assert_matches_qr(bs.two_state(0.3, 0.7, mode=FLOAT))
+        self.assert_matches_qr(bs.two_state(0.0, 1.0, mode=FLOAT))
+
+    def test_orthogonal_at_scale(self):
+        n = 32
+        T = random_stochastic_float(np.random.default_rng(32), n)
+        dil = bs.unistochastic_dilation(T)
+        assert dil.orthogonality_defect() <= RESIDUAL_TOL
+        assert bs.validate(dil.matrix, tol=RESIDUAL_TOL).bi
+        assert bs.extract_dilated(dil.matrix, 0).allclose(T, tol=RESIDUAL_TOL)
 
     def test_coarse_graining_reduction(self):
         rng = np.random.default_rng(62)
