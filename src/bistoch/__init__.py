@@ -7,6 +7,7 @@ from .coarse_grain import (
     coarse_grain,
     product_right_inverse,
     projection_matrix,
+    roundtrip_defect,
     uniform_dilation,
     uniform_right_inverse,
 )
@@ -38,17 +39,14 @@ from .entropy import (
     shannon_entropy,
 )
 from .env_dilation import (
-    EnvDilation,
     KrausSet,
     UnitaryDilation,
-    as_coarse_graining,
     extract_dilated,
     flat_index,
     kraus_from_stochastic,
     noisy_dilation,
     stochastic_from_kraus,
     unistochastic_dilation,
-    unistochastic_env_dilation,
     verify_env_dilation,
 )
 from .matrices import maxwell_demon, maxwell_demon_dilation, two_state

@@ -106,7 +106,14 @@ class RightInverse:
 
 @dataclass
 class CoarseGrainDilation:
-    """Dilation T = X S Y produced by :func:`uniform_dilation`."""
+    """Dilation T = X S Y of T by coarse graining, the result of every dilation.
+
+    ``matrix`` is S on the ``partition.d`` fine states and ``right_inverse``
+    is Y: the uniform section for :func:`uniform_dilation`, the product
+    section of the environment state over the first-marginal partition for
+    the environmental dilations.  ``checks`` holds what the construction
+    checked, by name; :func:`roundtrip_defect` checks the dilation itself.
+    """
 
     partition: Partition
     matrix: StochMatrix
@@ -124,6 +131,11 @@ def _class_sizes(P):
     return np.array(P.class_sizes, dtype=object)
 
 
+def _section(values, codes, mode):
+    """The matrix ``values[codes]`` of a right inverse, built from its codes in exact mode (no id pass)."""
+    return StochMatrix._from_codes(values, codes) if mode == EXACT else StochMatrix(values[codes], mode=mode)
+
+
 def uniform_right_inverse(P, mode=EXACT):
     """Right inverse spreading each class mass uniformly over its members.
 
@@ -134,8 +146,7 @@ def uniform_right_inverse(P, mode=EXACT):
     values = np.concatenate([[0 * one], one / _class_sizes(P)])
     codes = np.zeros((P.d, P.n), dtype=np.intp)
     codes[np.arange(P.d), P.labels] = 1 + P.labels
-    matrix = StochMatrix._from_codes(values, codes) if mode == EXACT else StochMatrix(values[codes], mode=mode)
-    return RightInverse(partition=P, matrix=matrix)
+    return RightInverse(partition=P, matrix=_section(values, codes, mode))
 
 
 def product_right_inverse(n, rho):
@@ -145,12 +156,13 @@ def product_right_inverse(n, rho):
     first-marginal partition, so ``Y @ p`` has entry ``p[m] * rho[i]`` at
     flat index ``i*n + m``.
     """
-    m = rho.n
-    # one shared zero, then the diagonal of each environment block: data[i, k, k] = rho[i]
-    data = np.full((m, n, n), Fraction(0) if rho.mode == EXACT else 0.0, dtype=rho.a.dtype)
+    m, exact = rho.n, rho.mode == EXACT
+    # codes into [0, *rho.values], or into [0, *rho] in float mode
+    values = np.concatenate([[Fraction(0)], rho.values] if exact else [[0.0], rho.a])
+    codes = np.zeros((m, n, n), dtype=np.intp)
     ks = np.arange(n)
-    data[:, ks, ks] = rho.a[:, None]
-    matrix = StochMatrix(data.reshape(n * m, n), mode=rho.mode)
+    codes[:, ks, ks] = 1 + (rho.codes if exact else np.arange(m))[:, None]  # Y[i*n + k, k] = rho[i]
+    matrix = _section(values, codes.reshape(n * m, n), rho.mode)
     return RightInverse(partition=Partition.first_marginal(n, m), matrix=matrix)
 
 
@@ -194,6 +206,29 @@ def coarse_grain(S, P, Y):
     return StochMatrix(xsy, mode=S.mode)
 
 
+def roundtrip_defect(T, dilation):
+    """How far the dilation coarse grains back to T: ``(defect, tol)``.
+
+    ``defect`` is the largest entry of ``|X S Y - T|`` and the dilation holds
+    iff ``defect <= tol``.  Exact mode compares exactly (``tol = 0``); float
+    mode, or any mix of modes converted to float, allows ``RESIDUAL_TOL``
+    plus the column-sum defect of Y, which carries the mass of a float
+    environment state that ``ProbVec`` accepted at a sum defect up to
+    ``DEFAULT_TOL``.  For an environmental dilation ``X S Y p`` is the first
+    marginal of ``S (p (x) rho)``, and the error ``(X S Y - T) p`` is linear
+    in p, so its largest entry over the simplex is one of ``X S Y - T``:
+    the marginal identity holds for every p iff this check passes.
+    """
+    P, S, Y = dilation.partition, dilation.matrix, dilation.right_inverse.matrix
+    if S.rows != P.d or T.a.shape != (P.n, P.n):
+        raise DimensionMismatch("dilation dimensions disagree with T")
+    exact = T.mode == S.mode == Y.mode == EXACT
+    if not exact:
+        T, S, Y = T.to_float(), S.to_float(), Y.to_float()
+    back = coarse_grain(S, P, RightInverse(partition=P, matrix=Y))
+    return core._max_difference(back, T), 0 if exact else core.RESIDUAL_TOL + core._sum_check(Y).max_column_defect
+
+
 def uniform_dilation(T, p):
     """Dilate T to a bi-stochastic matrix via its rational fixed point p.
 
@@ -213,14 +248,9 @@ def uniform_dilation(T, p):
         raise NotFixedPoint("T p differs from p")
     d = math.lcm(*(v.denominator for v in p.a))
     partition = Partition.consecutive([int(v * d) for v in p.a])
-    Y = uniform_right_inverse(partition, mode=EXACT)
     c = partition.labels
     # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: N^2 quotients, gathered by codes
     S = core._gathered(StochMatrix, T.a / _class_sizes(partition)[:, None], np.ix_(c, c))
-    report = core._sum_check(S)
-    roundtrip = coarse_grain(S, partition, Y)
-    checks = {
-        "bi_stochastic": report.bi,
-        "coarse_grain_roundtrip": roundtrip == T,
-    }
-    return CoarseGrainDilation(partition=partition, matrix=S, right_inverse=Y, checks=checks)
+    dil = CoarseGrainDilation(partition=partition, matrix=S, right_inverse=uniform_right_inverse(partition))
+    dil.checks = {"bi_stochastic": core._sum_check(S).bi, "coarse_grain_roundtrip": roundtrip_defect(T, dil)[0] == 0}
+    return dil

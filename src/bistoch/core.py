@@ -405,6 +405,11 @@ def _sum_check(M, tol=DEFAULT_TOL):
     )
 
 
+def _max_difference(A, B):
+    """The largest entry of ``|A - B|``, read on numerators: a Fraction in exact mode, a float in float mode."""
+    return A._value(np.max(np.abs(A.nums * B.den - B.nums * A.den))) / B.den
+
+
 def validate(M, tol=DEFAULT_TOL):
     """Classify a matrix as left-/right-/bi-stochastic and irreducible.
 
@@ -630,7 +635,7 @@ def vector_to_json(p):
 def vector_from_json(obj):
     if obj["cols"] != 1:
         raise DimensionMismatch("vector JSON must have cols = 1")
-    entries = [row[0] for row in _shared(obj["data"])]
-    if len(entries) != obj["rows"]:
-        raise DimensionMismatch("data shape disagrees with declared rows")
-    return ProbVec(entries, mode=obj["mode"])
+    rows = _shared(obj["data"])
+    if len(rows) != obj["rows"] or any(type(row) is not list or len(row) != 1 for row in rows):
+        raise DimensionMismatch("data shape disagrees with declared rows/cols")
+    return ProbVec([row[0] for row in rows], mode=obj["mode"])

@@ -216,42 +216,41 @@ class BirkhoffDecomposition:
     ``residual_mass`` is the largest row or column sum of what peeling left
     of the input.  It is 0 in exact mode; in float mode it bounds, up to
     round-off, every entry of ``input - reconstruct()``.
+
+    An exact decomposition also keeps the weights as peeling found them:
+    Python-int numerators ``nums`` over the input's denominator ``den``,
+    with ``weights == nums / den``.  A float one has ``nums = None``.
     """
 
     n: int
     perms: np.ndarray
     weights: np.ndarray
     residual_mass: object
+    nums: np.ndarray = None
+    den: int = 1
 
     @cached_property
     def terms(self):
         return [(w, tuple(sigma)) for w, sigma in zip(self.weights, self.perms.tolist())]
 
-    def _over_lcm(self):
-        """The weights as Python-int numerators over the lcm of their denominators."""
-        ratios = [w.as_integer_ratio() for w in self.weights]
-        L = math.lcm(*{den for _, den in ratios})
-        return np.array([num * (L // den) for num, den in ratios], dtype=object), L
-
     def weight_sum(self):
         """The sum of the weights: added in term order in float mode, one
         sum of numerators in exact mode."""
-        if self.weights.dtype != object:
+        if self.nums is None:
             return sum(self.weights.tolist())
-        nums, L = self._over_lcm()
-        return Fraction(sum(nums), L)
+        return Fraction(sum(self.nums), self.den)
 
     def reconstruct(self, mode=FLOAT):
         """The sum of the weighted permutation matrices.
 
         Term j adds its weight at the flat indices ``perms[j] * n + c``, all
         terms in one unbuffered ``np.add.at``: each entry receives its
-        weights in term order, as a term-by-term loop adds them.  Exact mode
-        adds Python-int numerators over the lcm of the weights'
-        denominators and makes one ``Fraction`` per distinct sum.
+        weights in term order, as a term-by-term loop adds them.  Exact mode,
+        for an exact decomposition, adds the Python-int numerators over
+        ``den`` and makes one ``Fraction`` per distinct sum.
         """
         n = self.n
-        nums, L = self._over_lcm() if mode == EXACT else (self.weights.astype(float), 1.0)
+        nums, L = (self.nums, self.den) if mode == EXACT else (self.weights.astype(float), 1.0)
         total = np.zeros(n * n, dtype=nums.dtype)
         np.add.at(total, (self.perms * n + np.arange(n)).reshape(-1), np.repeat(nums, n))
         if mode == EXACT:
@@ -345,4 +344,5 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
         raise NoPerfectMatching(f"residual of mass {residual_mass} has no perfect matching on its support")
     perms = np.array([idx for _, idx in terms], dtype=np.intp).reshape(-1, n) // n
     weights = np.array([S._value(w) for w, _ in terms])
-    return BirkhoffDecomposition(n=n, perms=perms, weights=weights, residual_mass=residual_mass)
+    nums, den = (np.array([w for w, _ in terms], dtype=object), S.den) if exact else (None, 1)
+    return BirkhoffDecomposition(n=n, perms=perms, weights=weights, residual_mass=residual_mass, nums=nums, den=den)

@@ -10,10 +10,13 @@ is ``R[(m,i),(k,j)]``: the first two axes are the environment and system
 index of the target state, the last two those of the source state.  The
 constructions below are array expressions over this view.
 
-Extraction and verification are coarse graining (:mod:`bistoch.coarse_grain`)
-over the first-marginal partition, whose class m holds the composite states
-(m, i): ``p (x) rho`` is ``Y p`` for the product section Y of rho, so the
-first marginal of ``R Y p`` is ``X R Y p``.
+An environmental dilation is a dilation by coarse graining
+(:class:`~bistoch.coarse_grain.CoarseGrainDilation`) over the first-marginal
+partition, whose class m holds the composite states (m, i): ``p (x) rho``
+is ``Y p`` for the product section Y of rho, so the first marginal of
+``R Y p`` is ``X R Y p``.  Both constructions return R with that partition
+and the product section of their environment state, a point mass at 0;
+extraction and verification are coarse graining.
 
 Two constructions are provided: a closed-form "noisy" dilation that works in
 exact arithmetic, and a uni-stochastic dilation built from an orthogonal
@@ -34,7 +37,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core
-from .coarse_grain import coarse_grain, product_right_inverse
+from .coarse_grain import CoarseGrainDilation, coarse_grain, product_right_inverse, roundtrip_defect
 from .core import EXACT, FLOAT, ProbVec, StochMatrix
 from .errors import (
     DimensionMismatch,
@@ -51,19 +54,6 @@ def flat_index(m, i, n):
 
 
 @dataclass
-class EnvDilation:
-    """Environment triple (M, rho, R) dilating a stochastic matrix."""
-
-    env_size: int
-    rho: ProbVec
-    matrix: StochMatrix
-
-    @property
-    def system_size(self):
-        return self.matrix.rows // self.env_size
-
-
-@dataclass
 class KrausSet:
     """Real non-negative Kraus operators A_i with sum_i A_i^T A_i = 1."""
 
@@ -75,12 +65,11 @@ class KrausSet:
         return float(np.max(np.abs(total - np.eye(self.n))))
 
 
-@dataclass
-class UnitaryDilation:
-    """Real orthogonal U on the composite space and its entrywise square R."""
+@dataclass(eq=False)  # an array field has no single truth value, so no field-wise ==
+class UnitaryDilation(CoarseGrainDilation):
+    """A standard dilation whose R is the entrywise square of the real orthogonal ``unitary``."""
 
-    unitary: np.ndarray
-    matrix: StochMatrix
+    unitary: np.ndarray = None
 
     def orthogonality_defect(self):
         u = self.unitary
@@ -116,7 +105,8 @@ def noisy_dilation(T):
     view = view.reshape(n * n, n * n)
     values = np.concatenate([[Fraction(0)], T.values, (1 - T.values) / (n * (n - 1))]) if exact else None
     matrix = StochMatrix._from_codes(values, view) if exact else StochMatrix._from_array(view)
-    return EnvDilation(env_size=n, rho=ProbVec.point_mass(n, 0, mode=T.mode), matrix=matrix)
+    Y = product_right_inverse(n, ProbVec.point_mass(n, 0, mode=T.mode))
+    return CoarseGrainDilation(partition=Y.partition, matrix=matrix, right_inverse=Y)
 
 
 def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
@@ -130,11 +120,9 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     if not R.is_square:
         raise NotSquare(f"{R.rows}x{R.cols}")
     core._require_bistochastic(R, tol)
-    if system_size is None:
-        system_size = math.isqrt(R.rows)
-        if system_size * system_size != R.rows:
-            raise DimensionMismatch("matrix size is not a perfect square; pass system_size")
-    n = system_size
+    n = math.isqrt(R.rows) if system_size is None else system_size
+    if system_size is None and n * n != R.rows:
+        raise DimensionMismatch("matrix size is not a perfect square; pass system_size")
     if n < 1:
         raise DimensionMismatch(f"system size {n} is not positive")
     if R.rows % n != 0:
@@ -147,39 +135,13 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
 
 
 def verify_env_dilation(T, dilation):
-    """Check the defining marginal identity of an environmental dilation.
-
-    The first marginal of ``R (p (x) rho)`` is ``X R Y p`` for the
-    first-marginal projection X and the product section Y of rho (see
-    :func:`as_coarse_graining`), so the identity holds for every p iff
-    ``X R Y == T``: exact mode compares the two exactly, and float mode (or
-    any mix of modes, converted to float) entrywise to ``RESIDUAL_TOL +
-    |sum(rho) - 1|``, since Y carries rho's mass and ``ProbVec`` accepts a
-    sum defect up to ``DEFAULT_TOL``.  The error ``(X R Y - T) p`` is linear
-    in p, so its largest entry over the simplex is taken at a vertex, where
-    it is an entry of ``X R Y - T``.  The contraction runs over the support
-    of rho only, one environment state in every standard dilation.
-    """
-    R, rho = dilation.matrix, dilation.rho
-    if R.rows != T.rows * dilation.env_size or rho.n != dilation.env_size:
-        raise DimensionMismatch("dilation dimensions disagree with T")
-    if T.mode == R.mode == rho.mode == EXACT:
-        return coarse_grain(R, *as_coarse_graining(dilation)) == T
-    dilation = EnvDilation(env_size=dilation.env_size, rho=rho.to_float(), matrix=R.to_float())
-    tol = core.RESIDUAL_TOL + abs(dilation.rho.a.sum() - 1.0)
-    return coarse_grain(dilation.matrix, *as_coarse_graining(dilation)).allclose(T, tol=tol)
-
-
-def as_coarse_graining(dilation):
-    """View an environmental dilation as a dilation by coarse graining.
-
-    Returns the first-marginal partition (class n holds the composite states
-    (n, i)) together with the product right inverse built from rho, so that
-    ``coarse_grain(R, partition, Y)`` recovers the dilated matrix.
-    """
-    n = dilation.system_size
-    y = product_right_inverse(n, dilation.rho)
-    return y.partition, y
+    """True iff the marginal identity of the dilation holds: the first
+    marginal of ``R (p (x) rho)`` is ``T p`` for every p (see
+    :func:`~bistoch.coarse_grain.roundtrip_defect`).  The contraction runs
+    over the support of rho only, one environment state in every standard
+    dilation."""
+    defect, tol = roundtrip_defect(T, dilation)
+    return bool(defect <= tol)
 
 
 def kraus_from_stochastic(T):
@@ -253,11 +215,5 @@ def unistochastic_dilation(T):
     u[ks[1:], :, ks[1:], :] = np.eye(n) - vh[1:, :, None] * vh[1:, None, :]
     u[0, :, 1:, :] = -h0[:, 1:, None] * vh[None, 1:, :]
     u = u.reshape(n * n, n * n)
-    return UnitaryDilation(unitary=u, matrix=StochMatrix._from_array(u**2))
-
-
-def unistochastic_env_dilation(T):
-    """The unistochastic dilation packaged as an environment triple."""
-    dil = unistochastic_dilation(T)
-    n = T.rows
-    return EnvDilation(env_size=n, rho=ProbVec.point_mass(n, 0, mode=FLOAT), matrix=dil.matrix)
+    Y = product_right_inverse(n, ProbVec.point_mass(n, 0, mode=FLOAT))
+    return UnitaryDilation(partition=Y.partition, matrix=StochMatrix._from_array(u**2), right_inverse=Y, unitary=u)

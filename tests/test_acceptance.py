@@ -214,12 +214,12 @@ def test_11_dilations_reduce_back():
         n = int(rng.integers(2, 6))
         T = random_stochastic_exact(rng, n)
         E = bs.noisy_dilation(T)
-        part, Y = bs.as_coarse_graining(E)
+        part, Y = E.partition, E.right_inverse
         ok = ok and bs.coarse_grain(E.matrix, part, Y) == T
     for _ in range(20):
         n = int(rng.integers(2, 6))
         T = random_stochastic_float(rng, n)
-        E = bs.unistochastic_env_dilation(T)
-        part, Y = bs.as_coarse_graining(E)
+        E = bs.unistochastic_dilation(T)
+        part, Y = E.partition, E.right_inverse
         ok = ok and bs.coarse_grain(E.matrix, part, Y).allclose(T, tol=1e-12)
     report(11, "noisy (exact) and unistochastic (1e-12) dilations reduce back to T", ok)

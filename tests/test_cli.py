@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -101,12 +102,16 @@ class TestExitCodes:
             *((command, {"mode": "exact", "rows": 1, "cols": 1, "data": [["1e400"]]}, 2)
               for command in ("sinkhorn", "entropy-region", "dilate unistochastic", "validate --mode float",
                               "fixed-point --mode float")),
+            # a vector row must be a one-entry list: not two entries, a string or an empty list
+            ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2", 7], ["1/2"]]}, 2),
+            ("entropy --vec", {"mode": "exact", "rows": 1, "cols": 1, "data": ["1x"]}, 2),
+            ("entropy --vec", {"mode": "exact", "rows": 1, "cols": 1, "data": [[]]}, 2),
         ],
         ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
              "non-square-region", "non-stochastic-region", "dilation-smaller-than-matrix", "zero-columns-float",
              "zero-columns-exact", "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact",
              "overflow-sinkhorn", "overflow-region", "overflow-unistochastic", "overflow-validate-float",
-             "overflow-fixed-point-float"],
+             "overflow-fixed-point-float", "vector-row-two-entries", "vector-row-string", "vector-row-empty"],
     )
     def test_bad_input_file_gives_one_line_error(self, tmp_path, command, payload, code):
         paths = []
@@ -255,6 +260,27 @@ class TestCommands:
         assert all(c["pass"] for c in report["checks"])
         R = bs.matrix_from_json(json.loads(out.read_text()))
         assert R == demon_dilation_expected(mode=EXACT)
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
+    def test_dilate_noisy_sums_and_contracts_r_once(self, capsys, monkeypatch, demon_file, mode):
+        # three checks, one row and column sum of R and one contraction of R
+        calls = []
+
+        def counting(fn):
+            def wrapper(M, *args, **kwargs):
+                calls.append((fn.__name__, M.a.shape))
+                return fn(M, *args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(bs.core, "_sum_check", counting(bs.core._sum_check))
+        for module in (importlib.import_module("bistoch.coarse_grain"), bs.env_dilation):
+            monkeypatch.setattr(module, "coarse_grain", counting(module.coarse_grain))
+        code, report = run_json(capsys, ["dilate", "noisy", demon_file, *mode])
+        assert code == 0
+        assert [c["name"] for c in report["checks"]] == ["bi_stochastic", "extract_dilated == input", "marginal_identity"]
+        on_r = sorted(name for name, shape in calls if shape == (16, 16))
+        assert on_r == ["_sum_check", "coarse_grain"]
 
     def test_extract_round_trip(self, capsys, tmp_path, demon, demon_file):
         dilation = tmp_path / "dilation.json"
@@ -446,3 +472,48 @@ class TestCommands:
         assert code == 0
         assert all(c["pass"] for c in report["checks"])
         assert len(report["checks"]) >= 10
+
+    def test_demo_maxwell_names_its_first_failed_check(self, capsys, monkeypatch):
+        monkeypatch.setattr(bs.core, "apply", lambda T, p: p)  # a step that leaves the uniform state as it is
+        code = run(["demo", "maxwell"])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == 2 and captured.err == "demo mismatch: one_step_image\n"
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == ["one_step_image", "one_step_entropy"]
+        assert len(report["checks"]) == 13
+
+
+PINNED = json.loads((Path(__file__).parent / "data" / "cli_reports.json").read_text())
+
+
+class TestPinnedReports:
+    """The dilation subcommands and the demo, byte for byte.
+
+    ``data/cli_reports.json`` holds the input files (the exact Maxwell demon,
+    an exact two-state T, a seeded float T and two environment states) and,
+    for each case in run order, the exit code, stdout, stderr and written
+    files the CLI produced before the uniform, noisy and unistochastic
+    dilations became one result type.  The unistochastic completion may round
+    differently under another numpy, so only its check names and pass values
+    are pinned.
+    """
+
+    @pytest.fixture
+    def workdir(self, tmp_path, monkeypatch):
+        for name, text in PINNED["inputs"].items():
+            (tmp_path / name).write_text(text)
+        monkeypatch.chdir(tmp_path)
+        return tmp_path
+
+    def test_reports_and_written_files(self, capsys, workdir):
+        for case in PINNED["cases"]:
+            code = run(case["argv"])
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (case["exit"], case["stdout"], case["stderr"]), case["argv"]
+            for name, text in case["files"].items():
+                assert (workdir / name).read_text() == text, (case["argv"], name)
+
+    def test_unistochastic_check_names_and_passes(self, capsys, workdir):
+        code, report = run_json(capsys, ["dilate", "unistochastic", "T_float.json"])
+        assert code == PINNED["unistochastic"]["exit"]
+        assert [[c["name"], c["pass"]] for c in report["checks"]] == PINNED["unistochastic"]["checks"]

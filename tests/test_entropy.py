@@ -204,6 +204,31 @@ class TestBoundaryScan:
         assert gap(bp.t) <= 1e-9
         assert gap(min(1.0, bp.t + 1e-6)) > 0.0
 
+    def test_two_state_exits_at_the_closed_form_root(self):
+        # For T = [[1-b, a], [b, 1-a]], H(T p) <= H(p) iff |(T p)_0 - 1/2| >= |p_0 - 1/2|.
+        # On the ray p_0 = 1/2 + s t / 2 from the uniform anchor toward the
+        # point mass at k (s = 1 - 2k), (T p)_0 - 1/2 = c s t / 2 + d with
+        # c = 1 - a - b and d = (a - b) / 2.  |c| < 1, so the ray is inside on
+        # [0, t*] with t* the positive root of c s t + 2d = +-t:
+        # t* = 2|d| / (1 - sign(d) c s), and the scan returns min(t*, 1).
+        rng = np.random.default_rng(91)
+        checked = exited = 0
+        while checked < 40:
+            a, b = rng.random(2)
+            c, d = 1 - a - b, (a - b) / 2
+            roots = [2 * abs(d) / (1 - np.sign(d) * c * s) for s in (1, -1)]
+            # away from the tangent cases: a root near 0 (a = b), near t = 1, or |c| near 1
+            if abs(c) > 0.9 or any(not (0.05 <= t <= 0.95 or t >= 1.05) for t in roots):
+                continue
+            T = bs.two_state(a, b, mode=FLOAT)
+            points = bs.region_boundary_scan(T, ProbVec.uniform(2), [ProbVec.point_mass(2, k) for k in range(2)])
+            for bp, root in zip(points, roots):
+                assert bp.full_segment_inside == (root > 1)
+                assert abs(bp.t - min(root, 1.0)) <= BISECTION_TOL
+                exited += root < 1
+            checked += 1
+        assert exited >= 20
+
     def test_identity_full_segments(self):
         eye = StochMatrix.identity(3, mode=EXACT)
         anchor = ProbVec.uniform(3, mode=EXACT)

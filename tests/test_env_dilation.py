@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
 from bistoch.core import RESIDUAL_TOL
-from bistoch.env_dilation import EnvDilation, flat_index
+from bistoch.env_dilation import flat_index
 from bistoch.errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -22,6 +23,7 @@ from conftest import (
     random_stochastic_exact,
     random_stochastic_float,
     two_state_dilation_expected,
+    with_environment,
 )
 
 
@@ -95,7 +97,7 @@ class TestNoisyDilation:
     def test_demon_golden_16x16(self, demon):
         E = bs.noisy_dilation(demon)
         assert E.matrix == demon_dilation_expected(mode=EXACT)
-        assert E.rho == ProbVec([1, 0, 0, 0], mode=EXACT)
+        assert E.right_inverse == bs.product_right_inverse(4, ProbVec([1, 0, 0, 0], mode=EXACT))
 
     def test_identity_2x2(self):
         # substituting the identity: diagonal blocks carry delta terms, the
@@ -181,12 +183,12 @@ class TestVerifyEnvDilation:
         data = [[Fraction(v) for v in row] for row in R.a]
         data[0][0] -= Fraction(1, 24)
         data[1][0] += Fraction(1, 24)
-        broken = EnvDilation(env_size=4, rho=ProbVec([1, 0, 0, 0], mode=EXACT), matrix=StochMatrix(data, mode=EXACT))
+        broken = with_environment(StochMatrix(data, mode=EXACT), ProbVec([1, 0, 0, 0], mode=EXACT))
         assert not bs.verify_env_dilation(demon, broken)
 
     def test_unistochastic_dilation_verifies_float(self):
         T = bs.two_state(0.3, 0.7, mode=FLOAT)
-        E = bs.unistochastic_env_dilation(T)
+        E = bs.unistochastic_dilation(T)
         assert bs.verify_env_dilation(T, E)
 
     @pytest.mark.parametrize("eps, holds", [(10 * bs.core.RESIDUAL_TOL, False), (bs.core.RESIDUAL_TOL / 10, True)])
@@ -194,7 +196,7 @@ class TestVerifyEnvDilation:
         E = bs.noisy_dilation(demon_float)
         a = E.matrix.a.copy()
         a[flat_index(1, 2, 4), flat_index(3, 0, 4)] += eps  # source (3, 0): zero environment
-        perturbed = EnvDilation(env_size=4, rho=E.rho, matrix=StochMatrix(a, mode=FLOAT))
+        perturbed = replace(E, matrix=StochMatrix(a, mode=FLOAT))
         assert bs.verify_env_dilation(demon_float, perturbed) is holds
 
     @pytest.mark.parametrize("eps, holds", [(0.0, True), (10 * (bs.core.RESIDUAL_TOL + 1e-10), False)])
@@ -203,7 +205,7 @@ class TestVerifyEnvDilation:
         rho = ProbVec([1 + 1e-10, 0.0, 0.0, 0.0], mode=FLOAT)
         a = bs.noisy_dilation(demon_float).matrix.a.copy()
         a[flat_index(1, 2, 4), flat_index(3, 0, 4)] += eps
-        dilation = EnvDilation(env_size=4, rho=rho, matrix=StochMatrix(a, mode=FLOAT))
+        dilation = with_environment(StochMatrix(a, mode=FLOAT), rho)
         assert bs.verify_env_dilation(demon_float, dilation) is holds
 
     def test_mixed_modes_verify_in_float(self, demon, demon_float):
@@ -211,23 +213,42 @@ class TestVerifyEnvDilation:
         assert bs.verify_env_dilation(demon_float, bs.noisy_dilation(demon)) is True
 
 
+class TestOneDilationType:
+    def test_every_construction_returns_its_coarse_graining(self):
+        T = bs.two_state(Fraction(1, 3), Fraction(1, 2))
+        p = ProbVec([Fraction(2, 5), Fraction(3, 5)], mode=EXACT)
+        for dil in (bs.uniform_dilation(T, p), bs.noisy_dilation(T), bs.unistochastic_dilation(T)):
+            assert isinstance(dil, bs.CoarseGrainDilation)
+            assert bs.coarse_grain(dil.matrix, dil.partition, dil.right_inverse).allclose(T, tol=RESIDUAL_TOL)
+            assert bs.verify_env_dilation(T, dil) is True
+
+    def test_roundtrip_defect(self, demon, demon_float):
+        assert bs.roundtrip_defect(demon, bs.noisy_dilation(demon)) == (0, 0)
+        defect, tol = bs.roundtrip_defect(demon_float, bs.noisy_dilation(demon_float))
+        assert defect <= tol == RESIDUAL_TOL
+        with pytest.raises(DimensionMismatch):
+            bs.roundtrip_defect(bs.two_state(Fraction(1, 3), Fraction(1, 2)), bs.noisy_dilation(demon))
+        with pytest.raises(DimensionMismatch):
+            bs.roundtrip_defect(StochMatrix(demon.a[:, :3], mode=EXACT), bs.noisy_dilation(demon))
+
+
 class TestAsCoarseGraining:
     def test_demon_reduction(self, demon):
         E = bs.noisy_dilation(demon)
-        partition, Y = bs.as_coarse_graining(E)
+        partition, Y = E.partition, E.right_inverse
         assert partition.d == 16 and partition.class_sizes == (4, 4, 4, 4)
         assert bs.coarse_grain(E.matrix, partition, Y) == demon
 
     def test_trivial_environment(self):
         R = StochMatrix([[Fraction(1, 2), Fraction(1, 2)], [Fraction(1, 2), Fraction(1, 2)]], mode=EXACT)
-        E = EnvDilation(env_size=1, rho=ProbVec([1], mode=EXACT), matrix=R)
-        partition, Y = bs.as_coarse_graining(E)
+        E = with_environment(R, ProbVec([1], mode=EXACT))
+        partition, Y = E.partition, E.right_inverse
         assert bs.coarse_grain(R, partition, Y) == R
 
     def test_two_state_reduction(self):
         T = bs.two_state(Fraction(1, 4), Fraction(3, 4))
         E = bs.noisy_dilation(T)
-        partition, Y = bs.as_coarse_graining(E)
+        partition, Y = E.partition, E.right_inverse
         assert bs.coarse_grain(E.matrix, partition, Y) == T
 
 
@@ -346,7 +367,7 @@ class TestUnistochasticDilation:
         for _ in range(10):
             n = int(rng.integers(2, 6))
             T = random_stochastic_float(rng, n)
-            E = bs.unistochastic_env_dilation(T)
-            partition, Y = bs.as_coarse_graining(E)
+            E = bs.unistochastic_dilation(T)
+            partition, Y = E.partition, E.right_inverse
             back = bs.coarse_grain(E.matrix, partition, Y)
             assert back.allclose(T, tol=1e-12)

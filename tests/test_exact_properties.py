@@ -16,6 +16,7 @@ dilations built that way must equal what they gave built entry by entry.
 """
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -28,7 +29,7 @@ from bistoch.core import RESIDUAL_TOL
 from bistoch.entropy import _augment
 from bistoch.errors import NegativeEntry, NotStochastic
 
-from conftest import random_permutation_mixture, random_stochastic_exact
+from conftest import random_permutation_mixture, random_stochastic_exact, with_environment
 
 SETTINGS = settings(derandomize=True, max_examples=30, deadline=None)
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
@@ -331,8 +332,8 @@ class TestVerifyEnvDilation:
             return
         E = bs.noisy_dilation(T)
         assert bs.verify_env_dilation(T, E) is True
-        bad = bs.EnvDilation(env_size=n, rho=E.rho, matrix=_perturbed(E.matrix, n, 0))
-        assert ref_marginal_identity(T, bad.matrix, bad.rho) is False
+        bad = replace(E, matrix=_perturbed(E.matrix, n, 0))
+        assert ref_marginal_identity(T, bad.matrix, ProbVec.point_mass(n, 0, mode=EXACT)) is False
         assert bs.verify_env_dilation(T, bad) is False
 
     @SETTINGS
@@ -346,12 +347,12 @@ class TestVerifyEnvDilation:
         )
         rho = ProbVec([Fraction(w, sum(weights)) for w in weights], mode=EXACT)
         R = _block_dilation(T, m_env)
-        assert bs.verify_env_dilation(T, bs.EnvDilation(env_size=m_env, rho=rho, matrix=R)) is True
+        assert bs.verify_env_dilation(T, with_environment(R, rho)) is True
         for j in range(m_env):
             bad = _perturbed(R, n, j)
             want = ref_marginal_identity(T, bad, rho)
             assert want is (rho.a[j] == 0)  # a block outside rho's support is never read
-            assert bs.verify_env_dilation(T, bs.EnvDilation(env_size=m_env, rho=rho, matrix=bad)) is want
+            assert bs.verify_env_dilation(T, with_environment(bad, rho)) is want
 
 
 class TestCoarseGrain:
@@ -770,7 +771,9 @@ class TestValueCodes:
             return
         E = bs.noisy_dilation(T)
         assert_same_object(E.matrix, ref_noisy_dilation(T))
-        assert_same_object(E.rho, ProbVec([Fraction(int(i == 0)) for i in range(T.rows)], mode=EXACT))
+        Y = bs.product_right_inverse(T.rows, ProbVec([Fraction(int(i == 0)) for i in range(T.rows)], mode=EXACT))
+        assert E.partition == Y.partition
+        assert_same_object(E.right_inverse.matrix, Y.matrix)
 
     @SETTINGS
     @given(shuffled_partitions(), st.data())
