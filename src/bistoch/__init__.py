@@ -3,7 +3,6 @@
 from .coarse_grain import (
     CoarseGrainDilation,
     Partition,
-    RightInverse,
     coarse_grain,
     product_right_inverse,
     projection_matrix,
@@ -48,6 +47,7 @@ from .env_dilation import (
     stochastic_from_kraus,
     unistochastic_dilation,
     verify_env_dilation,
+    with_environment,
 )
 from .matrices import maxwell_demon, maxwell_demon_dilation, two_state
 from .sinkhorn import SinkhornResult, sinkhorn_2x2, sinkhorn_knopp

@@ -27,10 +27,9 @@ from . import (
     matrices,
     sinkhorn as sinkhorn_mod,
 )
-from .coarse_grain import CoarseGrainDilation, Partition, RightInverse, coarse_grain, product_right_inverse
-from .coarse_grain import roundtrip_defect, uniform_dilation, uniform_right_inverse
+from .coarse_grain import Partition, coarse_grain, roundtrip_defect, uniform_dilation, uniform_right_inverse
 from .core import EXACT, FLOAT, ProbVec
-from .errors import BistochError, DemoMismatch
+from .errors import BistochError, DemoMismatch, DimensionMismatch
 
 
 class UsageError(Exception):
@@ -226,7 +225,7 @@ def cmd_coarse_grain(args):
     S = _load_matrix(args.matrix, args.mode)
     partition = _parse(args.partition, Partition.from_json)
     if args.right_inverse:
-        Y = RightInverse(partition=partition, matrix=_load_matrix(args.right_inverse, S.mode))
+        Y = _load_matrix(args.right_inverse, S.mode)
         inputs = [args.matrix, args.partition, args.right_inverse]
     else:
         Y = uniform_right_inverse(partition, mode=S.mode)
@@ -282,15 +281,16 @@ def cmd_extract(args):
 def cmd_verify_dilation(args):
     T = _load_matrix(args.matrix, args.mode)
     R = _load_matrix(args.dilation, args.mode)
+    if R.rows % T.rows:  # also R.rows < T.rows: an environment of 0 states
+        raise DimensionMismatch(f"dilation has {R.rows} rows, not a multiple of the matrix's {T.rows}")
     if args.rho:
         rho = _load_vector(args.rho, T.mode)
         inputs = [args.matrix, args.dilation, args.rho]
     else:
         rho = ProbVec.point_mass(R.rows // T.rows, 0, mode=T.mode)
         inputs = [args.matrix, args.dilation]
-    Y = product_right_inverse(T.rows, rho)
     report = Report("verify-dilation", inputs)
-    report.check("marginal_identity", env_dilation.verify_env_dilation(T, CoarseGrainDilation(Y.partition, R, Y)))
+    report.check("marginal_identity", env_dilation.verify_env_dilation(T, env_dilation.with_environment(R, rho)))
     return report.emit()
 
 

@@ -97,27 +97,20 @@ class Partition:
 
 
 @dataclass
-class RightInverse:
-    """A d x N column-stochastic section of the projection of a partition."""
-
-    partition: Partition
-    matrix: StochMatrix
-
-
-@dataclass
 class CoarseGrainDilation:
     """Dilation T = X S Y of T by coarse graining, the result of every dilation.
 
     ``matrix`` is S on the ``partition.d`` fine states and ``right_inverse``
-    is Y: the uniform section for :func:`uniform_dilation`, the product
-    section of the environment state over the first-marginal partition for
-    the environmental dilations.  ``checks`` holds what the construction
-    checked, by name; :func:`roundtrip_defect` checks the dilation itself.
+    is the d x N matrix Y: the uniform section for :func:`uniform_dilation`,
+    the product section of the environment state over the first-marginal
+    partition for the environmental dilations.  ``checks`` holds what the
+    construction checked, by name; :func:`roundtrip_defect` checks the
+    dilation itself.
     """
 
     partition: Partition
     matrix: StochMatrix
-    right_inverse: RightInverse
+    right_inverse: StochMatrix
     checks: dict = field(default_factory=dict)
 
 
@@ -137,7 +130,7 @@ def _section(values, codes, mode):
 
 
 def uniform_right_inverse(P, mode=EXACT):
-    """Right inverse spreading each class mass uniformly over its members.
+    """The d x N right inverse spreading each class mass uniformly over its members.
 
     ``Y[nu, k] = 1 / |c_k|`` iff ``labels[nu] == k``: N divisions and a
     zero, the values of ``Y``, and an int code per entry that selects one.
@@ -146,15 +139,15 @@ def uniform_right_inverse(P, mode=EXACT):
     values = np.concatenate([[0 * one], one / _class_sizes(P)])
     codes = np.zeros((P.d, P.n), dtype=np.intp)
     codes[np.arange(P.d), P.labels] = 1 + P.labels
-    return RightInverse(partition=P, matrix=_section(values, codes, mode))
+    return _section(values, codes, mode)
 
 
 def product_right_inverse(n, rho):
-    """Right inverse lifting p to the product distribution p (x) rho.
+    """The (n*m) x n right inverse lifting p to the product distribution p (x) rho.
 
-    Uses the environment-major flattening flat(m, i) = i*n + m over the
-    first-marginal partition, so ``Y @ p`` has entry ``p[m] * rho[i]`` at
-    flat index ``i*n + m``.
+    Y is a section of ``Partition.first_marginal(n, m)``, which flattens
+    environment-major, flat(k, i) = i*n + k, so ``Y @ p`` has entry ``p[k] *
+    rho[i]`` at flat index ``i*n + k``.
     """
     m, exact = rho.n, rho.mode == EXACT
     # codes into [0, *rho.values], or into [0, *rho] in float mode
@@ -162,8 +155,7 @@ def product_right_inverse(n, rho):
     codes = np.zeros((m, n, n), dtype=np.intp)
     ks = np.arange(n)
     codes[:, ks, ks] = 1 + (rho.codes if exact else np.arange(m))[:, None]  # Y[i*n + k, k] = rho[i]
-    matrix = _section(values, codes.reshape(n * m, n), rho.mode)
-    return RightInverse(partition=Partition.first_marginal(n, m), matrix=matrix)
+    return _section(values, codes.reshape(n * m, n), rho.mode)
 
 
 def _class_sums(labels, n, A):
@@ -188,21 +180,21 @@ def coarse_grain(S, P, Y):
     """
     if S.rows != P.d or S.cols != P.d:
         raise DimensionMismatch(f"matrix is {S.rows}x{S.cols}, partition has d={P.d}")
-    if Y.matrix.rows != P.d or Y.matrix.cols != P.n:
+    if Y.rows != P.d or Y.cols != P.n:
         raise DimensionMismatch("right inverse shape disagrees with partition")
-    core._require_same_mode(S, Y.matrix)
-    rows = np.flatnonzero(Y.matrix.nums.any(axis=1))
+    core._require_same_mode(S, Y)
+    rows = np.flatnonzero(Y.nums.any(axis=1))
     if rows.size == P.d:  # every row: a view keeps the memory layout, on which float matmul rounding depends
         rows = slice(None)
     labels = P.labels
-    s, y = S.nums[:, rows], Y.matrix.nums[rows]
+    s, y = S.nums[:, rows], Y.nums[rows]
     defect = _class_sums(labels[rows], P.n, y)
-    defect[np.diag_indices(P.n)] -= Y.matrix.den
+    defect[np.diag_indices(P.n)] -= Y.den
     if np.max(np.abs(defect)) > (0 if S.mode == EXACT else core.DEFAULT_TOL):
         raise InvalidRightInverse("X @ Y differs from the identity")
     xsy = _class_sums(labels, P.n, s) @ y
     if S.mode == EXACT:
-        return core._gathered(StochMatrix, core._fractions(xsy, S.den * Y.matrix.den), ...)
+        return core._gathered(StochMatrix, core._fractions(xsy, S.den * Y.den), ...)
     return StochMatrix(xsy, mode=S.mode)
 
 
@@ -219,14 +211,14 @@ def roundtrip_defect(T, dilation):
     in p, so its largest entry over the simplex is one of ``X S Y - T``:
     the marginal identity holds for every p iff this check passes.
     """
-    P, S, Y = dilation.partition, dilation.matrix, dilation.right_inverse.matrix
+    P, S, Y = dilation.partition, dilation.matrix, dilation.right_inverse
     if S.rows != P.d or T.a.shape != (P.n, P.n):
         raise DimensionMismatch("dilation dimensions disagree with T")
     exact = T.mode == S.mode == Y.mode == EXACT
     if not exact:
         T, S, Y = T.to_float(), S.to_float(), Y.to_float()
-    back = coarse_grain(S, P, RightInverse(partition=P, matrix=Y))
-    return core._max_difference(back, T), 0 if exact else core.RESIDUAL_TOL + core._sum_check(Y).max_column_defect
+    tol = 0 if exact else core.RESIDUAL_TOL + core._sum_check(Y).max_column_defect
+    return core._max_difference(coarse_grain(S, P, Y), T), tol
 
 
 def uniform_dilation(T, p):

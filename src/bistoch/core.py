@@ -12,16 +12,16 @@ Python-int numerators over one common denominator once, at construction
 entries share values: ``a == values[codes]``.  The public constructor finds
 the distinct entry objects by one id pass (:func:`_distinct`); a kernel that
 builds an object from a few values passes their codes instead
-(:meth:`_Entries._from_codes`), and the JSON encoder reads the codes, so no
-other pass over the entries looks for shared values.  Each value is
-converted once, and entries that share a value share one object, in ``a``
-and in ``nums``.  Sums, comparisons and peels over a whole object read
-``nums`` and ``den``,
-and results become Fractions again only where they leave the library
-(:func:`_fractions`).  In ``"float"`` mode entries are IEEE doubles, an
-array is its own numerators over ``1.0``, and comparisons use the
-tolerances below.  The two modes never mix inside one object or one
-operation.
+(:meth:`_Entries._from_codes`), as does the JSON decoder, which maps each
+distinct token of a file to a code in one dict pass.  The JSON encoder
+reads the codes, so no other pass over the entries looks for shared values.
+Each value is converted once, and entries that share a value share one
+object, in ``a`` and in ``nums``.  Sums, comparisons and peels over a whole
+object read ``nums`` and ``den``, and results become Fractions again only
+where they leave the library (:func:`_fractions`).  In ``"float"`` mode
+entries are IEEE doubles, an array is its own numerators over ``1.0``, and
+comparisons use the tolerances below.  The two modes never mix inside one
+object or one operation.
 
 The analysis of a stochastic matrix rests on two primitives shared by both
 modes: a breadth-first search over its boolean support (:func:`_reached`),
@@ -611,21 +611,28 @@ def matrix_to_json(M):
     return _to_json(M, M.a.shape)
 
 
-def _shared(rows):
-    """JSON rows with equal strings and ints made one object, so the
-    constructor converts each distinct value once where ``json.loads`` made
-    one object per entry.  Other entries, and rows that are not lists, are
-    kept as they are."""
-    seen = {}
-    return [[seen.setdefault(v, v) if type(v) in (str, int) else v for v in r] if type(r) is list else r for r in rows]
+def _from_json(cls, obj):
+    """The matrix or vector ``cls`` of a JSON object, whose ``data`` must be
+    ``rows`` lists of ``cols`` entries (one entry each for a vector).
+
+    Exact mode maps each distinct JSON token to a code in one dict pass,
+    converts each token once and builds the object from the codes
+    (:meth:`_Entries._from_codes`); float mode goes through the constructor.
+    """
+    mode, data = obj["mode"], obj["data"]
+    if len(data) != obj["rows"] or any(type(r) is not list or len(r) != obj["cols"] for r in data):
+        raise DimensionMismatch("data shape disagrees with declared rows/cols")
+    tokens = np.array([r[0] for r in data] if cls is ProbVec else data, dtype=object)
+    if mode != EXACT:
+        return cls(tokens, mode=mode)
+    index = {}  # JSON token -> code, in order of first appearance
+    codes = np.fromiter((index.setdefault(v, len(index)) for v in tokens.flat), np.intp, tokens.size)
+    values = np.array([_exact_entry(v) for v in index], dtype=object)
+    return cls._from_codes(values, codes.reshape(tokens.shape))
 
 
 def matrix_from_json(obj):
-    mode = obj["mode"]
-    data = obj["data"]
-    if len(data) != obj["rows"] or any(len(r) != obj["cols"] for r in data):
-        raise DimensionMismatch("data shape disagrees with declared rows/cols")
-    return StochMatrix(_shared(data), mode=mode)
+    return _from_json(StochMatrix, obj)
 
 
 def vector_to_json(p):
@@ -635,7 +642,4 @@ def vector_to_json(p):
 def vector_from_json(obj):
     if obj["cols"] != 1:
         raise DimensionMismatch("vector JSON must have cols = 1")
-    rows = _shared(obj["data"])
-    if len(rows) != obj["rows"] or any(type(row) is not list or len(row) != 1 for row in rows):
-        raise DimensionMismatch("data shape disagrees with declared rows/cols")
-    return ProbVec([row[0] for row in rows], mode=obj["mode"])
+    return _from_json(ProbVec, obj)

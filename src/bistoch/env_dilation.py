@@ -14,9 +14,10 @@ An environmental dilation is a dilation by coarse graining
 (:class:`~bistoch.coarse_grain.CoarseGrainDilation`) over the first-marginal
 partition, whose class m holds the composite states (m, i): ``p (x) rho``
 is ``Y p`` for the product section Y of rho, so the first marginal of
-``R Y p`` is ``X R Y p``.  Both constructions return R with that partition
-and the product section of their environment state, a point mass at 0;
-extraction and verification are coarse graining.
+``R Y p`` is ``X R Y p``.  :func:`with_environment` gives R that partition
+and the product section of an environment state; both constructions return
+it with a point mass at 0, and extraction and verification are coarse
+graining of it.
 
 Two constructions are provided: a closed-form "noisy" dilation that works in
 exact arithmetic, and a uni-stochastic dilation built from an orthogonal
@@ -37,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import core
-from .coarse_grain import CoarseGrainDilation, coarse_grain, product_right_inverse, roundtrip_defect
+from .coarse_grain import CoarseGrainDilation, Partition, coarse_grain, product_right_inverse, roundtrip_defect
 from .core import EXACT, FLOAT, ProbVec, StochMatrix
 from .errors import (
     DimensionMismatch,
@@ -51,6 +52,13 @@ from .errors import (
 def flat_index(m, i, n):
     """Environment-major flat index of composite state (m, i)."""
     return i * n + m
+
+
+def with_environment(R, rho):
+    """R as an environmental dilation whose environment starts in rho: the
+    first-marginal partition and the product section of rho."""
+    n = R.rows // rho.n
+    return CoarseGrainDilation(Partition.first_marginal(n, rho.n), R, product_right_inverse(n, rho))
 
 
 @dataclass
@@ -105,15 +113,14 @@ def noisy_dilation(T):
     view = view.reshape(n * n, n * n)
     values = np.concatenate([[Fraction(0)], T.values, (1 - T.values) / (n * (n - 1))]) if exact else None
     matrix = StochMatrix._from_codes(values, view) if exact else StochMatrix._from_array(view)
-    Y = product_right_inverse(n, ProbVec.point_mass(n, 0, mode=T.mode))
-    return CoarseGrainDilation(partition=Y.partition, matrix=matrix, right_inverse=Y)
+    return with_environment(matrix, ProbVec.point_mass(n, 0, mode=T.mode))
 
 
 def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     """Recover T[m,n] = sum_i R[(m,i),(n,zero_index)] from a dilation matrix.
 
     This is ``coarse_grain`` of R over the first-marginal partition with the
-    product section of a point mass at ``zero_index``.  ``system_size``
+    product section of a point mass at ``zero_index`` (:func:`with_environment`).  ``system_size``
     defaults to sqrt(dim), the standard-dilation case of an environment the
     same size as the system.
     """
@@ -130,8 +137,8 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     m_env = R.rows // n
     if not 0 <= zero_index < m_env:
         raise IndexOutOfRange(f"zero_index {zero_index} outside environment of size {m_env}")
-    Y = product_right_inverse(n, ProbVec.point_mass(m_env, zero_index, mode=R.mode))
-    return coarse_grain(R, Y.partition, Y)
+    E = with_environment(R, ProbVec.point_mass(m_env, zero_index, mode=R.mode))
+    return coarse_grain(R, E.partition, E.right_inverse)
 
 
 def verify_env_dilation(T, dilation):
@@ -215,5 +222,5 @@ def unistochastic_dilation(T):
     u[ks[1:], :, ks[1:], :] = np.eye(n) - vh[1:, :, None] * vh[1:, None, :]
     u[0, :, 1:, :] = -h0[:, 1:, None] * vh[None, 1:, :]
     u = u.reshape(n * n, n * n)
-    Y = product_right_inverse(n, ProbVec.point_mass(n, 0, mode=FLOAT))
-    return UnitaryDilation(partition=Y.partition, matrix=StochMatrix._from_array(u**2), right_inverse=Y, unitary=u)
+    E = with_environment(StochMatrix._from_array(u**2), ProbVec.point_mass(n, 0, mode=FLOAT))
+    return UnitaryDilation(**vars(E), unitary=u)

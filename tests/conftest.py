@@ -6,11 +6,9 @@ import pytest
 from bistoch import (
     EXACT,
     FLOAT,
-    CoarseGrainDilation,
     ProbVec,
     StochMatrix,
     maxwell_demon,
-    product_right_inverse,
     two_state,
 )
 
@@ -68,13 +66,6 @@ def demon_dilation_expected(mode=EXACT):
     else:
         data = [[v / 24.0 for v in row] for row in DEMON_DILATION_24THS]
     return StochMatrix(data, mode=mode)
-
-
-def with_environment(R, rho):
-    """R as an environmental dilation whose environment starts in rho: the
-    first-marginal partition and the product section of rho."""
-    Y = product_right_inverse(R.rows // rho.n, rho)
-    return CoarseGrainDilation(partition=Y.partition, matrix=R, right_inverse=Y)
 
 
 def random_stochastic_float(rng, n):

@@ -39,6 +39,53 @@ def run_json(capsys, argv):
     return code, json.loads(captured.out) if captured.out else None
 
 
+# malformed or invalid input files: (command, one JSON payload or a tuple of one per input file, exit code)
+BAD_INPUTS = [
+    ("validate", {"mode": "exact", "cols": 2, "data": [[1, 0], [0, 1]]}, 1),
+    ("validate", {"mode": "exact", "rows": 2, "cols": 2, "data": [["1/0", 0], [0, 1]]}, 1),
+    ("validate", {"mode": "exact", "rows": 2, "cols": 2, "data": [["abc", 0], [0, 1]]}, 1),
+    ("validate", [[1, 0], [0, 1]], 1),
+    ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2"], ["1/3"]]}, 2),
+    ("validate", {"mode": "float", "rows": 2, "cols": 2, "data": [[math.nan, 1.0], [1.0, 0.0]]}, 2),
+    ("entropy-region", {"mode": "float", "rows": 2, "cols": 3, "data": [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]}, 2),
+    ("entropy-region", {"mode": "float", "rows": 2, "cols": 2, "data": [[2, 0], [0, 2]]}, 2),
+    # a tuple holds one payload per input file: a 2x2 dilation of a 4x4 matrix
+    ("verify-dilation", (bs.matrix_to_json(StochMatrix.identity(4, mode=EXACT)),
+                         bs.matrix_to_json(StochMatrix.identity(2, mode=EXACT))), 2),
+    ("validate", {"mode": "float", "rows": 1, "cols": 0, "data": [[]]}, 2),
+    ("validate", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
+    ("birkhoff", {"mode": "float", "rows": 1, "cols": 0, "data": [[]]}, 2),
+    ("birkhoff", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
+    # an exact entry too large for a float, where a command converts it
+    *((command, {"mode": "exact", "rows": 1, "cols": 1, "data": [["1e400"]]}, 2)
+      for command in ("sinkhorn", "entropy-region", "dilate unistochastic", "validate --mode float",
+                      "fixed-point --mode float")),
+    # a vector row must be a one-entry list: not two entries, a string or an empty list
+    ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2", 7], ["1/2"]]}, 2),
+    ("entropy --vec", {"mode": "exact", "rows": 1, "cols": 1, "data": ["1x"]}, 2),
+    ("entropy --vec", {"mode": "exact", "rows": 1, "cols": 1, "data": [[]]}, 2),
+    # and so must a matrix row
+    ("validate", {"mode": "exact", "rows": 1, "cols": 1, "data": [5]}, 2),
+]
+BAD_INPUT_IDS = [
+    "missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
+    "non-square-region", "non-stochastic-region", "dilation-smaller-than-matrix", "zero-columns-float",
+    "zero-columns-exact", "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact",
+    "overflow-sinkhorn", "overflow-region", "overflow-unistochastic", "overflow-validate-float",
+    "overflow-fixed-point-float", "vector-row-two-entries", "vector-row-string", "vector-row-empty",
+    "matrix-row-not-a-list",
+]
+
+
+def write_inputs(tmp_path, payload):
+    """Write one JSON file per payload part and return their paths."""
+    paths = []
+    for i, part in enumerate(payload if isinstance(payload, tuple) else (payload,)):
+        paths.append(tmp_path / f"input{i}.json")
+        paths[-1].write_text(json.dumps(part))
+    return [str(path) for path in paths]
+
+
 class TestExitCodes:
     def test_success_is_zero(self, capsys, demon_file):
         code, report = run_json(capsys, ["validate", demon_file])
@@ -80,52 +127,38 @@ class TestExitCodes:
         # extracting from a non-bi-stochastic matrix fails verification
         assert run(["extract", demon_file]) == 2
 
+    @pytest.mark.parametrize("command, payload, code", BAD_INPUTS, ids=BAD_INPUT_IDS)
+    def test_bad_input_file_gives_one_line_error(self, capsys, tmp_path, command, payload, code):
+        assert run([*command.split(), *write_inputs(tmp_path, payload)]) == code
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+
     @pytest.mark.parametrize(
         "command, payload, code",
-        [
-            ("validate", {"mode": "exact", "cols": 2, "data": [[1, 0], [0, 1]]}, 1),
-            ("validate", {"mode": "exact", "rows": 2, "cols": 2, "data": [["1/0", 0], [0, 1]]}, 1),
-            ("validate", {"mode": "exact", "rows": 2, "cols": 2, "data": [["abc", 0], [0, 1]]}, 1),
-            ("validate", [[1, 0], [0, 1]], 1),
-            ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2"], ["1/3"]]}, 2),
-            ("validate", {"mode": "float", "rows": 2, "cols": 2, "data": [[math.nan, 1.0], [1.0, 0.0]]}, 2),
-            ("entropy-region", {"mode": "float", "rows": 2, "cols": 3, "data": [[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]}, 2),
-            ("entropy-region", {"mode": "float", "rows": 2, "cols": 2, "data": [[2, 0], [0, 2]]}, 2),
-            # a tuple holds one payload per input file: a 2x2 dilation of a 4x4 matrix
-            ("verify-dilation", (bs.matrix_to_json(StochMatrix.identity(4, mode=EXACT)),
-                                 bs.matrix_to_json(StochMatrix.identity(2, mode=EXACT))), 2),
-            ("validate", {"mode": "float", "rows": 1, "cols": 0, "data": [[]]}, 2),
-            ("validate", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
-            ("birkhoff", {"mode": "float", "rows": 1, "cols": 0, "data": [[]]}, 2),
-            ("birkhoff", {"mode": "exact", "rows": 1, "cols": 0, "data": [[]]}, 2),
-            # an exact entry too large for a float, where a command converts it
-            *((command, {"mode": "exact", "rows": 1, "cols": 1, "data": [["1e400"]]}, 2)
-              for command in ("sinkhorn", "entropy-region", "dilate unistochastic", "validate --mode float",
-                              "fixed-point --mode float")),
-            # a vector row must be a one-entry list: not two entries, a string or an empty list
-            ("entropy --vec", {"mode": "exact", "rows": 2, "cols": 1, "data": [["1/2", 7], ["1/2"]]}, 2),
-            ("entropy --vec", {"mode": "exact", "rows": 1, "cols": 1, "data": ["1x"]}, 2),
-            ("entropy --vec", {"mode": "exact", "rows": 1, "cols": 1, "data": [[]]}, 2),
-        ],
-        ids=["missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
-             "non-square-region", "non-stochastic-region", "dilation-smaller-than-matrix", "zero-columns-float",
-             "zero-columns-exact", "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact",
-             "overflow-sinkhorn", "overflow-region", "overflow-unistochastic", "overflow-validate-float",
-             "overflow-fixed-point-float", "vector-row-two-entries", "vector-row-string", "vector-row-empty"],
+        [BAD_INPUTS[BAD_INPUT_IDS.index(name)] for name in ("missing-rows", "dilation-smaller-than-matrix")],
+        ids=["missing-rows", "dilation-smaller-than-matrix"],
     )
-    def test_bad_input_file_gives_one_line_error(self, tmp_path, command, payload, code):
-        paths = []
-        for i, part in enumerate(payload if isinstance(payload, tuple) else (payload,)):
-            paths.append(tmp_path / f"input{i}.json")
-            paths[-1].write_text(json.dumps(part))
+    def test_bad_input_file_exits_from_a_subprocess(self, tmp_path, command, payload, code):
+        # the real exit path, once with exit 1 and once with exit 2
         env = {**os.environ, "PYTHONPATH": str(Path(bs.__file__).resolve().parents[1])}
         proc = subprocess.run(
-            [sys.executable, "-m", "bistoch.cli", *command.split(), *map(str, paths)],
+            [sys.executable, "-m", "bistoch.cli", *command.split(), *write_inputs(tmp_path, payload)],
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == code
         assert "Traceback" not in proc.stderr
         assert len(proc.stderr.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("size", [2, 6])
+    def test_verify_dilation_names_both_sizes(self, capsys, tmp_path, size):
+        # a dilation whose size is not a multiple of the matrix's: smaller (no environment state) or not a product
+        payload = (bs.matrix_to_json(StochMatrix.identity(4, mode=EXACT)),
+                   bs.matrix_to_json(StochMatrix.identity(size, mode=EXACT)))
+        assert run(["verify-dilation", *write_inputs(tmp_path, payload)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: DimensionMismatch: dilation has {size} rows, not a multiple of the matrix's 4\n"
+        )
 
     def test_memory_error_gives_one_line_error(self, capsys, monkeypatch, tmp_path):
         # a uniform dilation whose lcm is astronomical asks numpy for terabytes;

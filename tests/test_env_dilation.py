@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bistoch as bs
-from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
+from bistoch import EXACT, FLOAT, ProbVec, StochMatrix, with_environment
 from bistoch.core import RESIDUAL_TOL
 from bistoch.env_dilation import flat_index
 from bistoch.errors import (
@@ -23,7 +23,6 @@ from conftest import (
     random_stochastic_exact,
     random_stochastic_float,
     two_state_dilation_expected,
-    with_environment,
 )
 
 
