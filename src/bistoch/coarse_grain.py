@@ -14,7 +14,6 @@ gather ``S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|``, where ``c = labels``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -176,7 +175,8 @@ def coarse_grain(S, P, Y):
     product section is accepted.  It reads the numerators s and y of S and
     Y over their denominators L_S and L_Y (``StochMatrix.nums`` and
     ``.den``): ``X Y = I`` iff ``X y = L_Y I``, and ``X S Y = (X s)(y) /
-    (L_S L_Y)``, on Python ints in exact mode.
+    (L_S L_Y)``, in exact mode on int64 while no integer of the product can
+    reach 2**63, on Python ints otherwise.
     """
     if S.rows != P.d or S.cols != P.d:
         raise DimensionMismatch(f"matrix is {S.rows}x{S.cols}, partition has d={P.d}")
@@ -192,9 +192,12 @@ def coarse_grain(S, P, Y):
     defect[np.diag_indices(P.n)] -= Y.den
     if np.max(np.abs(defect)) > (0 if S.mode == EXACT else core.DEFAULT_TOL):
         raise InvalidRightInverse("X @ Y differs from the identity")
-    xsy = _class_sums(labels, P.n, s) @ y
-    if S.mode == EXACT:
-        return core._gathered(StochMatrix, core._fractions(xsy, S.den * Y.den), ...)
+    k = y.shape[0]  # (X s)(y) adds k products, each at most max(X s) max(y)
+    xs, y = core._exact_operands(lambda xs, y: xs * y * k, _class_sums(labels, P.n, s), y)
+    xsy = xs @ y
+    if S.mode == EXACT:  # one Fraction per distinct numerator
+        distinct, codes = np.unique(xsy, return_inverse=True)
+        return StochMatrix._from_codes(core._fractions(distinct, S.den * Y.den), codes.reshape(xsy.shape))
     return StochMatrix(xsy, mode=S.mode)
 
 
@@ -225,8 +228,10 @@ def uniform_dilation(T, p):
     """Dilate T to a bi-stochastic matrix via its rational fixed point p.
 
     Writes each ``p[k]`` as ``d_k / d`` over the least common denominator d,
-    forms the consecutive-index partition with class sizes ``d_k`` and returns
+    which are p's numerators and denominator (``p.nums``, ``p.den``), forms
+    the consecutive-index partition with class sizes ``d_k`` and returns
     ``S = Y T X``, which is exactly bi-stochastic and coarse grains back to T.
+    ``T p = p`` is checked on numerators, as ``t q == L_T q`` for T = t / L_T.
     Requires exact mode: a least common denominator is meaningless for floats.
     """
     if T.mode != EXACT or p.mode != EXACT:
@@ -234,12 +239,12 @@ def uniform_dilation(T, p):
     core._require_left_stochastic(T)
     if T.cols != p.n:
         raise DimensionMismatch(f"{T.rows}x{T.cols} matrix with length-{p.n} fixed point")
-    if any(v == 0 for v in p.a):
+    if not p.is_interior():
         raise ZeroComponent("fixed point must have strictly positive entries")
-    if not np.array_equal(T.a @ p.a, p.a):
+    t, q = core._exact_operands(lambda t, q: max(t * T.cols, T.den) * q, T.nums, p.nums)
+    if not np.array_equal(t @ q, T.den * q):
         raise NotFixedPoint("T p differs from p")
-    d = math.lcm(*(v.denominator for v in p.a))
-    partition = Partition.consecutive([int(v * d) for v in p.a])
+    partition = Partition.consecutive(p.nums.tolist())
     c = partition.labels
     # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: N^2 quotients, gathered by codes
     S = core._gathered(StochMatrix, T.a / _class_sizes(partition)[:, None], np.ix_(c, c))

@@ -6,22 +6,28 @@ left-stochastic when every *column* sums to one.
 
 Matrices and vectors carry one of two numeric modes.  In ``"exact"`` mode
 entries are :class:`fractions.Fraction` objects held in object-dtype numpy
-arrays; all comparisons are exact.  Each exact object computes its
-Python-int numerators over one common denominator once, at construction
-(``nums`` and ``den``, see :class:`_Entries`).  It also keeps how its
-entries share values: ``a == values[codes]``.  The public constructor finds
-the distinct entry objects by one id pass (:func:`_distinct`); a kernel that
+arrays; all comparisons are exact.  Each exact object computes its integer
+numerators over one common denominator once, at construction (``nums`` and
+``den``, see :class:`_Entries`).  ``nums`` is int64 when
+``max(max num, den) * entries < 2**63``, so that every sum of its
+non-negative entries, and its difference from ``den``, fits; otherwise it
+holds Python ints.  A kernel that multiplies numerators bounds its own
+products first and works on Python ints where the bound fails
+(:func:`_exact_operands`).  An exact object also keeps how its entries
+share values: ``a == values[codes]``.  The public constructor finds the
+distinct entry objects by one id pass (:func:`_distinct`); a kernel that
 builds an object from a few values passes their codes instead
 (:meth:`_Entries._from_codes`), as does the JSON decoder, which maps each
 distinct token of a file to a code in one dict pass.  The JSON encoder
 reads the codes, so no other pass over the entries looks for shared values.
 Each value is converted once, and entries that share a value share one
-object, in ``a`` and in ``nums``.  Sums, comparisons and peels over a whole
-object read ``nums`` and ``den``, and results become Fractions again only
-where they leave the library (:func:`_fractions`).  In ``"float"`` mode
-entries are IEEE doubles, an array is its own numerators over ``1.0``, and
-comparisons use the tolerances below.  The two modes never mix inside one
-object or one operation.
+object in ``a``.  Sums, comparisons and peels over a whole object read
+``nums`` and ``den``, and results become Fractions again only where they
+leave the library (:func:`_fractions`, :meth:`_Entries._value`), always
+with Python-int numerators.  In ``"float"`` mode entries are IEEE doubles,
+an array is its own numerators over ``1.0``, and comparisons use the
+tolerances below.  The two modes never mix inside one object or one
+operation.
 
 The analysis of a stochastic matrix rests on two primitives shared by both
 modes: a breadth-first search over its boolean support (:func:`_reached`),
@@ -105,6 +111,10 @@ def _float(value):
         return math.inf if value > 0 else -math.inf
 
 
+#: exact numerators, and every integer a kernel forms from them, are int64 only below this
+_INT64_LIMIT = 2**63
+
+
 def _numerators(a):
     """Python-int numerators of an exact array over one common denominator.
 
@@ -119,8 +129,27 @@ def _numerators(a):
 
 
 def _fractions(nums, L):
-    """Inverse of :func:`_numerators`: the array of Fractions ``nums / L``."""
-    return np.array([Fraction(num, L) for num in nums.flat], dtype=object).reshape(nums.shape)
+    """Inverse of :func:`_numerators`: the array of Fractions ``nums / L``.
+
+    ``tolist`` hands over Python ints also from int64 numerators: a Fraction
+    keeps an ``np.int64`` numerator, and later sums of it would wrap.
+    """
+    return np.array([Fraction(num, L) for num in nums.reshape(-1).tolist()], dtype=object).reshape(nums.shape)
+
+
+def _exact_operands(bound, *nums):
+    """The numerator arrays of one exact kernel, in a dtype its integers fit in.
+
+    ``bound`` maps the largest entry of each array (all non-negative) to a
+    bound on every integer the kernel forms from them.  The arrays stay as
+    they are if none is int64, or if all are and the bound is below
+    ``_INT64_LIMIT``; otherwise they become Python-int object arrays.  No
+    entry of an object array is read.
+    """
+    int64 = [a.dtype == np.int64 for a in nums]
+    if not any(int64) or all(int64) and bound(*(int(a.max(initial=0)) for a in nums)) < _INT64_LIMIT:
+        return nums
+    return tuple(a.astype(object) for a in nums)
 
 
 def _gathered(cls, values, index):
@@ -142,9 +171,10 @@ class _Entries:
     The mode is inferred from the data unless given: any float entry makes it
     ``"float"``.  Each object computes its numerators once, at construction,
     before the check of the entries' signs.  Exact entries stay Fractions in
-    ``a`` and also become Python-int numerators ``nums`` over the lcm ``den``
-    of their denominators, so ``a == nums / den``; a float array is its own
-    numerators over ``den = 1.0``.  An exact object also keeps the
+    ``a`` and also become integer numerators ``nums`` over the lcm ``den`` of
+    their denominators, so ``a == nums / den``: int64 where every sum of
+    them fits (:meth:`_set_exact`), Python ints otherwise.  A float array is
+    its own numerators over ``den = 1.0``.  An exact object also keeps the
     factorisation ``a == values[codes]``: ``values`` is a 1-D object array
     of distinct Fraction objects and ``codes`` an int array of the object's
     shape (a float object has ``values = codes = None``).  The public
@@ -219,20 +249,26 @@ class _Entries:
 
         Numerators are computed once per value, and so is the sign check: a
         negative numerator is traced to its first entry only when one exists.
+        They are stored as int64 when ``max(max num, den) * entries`` is
+        below ``_INT64_LIMIT``, a bound read on the values, not the entries:
+        the entries are then non-negative, so every sum of them fits, and so
+        does its difference from ``den``.
         """
         self._check_shape(codes)
         nums, den = _numerators(values)
         arr, negative = values[codes], nums < 0
         if negative.any():  # den > 0, so an exact entry is negative iff its numerator is
             _raise_first(NegativeEntry, arr, negative[codes])
+        if max(nums.max(initial=0), den) * codes.size < _INT64_LIMIT:
+            nums = nums.astype(np.int64)
         self.mode, self.a, self.nums, self.den, self.values, self.codes = EXACT, arr, nums[codes], den, values, codes
 
     def _check_sum(self):
         """A constraint on the sum of the entries: none for a matrix."""
 
     def _value(self, num):
-        """A sum of numerators as a value: a Fraction over ``den``, or a float."""
-        return Fraction(num, self.den) if self.mode == EXACT else float(num)
+        """A sum of numerators as a value: a Fraction over ``den`` with a Python-int numerator, or a float."""
+        return Fraction(int(num), self.den) if self.mode == EXACT else float(num)
 
     def __getitem__(self, idx):
         return self.a[idx]
@@ -407,7 +443,8 @@ def _sum_check(M, tol=DEFAULT_TOL):
 
 def _max_difference(A, B):
     """The largest entry of ``|A - B|``, read on numerators: a Fraction in exact mode, a float in float mode."""
-    return A._value(np.max(np.abs(A.nums * B.den - B.nums * A.den))) / B.den
+    a, b = _exact_operands(lambda a, b: a * B.den + b * A.den, A.nums, B.nums)
+    return A._value(np.max(np.abs(a * B.den - b * A.den))) / B.den
 
 
 def validate(M, tol=DEFAULT_TOL):
@@ -487,14 +524,15 @@ def _class_stationary(T, members):
     which is nonsingular on a closed class.  Float mode returns the law over
     ``1.0``.  Exact mode runs fraction-free Gauss-Jordan elimination
     (Bareiss) on the integer numerators over their common denominator L,
-    ``(t - L I)``, and returns the integer solution column over the
+    ``(t - L I)``, on Python ints whatever the dtype of T's numerators (its
+    minors outgrow int64), and returns the integer solution column over the
     determinant it leaves on the diagonal (which may be negative).  It needs
     no pivot search: T restricted to a proper subset S of the class leaks
     mass out of S, so ``T_S - I`` and every leading minor of the system are
     nonsingular.
     """
     k = len(members)
-    full = np.zeros(T.rows, dtype=T.nums.dtype)
+    full = np.zeros(T.rows, dtype=float if T.mode == FLOAT else object)
     if T.mode == FLOAT:
         system = T.a[np.ix_(members, members)] - np.eye(k)
         system[-1] = 1.0
@@ -503,7 +541,7 @@ def _class_stationary(T, members):
         return full, 1.0
     t, L = T.nums[np.ix_(members, members)], T.den
     t[np.diag_indices(k)] -= L
-    m = np.zeros((k, k + 1), dtype=object)  # [t - L I | 0], last row [1 ... 1 | 1]
+    m = np.zeros((k, k + 1), dtype=object)  # [t - L I | 0], last row [1 ... 1 | 1], as Python ints
     m[:, :k] = t
     m[-1] = 1
     prev = 1
@@ -618,15 +656,26 @@ def _from_json(cls, obj):
     Exact mode maps each distinct JSON token to a code in one dict pass,
     converts each token once and builds the object from the codes
     (:meth:`_Entries._from_codes`); float mode goes through the constructor.
+    An entry that is itself a list or an object is a ``DimensionMismatch``,
+    as a row of the wrong length is.  Such entries are looked for only once
+    the decoding has failed, so a well-formed file takes no extra pass.
     """
     mode, data = obj["mode"], obj["data"]
+    wrong_shape = DimensionMismatch("data shape disagrees with declared rows/cols")
     if len(data) != obj["rows"] or any(type(r) is not list or len(r) != obj["cols"] for r in data):
-        raise DimensionMismatch("data shape disagrees with declared rows/cols")
+        raise wrong_shape
     tokens = np.array([r[0] for r in data] if cls is ProbVec else data, dtype=object)
-    if mode != EXACT:
-        return cls(tokens, mode=mode)
-    index = {}  # JSON token -> code, in order of first appearance
-    codes = np.fromiter((index.setdefault(v, len(index)) for v in tokens.flat), np.intp, tokens.size)
+    if tokens.ndim != (1 if cls is ProbVec else 2):  # entries that are lists of one length
+        raise wrong_shape
+    try:
+        if mode != EXACT:
+            return cls(tokens, mode=mode)
+        index = {}  # JSON token -> code, in order of first appearance
+        codes = np.fromiter((index.setdefault(v, len(index)) for v in tokens.flat), np.intp, tokens.size)
+    except (TypeError, ValueError):
+        if any(isinstance(v, (list, dict)) for v in tokens.flat):
+            raise wrong_shape from None
+        raise
     values = np.array([_exact_entry(v) for v in index], dtype=object)
     return cls._from_codes(values, codes.reshape(tokens.shape))
 

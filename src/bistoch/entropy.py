@@ -304,13 +304,15 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     stacked into the arrays of :class:`BirkhoffDecomposition` once, at the
     end.
     Exact mode peels the integer numerators of S over their common
-    denominator L to a residual of exactly zero and returns each weight w
-    as ``Fraction(w, L)``.  Float mode treats entries up to
-    ``RESIDUAL_TOL`` as zero and also stops when the residual support has
-    no perfect matching: an input accepted at row and column defect delta
-    can leave such a residual.  By Hall's theorem its mass is at most
-    ``2*n*delta + n*n*RESIDUAL_TOL``; :class:`NoPerfectMatching` is raised
-    only past that bound.  The mass left is returned as ``residual_mass``.
+    denominator L to a residual of exactly zero, in their own dtype (a peel
+    only subtracts, so int64 numerators never overflow), and returns each
+    weight w as ``Fraction(w, L)`` with a Python-int numerator.  Float mode
+    treats entries up to ``RESIDUAL_TOL`` as zero and also stops when the
+    residual support has no perfect matching: an input accepted at row and
+    column defect delta can leave such a residual.  By Hall's theorem its
+    mass is at most ``2*n*delta + n*n*RESIDUAL_TOL``;
+    :class:`NoPerfectMatching` is raised only past that bound.  The mass
+    left is returned as ``residual_mass``.
     """
     report = core._require_bistochastic(S, tol)
     n = S.rows
@@ -344,5 +346,5 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
         raise NoPerfectMatching(f"residual of mass {residual_mass} has no perfect matching on its support")
     perms = np.array([idx for _, idx in terms], dtype=np.intp).reshape(-1, n) // n
     weights = np.array([S._value(w) for w, _ in terms])
-    nums, den = (np.array([w for w, _ in terms], dtype=object), S.den) if exact else (None, 1)
+    nums, den = (np.array([int(w) for w, _ in terms], dtype=object), S.den) if exact else (None, 1)
     return BirkhoffDecomposition(n=n, perms=perms, weights=weights, residual_mass=residual_mass, nums=nums, den=den)

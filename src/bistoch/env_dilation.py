@@ -80,8 +80,10 @@ class UnitaryDilation(CoarseGrainDilation):
     unitary: np.ndarray = None
 
     def orthogonality_defect(self):
-        u = self.unitary
-        return float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
+        """The largest entry of ``|U^T U - I|``, with the identity taken off the diagonal in place."""
+        g = self.unitary.T @ self.unitary
+        g[np.diag_indices_from(g)] -= 1.0
+        return float(max(g.max(), -g.min()))
 
 
 def noisy_dilation(T):

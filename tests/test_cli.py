@@ -66,6 +66,11 @@ BAD_INPUTS = [
     ("entropy --vec", {"mode": "exact", "rows": 1, "cols": 1, "data": [[]]}, 2),
     # and so must a matrix row
     ("validate", {"mode": "exact", "rows": 1, "cols": 1, "data": [5]}, 2),
+    # an entry must be a scalar: not a list, in a row of the declared length, nor an object
+    ("validate", {"mode": "exact", "rows": 1, "cols": 2, "data": [[[1], [1, 2]]]}, 2),
+    ("validate", {"mode": "float", "rows": 1, "cols": 2, "data": [[[1.0], [0.5, 0.5]]]}, 2),
+    ("validate", {"mode": "exact", "rows": 1, "cols": 1, "data": [[{"num": 1}]]}, 2),
+    ("entropy --vec", {"mode": "float", "rows": 2, "cols": 1, "data": [[{"p": 0.5}], [0.5]]}, 2),
 ]
 BAD_INPUT_IDS = [
     "missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
@@ -73,7 +78,11 @@ BAD_INPUT_IDS = [
     "zero-columns-exact", "birkhoff-zero-columns-float", "birkhoff-zero-columns-exact",
     "overflow-sinkhorn", "overflow-region", "overflow-unistochastic", "overflow-validate-float",
     "overflow-fixed-point-float", "vector-row-two-entries", "vector-row-string", "vector-row-empty",
-    "matrix-row-not-a-list",
+    "matrix-row-not-a-list", "exact-ragged-list-entry", "float-ragged-list-entry", "exact-object-entry",
+    "vector-object-entry",
+]
+NON_SCALAR_ENTRY_IDS = [
+    "exact-ragged-list-entry", "float-ragged-list-entry", "exact-object-entry", "vector-object-entry",
 ]
 
 
@@ -133,6 +142,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    @pytest.mark.parametrize(
+        "command, payload",
+        [BAD_INPUTS[BAD_INPUT_IDS.index(name)][:2] for name in NON_SCALAR_ENTRY_IDS]
+        + [(command, {"rows": 1, "cols": 1, "data": [[[1]]]}) for command in ("validate", "entropy --vec")],
+        ids=[*NON_SCALAR_ENTRY_IDS, "matrix-uniform-list-entry", "vector-uniform-list-entry"],
+    )
+    def test_non_scalar_entry_is_a_shape_error(self, capsys, tmp_path, command, payload, mode):
+        # a list or object entry is refused as the data's shape, in both modes, whatever the nesting
+        assert run([*command.split(), *write_inputs(tmp_path, {**payload, "mode": mode})]) == 2
+        assert capsys.readouterr().err == "error: DimensionMismatch: data shape disagrees with declared rows/cols\n"
 
     @pytest.mark.parametrize(
         "command, payload, code",

@@ -361,6 +361,16 @@ class TestUnistochasticDilation:
         assert bs.validate(dil.matrix, tol=RESIDUAL_TOL).bi
         assert bs.extract_dilated(dil.matrix, 0).allclose(T, tol=RESIDUAL_TOL)
 
+    @pytest.mark.parametrize("n", [2, 5, 20])
+    def test_orthogonality_defect_matches_dense_reference(self, n):
+        # bit for bit the largest entry of |U^T U - I|, also where U is not orthogonal: a Gram matrix
+        # whose off-diagonal entries are negative, and one whose diagonal overshoots 1
+        dil = bs.unistochastic_dilation(random_stochastic_float(np.random.default_rng(n), n))
+        for u in (dil.unitary, dil.unitary + 1e-6 * np.eye(n * n), dil.unitary - 1e-6 * np.ones((n * n, n * n))):
+            reference = float(np.max(np.abs(u.T @ u - np.eye(n * n))))
+            assert replace(dil, unitary=u).orthogonality_defect() == reference
+        assert dil.unitary.shape == (n * n, n * n)
+
     def test_coarse_graining_reduction(self):
         rng = np.random.default_rng(62)
         for _ in range(10):

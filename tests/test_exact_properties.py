@@ -142,6 +142,20 @@ def assert_fractions_equal(got, want):
     assert got.tolist() == want.tolist()
 
 
+def assert_numerators(M):
+    """M's ``den`` is a Python int, and its numerators are int64 exactly when
+    ``max(max num, den) * entries < 2**63``, Python ints otherwise; either
+    way they hand over Python ints."""
+    nums = M.nums.reshape(-1).tolist()
+    assert type(M.den) is int and all(type(v) is int for v in nums)
+    assert M.nums.dtype == (np.int64 if max(*nums, M.den) * len(nums) < 2**63 else object)
+
+
+def assert_python_ints(*values):
+    """Every value is a Fraction whose numerator and denominator are Python ints."""
+    assert all(type(v) is Fraction and type(v.numerator) is int and type(v.denominator) is int for v in values)
+
+
 # ---------------------------------------------------------------------------
 # the Fraction reference
 # ---------------------------------------------------------------------------
@@ -479,7 +493,7 @@ class TestNumerators:
         assert L == np.lcm.reduce([v.denominator for v in M.a.flat])
         assert_fractions_equal(core._fractions(nums, L), M.a)
         # the constructor keeps the same numerators
-        assert all(type(v) is int for v in M.nums.flat) and type(M.den) is int
+        assert_numerators(M)
         assert M.den == L and M.nums.tolist() == nums.tolist()
         assert_fractions_equal(core._fractions(M.nums, M.den), M.a)
         F = M.to_float()
@@ -578,8 +592,8 @@ class TestSharedEntries:
             fresh.reshape(-1)[:] = [Fraction(v) for v in shared_data.flat]
             A, B = cls(shared_data, mode=EXACT), cls(fresh, mode=EXACT)
             assert_fractions_equal(A.a, B.a)
-            assert A.nums.tolist() == B.nums.tolist() and all(type(v) is int for v in A.nums.flat)
-            assert A.den == B.den and type(A.den) is int
+            assert A.nums.tolist() == B.nums.tolist() and A.den == B.den
+            assert_numerators(A)
             assert to_json(A) == to_json(B)
 
     def test_noisy_dilation_converts_each_distinct_entry_once(self, converted):
@@ -711,8 +725,8 @@ def assert_same_object(A, B):
     """A and B agree in entries and their type, numerators, ``==`` and JSON."""
     assert type(A) is type(B)
     assert_fractions_equal(A.a, B.a)
-    assert A.nums.tolist() == B.nums.tolist() and all(type(v) is int for v in A.nums.flat)
-    assert A.den == B.den and type(A.den) is int
+    assert A.nums.tolist() == B.nums.tolist() and A.den == B.den
+    assert_numerators(A)
     assert A == B and B == A
     to_json = core.vector_to_json if isinstance(A, ProbVec) else core.matrix_to_json
     assert to_json(A) == to_json(B)
@@ -806,3 +820,113 @@ class TestValueCodes:
         assert (core.matrix_to_json(R), core.vector_to_json(p)) == want
         assert bs.noisy_dilation(T).matrix == R
         assert bs.uniform_dilation(S, q).checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
+
+
+def _near_the_bound(draw):
+    """An exact matrix whose numerators meet the int64 storage bound within a
+    few units, below or above: either ``den`` (entries at most 1, one of them
+    1/den) or the largest numerator (integer entries) is ``(2**63 - 1) //
+    entries + offset``, so that it is stored as int64 iff ``offset <= 0``."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    offset = draw(st.integers(-2, 2))
+    top = (2**63 - 1) // (rows * cols) + offset
+    rnd = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # numerators up to top, drawn as a fraction of it since numpy draws no int above 2**63
+    nums = [[int(top * Fraction(int(k), 2**20)) for k in row] for row in rnd.integers(0, 2**20 + 1, (rows, cols))]
+    nums[0][0] = 1 if draw(st.booleans()) else top
+    den = top if nums[0][0] == 1 else 1
+    return StochMatrix([[Fraction(v, den) for v in row] for row in nums], mode=EXACT), offset <= 0
+
+
+class TestInt64Numerators:
+    """Numerators are int64 where every sum of them provably fits, and each
+    kernel that multiplies them bounds its own products: every result equals
+    the Fraction reference, with Python-int numerators, on both sides of the
+    bounds."""
+
+    @SETTINGS
+    @given(st.data())
+    def test_storage_at_the_bound(self, data):
+        M, fits = _near_the_bound(data.draw)
+        assert (M.nums.dtype == np.int64) is fits
+        assert_numerators(M)
+        report = bs.validate(M)
+        flags = (report.left, report.right, report.bi, report.irreducible)
+        assert (*flags, report.max_column_defect, report.max_row_defect) == ref_validate(M)
+        assert_python_ints(report.max_column_defect, report.max_row_defect)
+        # one numerator one unit larger: the difference multiplies numerators by the other's den
+        i, j = data.draw(st.integers(0, M.rows - 1)), data.draw(st.integers(0, M.cols - 1))
+        C = _changed(M, i, j, Fraction(1, M.den))
+        assert (C == M) is False and (M == C) is False and M == StochMatrix(M.a.tolist(), mode=EXACT)
+        assert core._max_difference(C, M) == Fraction(1, M.den) == core._max_difference(M, C)
+        assert_python_ints(core._max_difference(C, M))
+        back = core.matrix_from_json(json.loads(json.dumps(core.matrix_to_json(M))))
+        assert back == M and back.nums.dtype == M.nums.dtype
+
+    def test_a_column_sum_past_int64(self):
+        # each numerator fits in int64, their sum does not: stored as Python ints
+        M = StochMatrix([[Fraction(2**62, 3)], [Fraction(2**62, 3)]], mode=EXACT)
+        assert M.nums.dtype == object and M.den == 3
+        report = bs.validate(M)
+        assert report.max_column_defect == Fraction(2**63, 3) - 1
+        assert report.max_row_defect == Fraction(2**62, 3) - 1
+
+    def test_a_coarse_graining_past_int64(self):
+        # S and Y fit in int64 each, the numerators of X S Y reach den_S * den_Y > 2**63
+        p, q = 2**40 - 87, 2**30 - 35  # primes
+        a, b = Fraction(1, p), Fraction(1, q)
+        S = StochMatrix([[a, 1 - a], [1 - a, a]], mode=EXACT)
+        Y = StochMatrix([[b], [1 - b]], mode=EXACT)
+        assert S.nums.dtype == Y.nums.dtype == np.int64 and S.den * Y.den > 2**63
+        P = Partition(d=2, classes=((0, 1),))
+        T = bs.coarse_grain(S, P, Y)
+        assert T == StochMatrix([[1]], mode=EXACT)
+        assert_python_ints(*T.a.flat)
+        # and the difference of two matrices whose dens multiply past 2**63
+        assert core._max_difference(S, StochMatrix([[b, 1 - b], [1 - b, b]], mode=EXACT)) == abs(a - b)
+
+    def test_equality_across_storage(self):
+        M = random_stochastic_exact(np.random.default_rng(5), 5)
+        O = StochMatrix._from_codes(M.values, M.codes)
+        O.nums = M.nums.astype(object)
+        assert M.nums.dtype == np.int64 and O.nums.dtype == object
+        assert M == O and O == M
+        C = _changed(M, 1, 2, Fraction(1, M.den))
+        assert C.nums.dtype == np.int64 and (C == O) is False and (O == C) is False
+
+    def test_results_have_python_int_numerators(self):
+        T = random_stochastic_exact(np.random.default_rng(7), 4)
+        assert T.nums.dtype == np.int64
+        res = bs.fixed_point(T)
+        assert_python_ints(*res.representative.a, *(v for b in res.basis for v in b))
+        assert_python_ints(*bs.fixed_point(StochMatrix.identity(3, mode=EXACT)).basis[0])
+        report = core._sum_check(StochMatrix(T.a[:, :3], mode=EXACT))
+        assert report.max_row_defect != 0
+        assert_python_ints(report.max_column_defect, report.max_row_defect)
+        E = bs.noisy_dilation(T)
+        assert E.matrix.nums.dtype == np.int64
+        assert_python_ints(*bs.extract_dilated(E.matrix, 0).a.flat)
+        defect, tol = bs.roundtrip_defect(T, E)
+        assert defect == tol == 0
+        assert_python_ints(defect)
+        dec = bs.birkhoff_decompose(E.matrix)
+        assert_python_ints(*dec.weights, dec.residual_mass, dec.weight_sum())
+        assert all(type(v) is int for v in dec.nums) and dec.reconstruct(mode=EXACT) == E.matrix
+        p = ProbVec([Fraction(2, 5), Fraction(3, 5)], mode=EXACT)
+        dil = bs.uniform_dilation(bs.two_state(Fraction(1, 3), Fraction(1, 2)), p)
+        assert all(dil.checks.values()) and all(type(s) is int for s in dil.partition.class_sizes)
+        assert_python_ints(*bs.coarse_grain(dil.matrix, dil.partition, dil.right_inverse).a.flat)
+
+    def test_a_fixed_point_past_int64(self):
+        # T fits in int64; the Bareiss solve forms minors of t - L I, here near L**2 > 2**63
+        q = 2**40 - 87
+        rnd = np.random.default_rng(3)
+        columns = []
+        for _ in range(3):
+            cuts = sorted(int(q * Fraction(int(k), 2**20)) for k in rnd.integers(1, 2**20, 2))
+            columns.append([Fraction(b - a, q) for a, b in zip([0, *cuts], [*cuts, q])])
+        T = _columns_to_matrix(columns)
+        assert T.nums.dtype == np.int64 and T.den == q
+        rep = bs.fixed_point(T).representative.a
+        assert (T.a @ rep).tolist() == rep.tolist() and sum(rep) == 1 and rep.min() > 0
+        assert_python_ints(*rep)
