@@ -13,6 +13,9 @@ comparing the Fractions, and the JSON round trip must give back the same
 object in both modes.  An object built from values and codes must be the
 object the public constructor builds from the same entries, and the
 dilations built that way must equal what they gave built entry by entry.
+Numerators are int64 where every sum of them provably fits, so matrices
+are also drawn just under and just over that bound, and kernels whose
+products pass 2**63 must still give the reference.
 """
 
 import json
