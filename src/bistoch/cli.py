@@ -152,11 +152,6 @@ class Report:
         return 0 if all(c["pass"] for c in self.body["checks"]) else 2
 
 
-def _tol(M, tol):
-    """Threshold of a defect check on a result in M's mode: exact mode allows none."""
-    return 0 if M.mode == EXACT else tol
-
-
 def _at_least(least):
     """argparse type: an integer no smaller than ``least``."""
 
@@ -196,7 +191,7 @@ def cmd_fixed_point(args):
     report.body["result"] = _fmt(res)
     r = res.representative.a
     # T r sums to the column sums of T, so the residual carries the input's defect
-    tol = _tol(T, core.RESULT_TOL + core._sum_check(T).max_column_defect)
+    tol = core._tol(T, core.RESULT_TOL + core._sum_check(T).max_column_defect)
     report.check("fixed_point_residual", defect=np.max(np.abs(T.a @ r - r)), tol=tol)
     return report.emit()
 
@@ -232,7 +227,7 @@ def cmd_coarse_grain(args):
         inputs = [args.matrix, args.partition]
     T = coarse_grain(S, partition, Y)
     report = Report("coarse-grain", inputs)
-    report.check("left_stochastic", defect=core._sum_check(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
+    report.check("left_stochastic", defect=core._sum_check(T).max_column_defect, tol=core._tol(T, core.DEFAULT_TOL))
     _emit_matrix(report, T, args.out)
     return report.emit()
 
@@ -252,7 +247,7 @@ def cmd_dilate(args):
         report.check("coarse_grain_roundtrip", dil.checks["coarse_grain_roundtrip"])
     else:
         if args.kind == "noisy":
-            dil, sum_tol = env_dilation.noisy_dilation(T), _tol(T, core.DEFAULT_TOL)
+            dil, sum_tol = env_dilation.noisy_dilation(T), core._tol(T, core.DEFAULT_TOL)
         else:
             T = _convert(T, FLOAT)
             dil, sum_tol = env_dilation.unistochastic_dilation(T), core.RESIDUAL_TOL
@@ -264,7 +259,7 @@ def cmd_dilate(args):
         slack = 0 if args.kind == "noisy" else core._sum_check(T).max_column_defect
         report.check("extract_dilated == input", defect=defect, tol=tol + slack)
         if args.kind == "noisy":
-            report.check("marginal_identity", defect <= tol)
+            report.check("marginal_identity", defect=defect, tol=tol)
     _emit_matrix(report, dil.matrix, args.out)
     return report.emit()
 
@@ -273,7 +268,7 @@ def cmd_extract(args):
     R = _load_matrix(args.matrix, args.mode)
     T = env_dilation.extract_dilated(R, args.zero_index)
     report = Report("extract", [args.matrix])
-    report.check("left_stochastic", defect=core._sum_check(T).max_column_defect, tol=_tol(T, core.DEFAULT_TOL))
+    report.check("left_stochastic", defect=core._sum_check(T).max_column_defect, tol=core._tol(T, core.DEFAULT_TOL))
     _emit_matrix(report, T, args.out)
     return report.emit()
 
@@ -290,7 +285,8 @@ def cmd_verify_dilation(args):
         rho = ProbVec.point_mass(R.rows // T.rows, 0, mode=T.mode)
         inputs = [args.matrix, args.dilation]
     report = Report("verify-dilation", inputs)
-    report.check("marginal_identity", env_dilation.verify_env_dilation(T, env_dilation.with_environment(R, rho)))
+    defect, tol = roundtrip_defect(T, env_dilation.with_environment(R, rho))
+    report.check("marginal_identity", defect=defect, tol=tol)
     return report.emit()
 
 
@@ -344,10 +340,10 @@ def cmd_birkhoff(args):
     report.body["result"] = {"terms": _ROWS, **_fmt(result)}
     # both checks allow the mass that peeling left unexplained; the weights
     # also carry the input's column defect: sum(w) = colsum(S) - colsum(residual)
-    tol = _tol(S, dec.residual_mass + core.RESIDUAL_TOL)
+    tol = core._tol(S, dec.residual_mass + core.RESIDUAL_TOL)
     report.check("reconstruction", defect=core._max_difference(dec.reconstruct(mode=S.mode), S), tol=tol)
     column_defect = core._sum_check(S, args.tol).max_column_defect
-    tol = _tol(S, dec.residual_mass + column_defect + core.RESIDUAL_TOL)
+    tol = core._tol(S, dec.residual_mass + column_defect + core.RESIDUAL_TOL)
     report.check("weights_sum_to_one", defect=abs(weight_sum - 1), tol=tol)
     # one term per line, and only the weights go through _fmt: a permutation is already a list of ints
     terms = ({"weight": _fmt(w), "permutation": sigma} for w, sigma in zip(dec.weights, dec.perms.tolist()))

@@ -14,6 +14,7 @@ gather ``S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|``, where ``c = labels``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -118,16 +119,6 @@ def projection_matrix(P, mode=EXACT):
     return StochMatrix((P.labels == np.arange(P.n)[:, None]).astype(int), mode=mode)
 
 
-def _class_sizes(P):
-    """Class sizes as Python ints, so that exact entries divided by them stay Fractions."""
-    return np.array(P.class_sizes, dtype=object)
-
-
-def _section(values, codes, mode):
-    """The matrix ``values[codes]`` of a right inverse, built from its codes in exact mode (no id pass)."""
-    return StochMatrix._from_codes(values, codes) if mode == EXACT else StochMatrix(values[codes], mode=mode)
-
-
 def uniform_right_inverse(P, mode=EXACT):
     """The d x N right inverse spreading each class mass uniformly over its members.
 
@@ -135,10 +126,10 @@ def uniform_right_inverse(P, mode=EXACT):
     zero, the values of ``Y``, and an int code per entry that selects one.
     """
     one = Fraction(1) if mode == EXACT else 1.0
-    values = np.concatenate([[0 * one], one / _class_sizes(P)])
+    values = np.array([0 * one, *(one / size for size in P.class_sizes)], dtype=object)
     codes = np.zeros((P.d, P.n), dtype=np.intp)
     codes[np.arange(P.d), P.labels] = 1 + P.labels
-    return _section(values, codes, mode)
+    return StochMatrix._from_codes(values, codes) if mode == EXACT else StochMatrix(values[codes], mode=mode)
 
 
 def product_right_inverse(n, rho):
@@ -146,7 +137,8 @@ def product_right_inverse(n, rho):
 
     Y is a section of ``Partition.first_marginal(n, m)``, which flattens
     environment-major, flat(k, i) = i*n + k, so ``Y @ p`` has entry ``p[k] *
-    rho[i]`` at flat index ``i*n + k``.
+    rho[i]`` at flat index ``i*n + k``.  Its values are 0 and rho's, so
+    exact mode builds it from their codes.
     """
     m, exact = rho.n, rho.mode == EXACT
     # codes into [0, *rho.values], or into [0, *rho] in float mode
@@ -154,7 +146,8 @@ def product_right_inverse(n, rho):
     codes = np.zeros((m, n, n), dtype=np.intp)
     ks = np.arange(n)
     codes[:, ks, ks] = 1 + (rho.codes if exact else np.arange(m))[:, None]  # Y[i*n + k, k] = rho[i]
-    return _section(values, codes.reshape(n * m, n), rho.mode)
+    codes = codes.reshape(n * m, n)
+    return StochMatrix._from_codes(values, codes) if exact else StochMatrix(values[codes], mode=rho.mode)
 
 
 def _class_sums(labels, n, A):
@@ -190,15 +183,11 @@ def coarse_grain(S, P, Y):
     s, y = S.nums[:, rows], Y.nums[rows]
     defect = _class_sums(labels[rows], P.n, y)
     defect[np.diag_indices(P.n)] -= Y.den
-    if np.max(np.abs(defect)) > (0 if S.mode == EXACT else core.DEFAULT_TOL):
+    if np.max(np.abs(defect)) > core._tol(S, core.DEFAULT_TOL):
         raise InvalidRightInverse("X @ Y differs from the identity")
     k = y.shape[0]  # (X s)(y) adds k products, each at most max(X s) max(y)
     xs, y = core._exact_operands(lambda xs, y: xs * y * k, _class_sums(labels, P.n, s), y)
-    xsy = xs @ y
-    if S.mode == EXACT:  # one Fraction per distinct numerator
-        distinct, codes = np.unique(xsy, return_inverse=True)
-        return StochMatrix._from_codes(core._fractions(distinct, S.den * Y.den), codes.reshape(xsy.shape))
-    return StochMatrix(xsy, mode=S.mode)
+    return StochMatrix._from_nums(xs @ y, S.den * Y.den)
 
 
 def roundtrip_defect(T, dilation):
@@ -232,7 +221,10 @@ def uniform_dilation(T, p):
     the consecutive-index partition with class sizes ``d_k`` and returns
     ``S = Y T X``, which is exactly bi-stochastic and coarse grains back to T.
     ``T p = p`` is checked on numerators, as ``t q == L_T q`` for T = t / L_T.
-    Requires exact mode: a least common denominator is meaningless for floats.
+    S is built on numerators too: with L the lcm of the class sizes, the N^2
+    quotients ``T[k, l] / d_k`` are ``t[k, l] (L // d_k)`` over ``L_T L``,
+    gathered by their codes.  Requires exact mode: a least common
+    denominator is meaningless for floats.
     """
     if T.mode != EXACT or p.mode != EXACT:
         raise NotExact("uniform dilation requires exact-rational inputs")
@@ -241,13 +233,17 @@ def uniform_dilation(T, p):
         raise DimensionMismatch(f"{T.rows}x{T.cols} matrix with length-{p.n} fixed point")
     if not p.is_interior():
         raise ZeroComponent("fixed point must have strictly positive entries")
-    t, q = core._exact_operands(lambda t, q: max(t * T.cols, T.den) * q, T.nums, p.nums)
+    sizes = p.nums.tolist()
+    L = math.lcm(*sizes)
+    # t q and L_T q, and t (L // q), whose entries are at most t L
+    t, q = core._exact_operands(lambda t, q: max(max(t * T.cols, T.den) * q, t * L), T.nums, p.nums)
     if not np.array_equal(t @ q, T.den * q):
         raise NotFixedPoint("T p differs from p")
-    partition = Partition.consecutive(p.nums.tolist())
+    partition = Partition.consecutive(sizes)
     c = partition.labels
     # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: N^2 quotients, gathered by codes
-    S = core._gathered(StochMatrix, T.a / _class_sizes(partition)[:, None], np.ix_(c, c))
+    quotients = StochMatrix._from_nums(t * (L // q)[:, None], T.den * L)
+    S = StochMatrix._from_codes(quotients.values, quotients.codes[np.ix_(c, c)])
     dil = CoarseGrainDilation(partition=partition, matrix=S, right_inverse=uniform_right_inverse(partition))
     dil.checks = {"bi_stochastic": core._sum_check(S).bi, "coarse_grain_roundtrip": roundtrip_defect(T, dil)[0] == 0}
     return dil

@@ -8,26 +8,31 @@ Matrices and vectors carry one of two numeric modes.  In ``"exact"`` mode
 entries are :class:`fractions.Fraction` objects held in object-dtype numpy
 arrays; all comparisons are exact.  Each exact object computes its integer
 numerators over one common denominator once, at construction (``nums`` and
-``den``, see :class:`_Entries`).  ``nums`` is int64 when
-``max(max num, den) * entries < 2**63``, so that every sum of its
-non-negative entries, and its difference from ``den``, fits; otherwise it
-holds Python ints.  A kernel that multiplies numerators bounds its own
-products first and works on Python ints where the bound fails
-(:func:`_exact_operands`).  An exact object also keeps how its entries
-share values: ``a == values[codes]``.  The public constructor finds the
-distinct entry objects by one id pass (:func:`_distinct`); a kernel that
-builds an object from a few values passes their codes instead
-(:meth:`_Entries._from_codes`), as does the JSON decoder, which maps each
-distinct token of a file to a code in one dict pass.  The JSON encoder
-reads the codes, so no other pass over the entries looks for shared values.
-Each value is converted once, and entries that share a value share one
-object in ``a``.  Sums, comparisons and peels over a whole object read
-``nums`` and ``den``, and results become Fractions again only where they
-leave the library (:func:`_fractions`, :meth:`_Entries._value`), always
-with Python-int numerators.  In ``"float"`` mode entries are IEEE doubles,
-an array is its own numerators over ``1.0``, and comparisons use the
-tolerances below.  The two modes never mix inside one object or one
-operation.
+``den``, see :class:`_Entries`).  ``nums`` is int64 when ``max(max num,
+den) * entries < 2**63``, so that every sum of its non-negative entries,
+and its difference from ``den``, fits; otherwise it holds Python ints.  A
+kernel that multiplies numerators bounds its own products first and works
+on Python ints where the bound fails (:func:`_exact_operands`).  An exact
+object also keeps how its entries share values: ``a == values[codes]``.
+The public constructor finds the distinct entry objects by one id pass
+(:func:`_distinct`).  A kernel that knows more builds its result without
+that pass, in one of two ways.  One that knows its few values and their
+codes passes them (:meth:`_Entries._from_codes`): the noisy dilation, both
+right inverses, ``ProbVec.point_mass`` and the JSON decoder, which maps
+each distinct token of a file to a code in one dict pass.  One that
+computes numerators passes them with their denominator
+(:meth:`_Entries._from_nums`), which makes one Fraction per distinct
+numerator: ``fixed_point``, ``apply`` and ``iterate``, ``coarse_grain``,
+the uniform dilation and the exact Birkhoff reconstruction.  The JSON encoder reads the codes, so no other pass over
+the entries looks for shared values.  Each value is converted once, and
+entries that share a value share one object in ``a``.  Sums, comparisons
+and peels over a whole object read ``nums`` and ``den``, and results become
+Fractions again only where they leave the library
+(:meth:`_Entries._from_nums`, :meth:`_Entries._value`, and
+:func:`_fractions` for the fixed-point basis), always with Python-int
+numerators.  In ``"float"`` mode entries are IEEE doubles, an array is its
+own numerators over ``1.0``, and comparisons use the tolerances below.  The
+two modes never mix inside one object or one operation.
 
 The analysis of a stochastic matrix rests on two primitives shared by both
 modes: a breadth-first search over its boolean support (:func:`_reached`),
@@ -62,7 +67,10 @@ FLOAT = "float"
 
 # The float tolerance table of the library: every float tolerance in bistoch
 # is one of these, apart from the printed-value goldens of the CLI demo.
-# Exact mode uses none of them: its comparisons are exact.
+# Exact mode uses none of them: its comparisons are exact, and a check takes
+# its threshold from _tol, which is 0 in exact mode.  The one exception is
+# the convergence flag of iterate, which compares with RESIDUAL_TOL in both
+# modes.
 # The three value tolerances are ordered RESIDUAL_TOL < RESULT_TOL <
 # DEFAULT_TOL: round-off stays below what a computed result promises, which
 # stays below the defect an input is accepted at.  A result computed from an
@@ -83,6 +91,11 @@ RESIDUAL_TOL = 1e-12
 #: resolution of a scan parameter in [0, 1] (boundary bisection), not a
 #: tolerance on a value
 BISECTION_TOL = 1e-9
+
+
+def _tol(M, tol):
+    """The threshold a check on M's values compares with: 0 in exact mode, ``tol`` in float mode."""
+    return 0 if M.mode == EXACT else tol
 
 
 def _exact_entry(value):
@@ -129,11 +142,15 @@ def _numerators(a):
 
 
 def _fractions(nums, L):
-    """Inverse of :func:`_numerators`: the array of Fractions ``nums / L``.
+    """Inverse of :func:`_numerators`: the array of values ``nums / L``.
 
-    ``tolist`` hands over Python ints also from int64 numerators: a Fraction
-    keeps an ``np.int64`` numerator, and later sums of it would wrap.
+    Fractions for an integer ``L``; ``tolist`` hands over Python ints also
+    from int64 numerators: a Fraction keeps an ``np.int64`` numerator, and
+    later sums of it would wrap.  For a float ``L`` (float mode) the float
+    array ``nums / L``.
     """
+    if isinstance(L, float):
+        return nums / L
     return np.array([Fraction(num, L) for num in nums.reshape(-1).tolist()], dtype=object).reshape(nums.shape)
 
 
@@ -150,11 +167,6 @@ def _exact_operands(bound, *nums):
     if not any(int64) or all(int64) and bound(*(int(a.max(initial=0)) for a in nums)) < _INT64_LIMIT:
         return nums
     return tuple(a.astype(object) for a in nums)
-
-
-def _gathered(cls, values, index):
-    """The exact object of ``values[index]``, for an array of Fractions each its own value."""
-    return cls._from_codes(values.reshape(-1), np.arange(values.size).reshape(values.shape)[index])
 
 
 def _raise_first(error, arr, mask):
@@ -180,8 +192,9 @@ class _Entries:
     shape (a float object has ``values = codes = None``).  The public
     constructor takes them from one id pass over ``data`` (:func:`_distinct`),
     so an object shared by many entries of ``data`` is converted once and
-    stays shared in ``a``; :meth:`_from_codes` takes them from a kernel.
-    Either way every exact construction goes through :meth:`_set_exact`,
+    stays shared in ``a``; :meth:`_from_codes` takes them from a kernel, and
+    :meth:`_from_nums` from the distinct numerators a kernel computed.
+    Every exact construction goes through :meth:`_set_exact`,
     which converts and sign-checks each value once.  Every float
     construction goes through :meth:`_set_float`, which checks the shape and
     the finite, non-negative entries: the public constructor on a copy of
@@ -236,6 +249,20 @@ class _Entries:
         obj._set_float(arr)
         obj._check_sum()
         return obj
+
+    @classmethod
+    def _from_nums(cls, nums, den):
+        """The object with entries ``nums / den``, for kernels that compute numerators.
+
+        Exact mode (an integer ``den``, not necessarily the entries' lcm)
+        makes one Fraction per distinct numerator and builds from their codes
+        (:meth:`_from_codes`).  Float mode (a float ``den``) hands the fresh
+        array ``nums / den`` to :meth:`_from_array`.
+        """
+        if isinstance(den, float):
+            return cls._from_array(nums / den)
+        distinct, codes = np.unique(nums, return_inverse=True)
+        return cls._from_codes(_fractions(distinct, den), codes.reshape(nums.shape))
 
     def _set_float(self, arr):
         """Check and store a float object: its shape, then finite and non-negative entries."""
@@ -305,7 +332,7 @@ class ProbVec(_Entries):
 
     def _check_sum(self):
         total = self.nums.sum()
-        if abs(total - self.den) > (0 if self.mode == EXACT else DEFAULT_TOL):
+        if abs(total - self.den) > _tol(self, DEFAULT_TOL):
             raise NotStochastic(f"entries sum to {self._value(total)}, expected 1")
 
     @staticmethod
@@ -334,7 +361,7 @@ class ProbVec(_Entries):
 
     def is_interior(self):
         """True when every entry is strictly positive."""
-        return bool(np.all(self.nums > (0 if self.mode == EXACT else RESIDUAL_TOL)))
+        return bool(np.all(self.nums > _tol(self, RESIDUAL_TOL)))
 
     def __len__(self):
         return self.n
@@ -429,7 +456,7 @@ def _sum_check(M, tol=DEFAULT_TOL):
     to ``tol`` in float mode.
     """
     col_defect, row_defect = (M._value(np.max(np.abs(M.nums.sum(axis=axis) - M.den))) for axis in (0, 1))
-    limit = 0 if M.mode == EXACT else tol
+    limit = _tol(M, tol)
     left, right = col_defect <= limit, row_defect <= limit
     return StochasticityReport(
         left=left,
@@ -466,7 +493,7 @@ def validate(M, tol=DEFAULT_TOL):
 
 def _support(T):
     """Boolean support of T: ``adj[m, n]`` is the edge n -> m of its digraph."""
-    return T.nums > (0 if T.mode == EXACT else RESIDUAL_TOL)
+    return T.nums > _tol(T, RESIDUAL_TOL)
 
 
 def _reached(adj, start, within=True):
@@ -563,23 +590,19 @@ def fixed_point(T):
     differences from the first.  The reported representative is their
     average, which is deterministic and strictly positive on the union of
     the closed classes.  Exact mode combines the laws on integer numerators
-    over the lcm of their denominators, and makes Fractions once at the end.
+    over the lcm of their denominators, and makes Fractions once at the end;
+    float mode combines them over ``1.0``.
     """
     _require_left_stochastic(T)
     laws = [_class_stationary(T, c) for c in _recurrent_classes(T)]
-    if T.mode == EXACT:
-        L = math.lcm(*(den for _, den in laws))
-        nums = np.stack([num * (L // den) for num, den in laws])
-        rep, basis = _fractions(nums.sum(axis=0), L * len(laws)), _fractions(nums[1:] - nums[0], L)
-    else:
-        nums = np.stack([num for num, _ in laws])
-        rep, basis = nums.mean(axis=0), nums[1:] - nums[0]
+    L = math.lcm(*(den for _, den in laws)) if T.mode == EXACT else 1.0
+    nums = np.stack([num * (L // den) for num, den in laws])
     face_dimension = len(laws) - 1
     return FixedPointResult(
-        representative=ProbVec(rep, mode=T.mode),
+        representative=ProbVec._from_nums(nums.sum(axis=0), L * len(laws)),
         face_dimension=face_dimension,
         is_unique=face_dimension == 0,
-        basis=list(basis),
+        basis=list(_fractions(nums[1:] - nums[0], L)),
     )
 
 
@@ -593,19 +616,22 @@ def _require_applicable(T, p):
 
 
 def apply(T, p):
-    """The image T.p of a distribution under a left-stochastic matrix."""
-    _require_applicable(T, p)
-    return ProbVec(T.a @ p.a, mode=T.mode)
+    """The image T.p of a distribution under a left-stochastic matrix: one step of :func:`iterate`."""
+    return iterate(T, p, 1)[0][-1]
 
 
 def iterate(T, p, steps):
     """Trajectory [p, Tp, ..., T^steps p] plus a convergence flag.
 
-    The flag is true once two consecutive iterates differ by at most
-    ``RESIDUAL_TOL`` in the max norm.  T and p are checked once, before the
-    first step; ``steps == 0`` checks nothing and returns ``[p]``.  A
-    non-square T maps p to a vector of another length, which it cannot act
-    on: it takes one step at most, and that step never counts as converged.
+    Each step multiplies numerators, ``t @ q`` over ``T.den * q.den``, on
+    int64 while its products provably fit (:func:`_exact_operands`).  The
+    flag is true once two consecutive iterates differ by at most
+    ``RESIDUAL_TOL`` in the max norm (:func:`_max_difference`), in both
+    modes: the one float tolerance exact mode uses.  T and p are checked
+    once, before the first step; ``steps == 0`` checks nothing and returns
+    ``[p]``.  A non-square T maps p to a vector of another length, which it
+    cannot act on: it takes one step at most, and that step never counts as
+    converged.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -617,9 +643,10 @@ def iterate(T, p, steps):
     converged = False
     for _ in range(steps):
         current = trajectory[-1]
-        nxt = ProbVec(T.a @ current.a, mode=T.mode)
+        t, q = _exact_operands(lambda t, q: t * q * T.cols, T.nums, current.nums)
+        nxt = ProbVec._from_nums(t @ q, T.den * current.den)
         trajectory.append(nxt)
-        if nxt.n == current.n and np.max(np.abs(nxt.a - current.a)) <= RESIDUAL_TOL:
+        if not converged and nxt.n == current.n and _max_difference(nxt, current) <= RESIDUAL_TOL:
             converged = True
     return trajectory, converged
 

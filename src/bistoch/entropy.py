@@ -246,17 +246,18 @@ class BirkhoffDecomposition:
         Term j adds its weight at the flat indices ``perms[j] * n + c``, all
         terms in one unbuffered ``np.add.at``: each entry receives its
         weights in term order, as a term-by-term loop adds them.  Exact mode,
-        for an exact decomposition, adds the Python-int numerators over
-        ``den`` and makes one ``Fraction`` per distinct sum.
+        for an exact decomposition, adds the numerators over ``den``, on
+        int64 when ``den`` fits (every sum is at most the weights' sum,
+        ``den``), and makes one ``Fraction`` per distinct sum.
         """
         n = self.n
-        nums, L = (self.nums, self.den) if mode == EXACT else (self.weights.astype(float), 1.0)
+        if mode == EXACT:
+            nums, den = self.nums.astype(np.int64 if self.den < core._INT64_LIMIT else object), self.den
+        else:
+            nums, den = self.weights.astype(float), 1.0
         total = np.zeros(n * n, dtype=nums.dtype)
         np.add.at(total, (self.perms * n + np.arange(n)).reshape(-1), np.repeat(nums, n))
-        if mode == EXACT:
-            value_of = {num: Fraction(num, L) for num in set(total.tolist())}
-            total = np.frompyfunc(value_of.get, 1, 1)(total)
-        return StochMatrix(total.reshape(n, n), mode=mode)
+        return StochMatrix._from_nums(total.reshape(n, n), den)
 
 
 def _augment(adjacency, match_row, c):
@@ -319,7 +320,7 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     exact = S.mode == EXACT
     resid = S.nums.copy()
     flat = resid.reshape(-1)  # a view: the residual read and written through flat indices
-    threshold = 0 if exact else RESIDUAL_TOL
+    threshold = core._tol(S, RESIDUAL_TOL)
     cols = np.arange(n)
     adjacency = [np.flatnonzero(col > threshold).tolist() for col in resid.T]
     edges = sum(map(len, adjacency))
@@ -342,7 +343,7 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
         edges -= len(unmatched)
     residual_mass = S._value(max(resid.sum(axis=0).max(), resid.sum(axis=1).max()))
     delta = max(report.max_column_defect, report.max_row_defect)
-    if residual_mass > (0 if exact else 2 * n * delta + n * n * RESIDUAL_TOL):
+    if residual_mass > core._tol(S, 2 * n * delta + n * n * RESIDUAL_TOL):
         raise NoPerfectMatching(f"residual of mass {residual_mass} has no perfect matching on its support")
     perms = np.array([idx for _, idx in terms], dtype=np.intp).reshape(-1, n) // n
     weights = np.array([S._value(w) for w, _ in terms])

@@ -19,6 +19,7 @@ products pass 2**63 must still give the reference.
 """
 
 import json
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -814,7 +815,19 @@ class TestValueCodes:
         p = bs.fixed_point(T).representative
         S = bs.two_state(Fraction(1, 3), Fraction(1, 2))
         q = ProbVec([Fraction(2, 5), Fraction(3, 5)], mode=EXACT)
+        r = ProbVec([Fraction(k, 21) for k in range(1, 7)], mode=EXACT)
+        dec = bs.birkhoff_decompose(R)
         want = core.matrix_to_json(ref_noisy_dilation(T)), core.vector_to_json(ProbVec(list(p.a), mode=EXACT))
+        # the Fraction references, built by the public constructor before the id pass is refused
+        images = [r]
+        for _ in range(3):
+            images.append(ProbVec(T.a @ images[-1].a, mode=EXACT))
+        rho = ProbVec([Fraction(1, 2), Fraction(0), Fraction(1, 2)], mode=EXACT)
+        section = np.zeros((18, 6), dtype=object)
+        for i, k in np.ndindex(3, 6):
+            section[i * 6 + k, k] = rho.a[i]
+        section = StochMatrix(section, mode=EXACT)
+        extracted = StochMatrix(ref_extract(R, 0, 6), mode=EXACT)
 
         def refuse(data):
             raise AssertionError("an id pass over entries whose sharing is known")
@@ -823,6 +836,15 @@ class TestValueCodes:
         assert (core.matrix_to_json(R), core.vector_to_json(p)) == want
         assert bs.noisy_dilation(T).matrix == R
         assert bs.uniform_dilation(S, q).checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
+        assert core.vector_to_json(bs.fixed_point(T).representative) == want[1]
+        assert_same_object(bs.apply(T, r), images[1])
+        trajectory, _ = bs.iterate(T, r, 3)
+        for got, ref in zip(trajectory, images, strict=True):
+            assert_same_object(got, ref)
+        E = bs.with_environment(R, ProbVec.point_mass(6, 0, mode=EXACT))
+        assert_same_object(bs.coarse_grain(R, E.partition, E.right_inverse), extracted)
+        assert_same_object(bs.product_right_inverse(6, rho), section)
+        assert_same_object(dec.reconstruct(mode=EXACT), R)
 
 
 def _near_the_bound(draw):
@@ -933,3 +955,70 @@ class TestInt64Numerators:
         rep = bs.fixed_point(T).representative.a
         assert (T.a @ rep).tolist() == rep.tolist() and sum(rep) == 1 and rep.min() > 0
         assert_python_ints(*rep)
+
+    def test_an_iterate_past_int64(self):
+        # T over 2**31 - 1 and p over 2**30 - 35 fit in int64; the first image's
+        # numerators still do, the later ones pass 2**63 in the kernel and then in storage
+        q1, q2 = 2**31 - 1, 2**30 - 35  # primes
+        T = _columns_to_matrix([[Fraction(a, q1), Fraction(b, q1), Fraction(q1 - a - b, q1)]
+                                for a, b in ((5, 7), (q1 // 3, q1 // 5), (1, q1 // 2))])
+        p = ProbVec([Fraction(2, q2), Fraction(q2 // 2, q2), Fraction(q2 - 2 - q2 // 2, q2)], mode=EXACT)
+        assert T.nums.dtype == p.nums.dtype == np.int64
+        trajectory, converged = bs.iterate(T, p, 4)
+        assert trajectory[1].nums.dtype == np.int64 and trajectory[-1].nums.dtype == object
+        want = [p.a]
+        for _ in range(4):
+            want.append(T.a @ want[-1])
+        for got, ref in zip(trajectory, want, strict=True):
+            assert_fractions_equal(got.a, ref)
+            assert_python_ints(*got.a)
+            assert_numerators(got)
+        assert converged is (max(abs(want[-1] - want[-2])) <= RESIDUAL_TOL)
+
+    @pytest.mark.parametrize("den", [2**40 - 87, 2**60 - 93])  # T.den * 6 below and above 2**63
+    def test_a_uniform_dilation_past_int64(self, den):
+        # the fixed point (3/5, 2/5) has classes of 3 and 2 fine states, L = 6
+        T = bs.two_state(Fraction(3, den), Fraction(2, den))
+        p = ProbVec([Fraction(3, 5), Fraction(2, 5)], mode=EXACT)
+        assert T.nums.dtype == np.int64 and (T.den * 6 > 2**63) is (den > 2**60)
+        dil = bs.uniform_dilation(T, p)
+        c = dil.partition.labels
+        want = [[T.a[c[nu], c[mu]] / dil.partition.class_sizes[c[nu]] for mu in range(5)] for nu in range(5)]
+        assert_fractions_equal(dil.matrix.a, want)
+        assert_python_ints(*dil.matrix.a.flat)
+        assert_numerators(dil.matrix)
+        assert dil.checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
+
+    def test_a_uniform_dilation_whose_class_lcm_passes_int64(self):
+        # class sizes the primes up to 53: p's numerators are small, their lcm L is past 2**63
+        sizes = [k for k in range(2, 54) if all(k % j for j in range(2, k))]
+        d = sum(sizes)
+        assert math.lcm(*sizes) > 2**63
+        p = ProbVec([Fraction(s, d) for s in sizes], mode=EXACT)
+        T = StochMatrix([[v] * len(sizes) for v in p.a], mode=EXACT)  # every column is p
+        assert T.nums.dtype == p.nums.dtype == np.int64
+        dil = bs.uniform_dilation(T, p)
+        assert dil.partition.class_sizes == tuple(sizes)
+        c = dil.partition.labels
+        sizes = np.array(sizes, dtype=object)
+        assert_fractions_equal(dil.matrix.a, (T.a / sizes[:, None])[np.ix_(c, c)])
+        assert_python_ints(*dil.matrix.values)
+        assert dil.checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
+
+    @pytest.mark.parametrize("den", [2**63 - 1, 2**63, 2**63 + 1])
+    def test_a_reconstruction_at_the_int64_bound(self, den):
+        # S = (1 - w) I + w P for a P that fixes state 2: entry (2, 2) takes
+        # both weights, its numerator sum is den, which int64 holds iff den < 2**63
+        w = Fraction(1, den)
+        sigma = [1, 0, 2]
+        S = np.full((3, 3), Fraction(0), dtype=object)
+        S[np.arange(3), np.arange(3)] = 1 - w
+        S[sigma, np.arange(3)] += w
+        S = StochMatrix(S, mode=EXACT)
+        dec = bs.birkhoff_decompose(S)
+        assert dec.den == den
+        R = dec.reconstruct(mode=EXACT)
+        assert R == S
+        assert_fractions_equal(R.a, S.a)
+        assert_python_ints(*R.a.flat)
+        assert_numerators(R)
