@@ -73,7 +73,7 @@ def _load_json(path):
     try:
         with open(path) as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not text, or an int past Python's digit limit
         raise UsageError(f"cannot read {path}: {exc}") from exc
 
 
@@ -97,7 +97,7 @@ def _convert(x, mode):
     """A matrix or vector in ``mode``; None keeps its own."""
     if mode is None or x.mode == mode:
         return x
-    return type(x)(x.a, mode=mode)
+    return x.to_float() if mode == FLOAT else type(x)(x.a, mode=mode)
 
 
 def _load_matrix(path, mode=None):
@@ -189,10 +189,10 @@ def cmd_fixed_point(args):
     res = core.fixed_point(T)
     report = Report("fixed-point", [args.matrix])
     report.body["result"] = _fmt(res)
-    r = res.representative.a
+    r = res.representative
     # T r sums to the column sums of T, so the residual carries the input's defect
     tol = core._tol(T, core.RESULT_TOL + core._sum_check(T).max_column_defect)
-    report.check("fixed_point_residual", defect=np.max(np.abs(T.a @ r - r)), tol=tol)
+    report.check("fixed_point_residual", defect=core._max_difference(core.apply(T, r), r), tol=tol)
     return report.emit()
 
 
@@ -358,7 +358,7 @@ def cmd_sinkhorn(args):
         {"d1": res.d1, "d2": res.d2, "iterations": res.iterations, "final_defect": res.final_defect}
     )
     report.check("bi_stochastic", defect=res.final_defect, tol=args.tol)
-    scaled = np.diag(res.d1) @ T.a @ np.diag(res.d2)
+    scaled = res.d1[:, None] * T.a * res.d2
     report.check("diagonal_factorization", defect=float(np.max(np.abs(scaled - res.matrix.a))), tol=10 * args.tol)
     _emit_matrix(report, res.matrix, args.out)
     return report.emit()
@@ -416,10 +416,12 @@ def build_parser():
     parser = _Parser(prog="bistoch", description="Analyze and dilate stochastic matrices.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add(name, func, **kwargs):
+    def add(name, func, modes=True, **kwargs):
+        """A subcommand; with ``modes``, one whose inputs ``--mode`` converts."""
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(func=func)
-        p.add_argument("--mode", choices=[EXACT, FLOAT], default=None, help="convert inputs to this mode")
+        if modes:
+            p.add_argument("--mode", choices=[EXACT, FLOAT], default=None, help="convert inputs to this mode")
         return p
 
     p = add("validate", cmd_validate, help="classify a matrix as left/right/bi-stochastic")
@@ -463,7 +465,8 @@ def build_parser():
     p = add("entropy", cmd_entropy, help="Shannon entropy of a distribution (nats)")
     p.add_argument("--vec", required=True)
 
-    p = add("entropy-region", cmd_entropy_region, help="scan the entropy-decreasing region along vertex rays")
+    p = add("entropy-region", cmd_entropy_region, modes=False,
+            help="scan the entropy-decreasing region along vertex rays")
     p.add_argument("matrix")
     p.add_argument("--grid", type=_at_least(1), default=64)
     p.add_argument("--out", default=None, help="CSV output path")
@@ -476,13 +479,13 @@ def build_parser():
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
 
-    p = add("sinkhorn", cmd_sinkhorn, help="Sinkhorn-Knopp balancing")
+    p = add("sinkhorn", cmd_sinkhorn, modes=False, help="Sinkhorn-Knopp balancing")
     p.add_argument("matrix")
     p.add_argument("--tol", type=float, default=core.RESULT_TOL)
     p.add_argument("--max-iter", type=_at_least(1), default=sinkhorn_mod.DEFAULT_MAX_ITER)
     p.add_argument("--out", default=None)
 
-    p = add("demo", cmd_demo_maxwell, help="worked Maxwell-demon example with self-checks")
+    p = add("demo", cmd_demo_maxwell, modes=False, help="worked Maxwell-demon example with self-checks")
     p.add_argument("name", choices=["maxwell"])
 
     return parser

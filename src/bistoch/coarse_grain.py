@@ -122,14 +122,13 @@ def projection_matrix(P, mode=EXACT):
 def uniform_right_inverse(P, mode=EXACT):
     """The d x N right inverse spreading each class mass uniformly over its members.
 
-    ``Y[nu, k] = 1 / |c_k|`` iff ``labels[nu] == k``: N divisions and a
+    ``Y[nu, k] = 1 / |c_k|`` iff ``labels[nu] == k``: N fractions and a
     zero, the values of ``Y``, and an int code per entry that selects one.
     """
-    one = Fraction(1) if mode == EXACT else 1.0
-    values = np.array([0 * one, *(one / size for size in P.class_sizes)], dtype=object)
+    values = np.array([Fraction(0), *(Fraction(1, size) for size in P.class_sizes)], dtype=object)
     codes = np.zeros((P.d, P.n), dtype=np.intp)
     codes[np.arange(P.d), P.labels] = 1 + P.labels
-    return StochMatrix._from_codes(values, codes) if mode == EXACT else StochMatrix(values[codes], mode=mode)
+    return StochMatrix._from_codes(values, codes, mode)
 
 
 def product_right_inverse(n, rho):
@@ -137,17 +136,16 @@ def product_right_inverse(n, rho):
 
     Y is a section of ``Partition.first_marginal(n, m)``, which flattens
     environment-major, flat(k, i) = i*n + k, so ``Y @ p`` has entry ``p[k] *
-    rho[i]`` at flat index ``i*n + k``.  Its values are 0 and rho's, so
-    exact mode builds it from their codes.
+    rho[i]`` at flat index ``i*n + k``.  Its values are 0 and rho's, so it
+    is built from their codes.
     """
-    m, exact = rho.n, rho.mode == EXACT
-    # codes into [0, *rho.values], or into [0, *rho] in float mode
-    values = np.concatenate([[Fraction(0)], rho.values] if exact else [[0.0], rho.a])
-    codes = np.zeros((m, n, n), dtype=np.intp)
+    m = rho.n
+    # an exact rho's own codes: from [0, *rho], a point mass would convert m + 1 values, not 3
+    values, at = (rho.values, rho.codes) if rho.mode == EXACT else (rho.a, np.arange(m))
+    codes = np.zeros((m, n, n), dtype=np.intp)  # codes into [0, *values]
     ks = np.arange(n)
-    codes[:, ks, ks] = 1 + (rho.codes if exact else np.arange(m))[:, None]  # Y[i*n + k, k] = rho[i]
-    codes = codes.reshape(n * m, n)
-    return StochMatrix._from_codes(values, codes) if exact else StochMatrix(values[codes], mode=rho.mode)
+    codes[:, ks, ks] = 1 + at[:, None]  # Y[i*n + k, k] = rho[i]
+    return StochMatrix._from_codes(np.concatenate([[Fraction(0)], values]), codes.reshape(n * m, n), rho.mode)
 
 
 def _class_sums(labels, n, A):

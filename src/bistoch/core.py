@@ -15,15 +15,20 @@ kernel that multiplies numerators bounds its own products first and works
 on Python ints where the bound fails (:func:`_exact_operands`).  An exact
 object also keeps how its entries share values: ``a == values[codes]``.
 The public constructor finds the distinct entry objects by one id pass
-(:func:`_distinct`).  A kernel that knows more builds its result without
-that pass, in one of two ways.  One that knows its few values and their
-codes passes them (:meth:`_Entries._from_codes`): the noisy dilation, both
-right inverses, ``ProbVec.point_mass`` and the JSON decoder, which maps
-each distinct token of a file to a code in one dict pass.  One that
-computes numerators passes them with their denominator
-(:meth:`_Entries._from_nums`), which makes one Fraction per distinct
-numerator: ``fixed_point``, ``apply`` and ``iterate``, ``coarse_grain``,
-the uniform dilation and the exact Birkhoff reconstruction.  The JSON encoder reads the codes, so no other pass over
+(:func:`_distinct`).  A builder that knows more makes its result without
+that pass, through one of two constructors, each serving both modes.  One
+that knows its few exact values and their codes passes them
+(:meth:`_Entries._from_codes`): the exact noisy dilation, both right inverses,
+``ProbVec.uniform`` and ``point_mass``, ``StochMatrix.identity``,
+``to_float`` and the JSON decoder, which maps each distinct token of a file
+to a code in one dict pass.  In float mode it rounds each value once and
+gathers the floats by the codes, so a float result is the rounding of the
+exact one, bit for bit.  One that computes numerators passes them with
+their denominator (:meth:`_Entries._from_nums`), which makes one Fraction
+per distinct numerator, or stores a float array over ``1.0`` as it is:
+``fixed_point``, ``apply`` and ``iterate``, ``coarse_grain``, the uniform
+dilation, the float noisy and unistochastic dilations and the Birkhoff
+reconstruction.  The JSON encoder reads the codes, so no other pass over
 the entries looks for shared values.  Each value is converted once, and
 entries that share a value share one object in ``a``.  Sums, comparisons
 and peels over a whole object read ``nums`` and ``den``, and results become
@@ -45,6 +50,8 @@ mode.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
@@ -98,7 +105,21 @@ def _tol(M, tol):
     return 0 if M.mode == EXACT else tol
 
 
+#: the decimal exponent of a string such as "1e-5000"
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
 def _exact_entry(value):
+    """The Fraction of a float, a rational or a string such as "1/3" or "2.5e-3".
+
+    A string whose decimal exponent reaches the interpreter's limit on the
+    digits of an int written as a string is a ``ValueError``: its value
+    could not be written back, and Python would expand any exponent first.
+    """
+    if isinstance(value, str) and (exponent := _EXPONENT.search(value)):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
+        if limit and abs(int(exponent[1])) >= limit:
+            raise ValueError(f"exponent of {value!r} reaches the {limit}-digit limit of Python ints")
     if isinstance(value, (float, Rational, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
@@ -122,6 +143,14 @@ def _float(value):
         return float(value)
     except OverflowError:
         return math.inf if value > 0 else -math.inf
+
+
+def _floats(data):
+    """``np.array(data, dtype=float)``: each value rounded once, and one too large for a float infinite."""
+    try:
+        return np.array(data, dtype=float)
+    except OverflowError:  # reported as a NonFiniteEntry by the object's check
+        return np.frompyfunc(_float, 1, 1)(np.asarray(data, dtype=object)).astype(float)
 
 
 #: exact numerators, and every integer a kernel forms from them, are int64 only below this
@@ -192,14 +221,15 @@ class _Entries:
     shape (a float object has ``values = codes = None``).  The public
     constructor takes them from one id pass over ``data`` (:func:`_distinct`),
     so an object shared by many entries of ``data`` is converted once and
-    stays shared in ``a``; :meth:`_from_codes` takes them from a kernel, and
-    :meth:`_from_nums` from the distinct numerators a kernel computed.
-    Every exact construction goes through :meth:`_set_exact`,
+    stays shared in ``a``.  A builder that knows more uses one of two
+    constructors, each for both modes: :meth:`_from_codes` takes exact
+    values and their codes, and in float mode rounds each value once;
+    :meth:`_from_nums` takes the numerators a kernel computed, and in float
+    mode stores that fresh array itself, so a large float result is not
+    copied.  Every exact construction goes through :meth:`_set_exact`,
     which converts and sign-checks each value once.  Every float
     construction goes through :meth:`_set_float`, which checks the shape and
-    the finite, non-negative entries: the public constructor on a copy of
-    ``data``, :meth:`_from_array` on a fresh array a kernel hands over, so a
-    large float result is not copied.  Sums and comparisons over a whole
+    the finite, non-negative entries.  Sums and comparisons over a whole
     object read ``nums`` and ``den`` and never convert ``a`` again.  A float
     entry too large for a double, such as an exact ``1e400``, is a
     :class:`NonFiniteEntry`.
@@ -215,38 +245,28 @@ class _Entries:
             values = np.array([v if isinstance(v, Fraction) else _exact_entry(v) for v in distinct], dtype=object)
             self._set_exact(values, inverse.reshape(data.shape))
         elif mode == FLOAT:
-            try:
-                arr = np.array(data, dtype=float)
-            except OverflowError:  # an exact entry too large for a float, reported as infinite below
-                arr = np.frompyfunc(_float, 1, 1)(np.asarray(data, dtype=object)).astype(float)
-            self._set_float(arr)
+            self._set_float(_floats(data))
         else:
             raise ValueError(f"unknown mode {mode!r}")
         self._check_sum()
 
     @classmethod
-    def _from_codes(cls, values, codes):
-        """The exact object with entries ``values[codes]``, built without an id pass.
+    def _from_codes(cls, values, codes, mode=EXACT):
+        """The object with entries ``values[codes]``, built without an id pass.
 
-        For kernels that know which entries share a value: ``values`` holds
-        Fractions, ``codes`` is an int array of the object's shape, and every
-        value is the value of some entry, so that ``den`` stays the lcm of
-        the entries' denominators.
+        For builders that know which entries share a value: ``values`` is a
+        1-D object array of Fractions (a float object may also take floats),
+        ``codes`` an int array of the object's shape, and every value is the
+        value of some entry, so that ``den`` stays the lcm of the entries'
+        denominators.  Float mode rounds each value once and gathers the
+        floats by ``codes``.
         """
+        if mode == FLOAT:
+            return cls._from_nums(_floats(values)[codes], 1.0)
+        if mode != EXACT:
+            raise ValueError(f"unknown mode {mode!r}")
         obj = cls.__new__(cls)
         obj._set_exact(values, codes)
-        obj._check_sum()
-        return obj
-
-    @classmethod
-    def _from_array(cls, arr):
-        """The float object holding ``arr`` itself, a float64 array no one else writes to.
-
-        The float counterpart of :meth:`_from_codes`, for kernels that hand
-        over a fresh array: the public constructor would copy it.
-        """
-        obj = cls.__new__(cls)
-        obj._set_float(arr)
         obj._check_sum()
         return obj
 
@@ -256,13 +276,17 @@ class _Entries:
 
         Exact mode (an integer ``den``, not necessarily the entries' lcm)
         makes one Fraction per distinct numerator and builds from their codes
-        (:meth:`_from_codes`).  Float mode (a float ``den``) hands the fresh
-        array ``nums / den`` to :meth:`_from_array`.
+        (:meth:`_from_codes`).  Float mode (a float ``den``) stores the
+        float64 array ``nums`` itself over ``1.0``, not a copy, so no one
+        else may write to it; another ``den`` divides first.
         """
-        if isinstance(den, float):
-            return cls._from_array(nums / den)
-        distinct, codes = np.unique(nums, return_inverse=True)
-        return cls._from_codes(_fractions(distinct, den), codes.reshape(nums.shape))
+        if not isinstance(den, float):
+            distinct, codes = np.unique(nums, return_inverse=True)
+            return cls._from_codes(_fractions(distinct, den), codes.reshape(nums.shape))
+        obj = cls.__new__(cls)
+        obj._set_float(nums if den == 1.0 else nums / den)
+        obj._check_sum()
+        return obj
 
     def _set_float(self, arr):
         """Check and store a float object: its shape, then finite and non-negative entries."""
@@ -303,7 +327,7 @@ class _Entries:
     def to_float(self):
         if self.mode == FLOAT:
             return self
-        return type(self)(self.a, mode=FLOAT)
+        return self._from_codes(self.values, self.codes, FLOAT)
 
     def __eq__(self, other):
         """Same type, mode and entries, compared as ``den`` and ``nums``.
@@ -342,18 +366,14 @@ class ProbVec(_Entries):
 
     @classmethod
     def uniform(cls, n, mode=FLOAT):
-        if mode == EXACT:
-            return cls([Fraction(1, n)] * n, mode=EXACT)
-        return cls(np.full(n, 1.0 / n), mode=FLOAT)
+        return cls._from_codes(np.array([Fraction(1, n)], dtype=object), np.zeros(n, dtype=np.intp), mode)
 
     @classmethod
     def point_mass(cls, n, k, mode=FLOAT):
         if not 0 <= k < n:
             raise IndexOutOfRange(f"point mass at {k} outside {n} states")
-        at_k = [int(i == k) for i in range(n)]  # in exact mode, codes into [0, 1]
-        if mode == EXACT:
-            return cls._from_codes(np.array([Fraction(0), Fraction(1)], dtype=object), np.array(at_k, dtype=np.intp))
-        return cls(at_k, mode=mode)
+        at_k = (np.arange(n) == k).astype(np.intp)  # codes into [0, 1]
+        return cls._from_codes(np.array([Fraction(0), Fraction(1)], dtype=object), at_k, mode)
 
     @property
     def n(self):
@@ -387,10 +407,7 @@ class StochMatrix(_Entries):
 
     @classmethod
     def identity(cls, n, mode=FLOAT):
-        if mode == EXACT:
-            data = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-            return cls(data, mode=EXACT)
-        return cls(np.eye(n), mode=FLOAT)
+        return cls._from_codes(np.array([Fraction(0), Fraction(1)], dtype=object), np.eye(n, dtype=np.intp), mode)
 
     @property
     def rows(self):

@@ -25,8 +25,8 @@ completion of the isometry induced by a Kraus representation of T.  That
 completion is the Householder product of a QR factorization of the
 isometry, written in closed form: N^2 (2N - 1) nonzeros at most, in O(N^4)
 time, where forming it by a complete QR costs O(N^5).  Both float
-constructions hand their fresh N^2 x N^2 array to :class:`StochMatrix`
-without a copy (``_from_array``).
+constructions hand their fresh N^2 x N^2 array to :class:`StochMatrix` as
+its numerators over ``1.0``, without a copy (``_from_nums``).
 """
 
 from __future__ import annotations
@@ -56,8 +56,11 @@ def flat_index(m, i, n):
 
 def with_environment(R, rho):
     """R as an environmental dilation whose environment starts in rho: the
-    first-marginal partition and the product section of rho."""
-    n = R.rows // rho.n
+    first-marginal partition and the product section of rho.  R must be
+    square, of size ``n * len(rho)`` for a system of n >= 1 states."""
+    n, rest = divmod(R.rows, rho.n)
+    if not R.is_square or rest or not n:
+        raise DimensionMismatch(f"{R.rows}x{R.cols} dilation does not act on a system with a {rho.n}-state environment")
     return CoarseGrainDilation(Partition.first_marginal(n, rho.n), R, product_right_inverse(n, rho))
 
 
@@ -105,6 +108,7 @@ def noisy_dilation(T):
     n = T.rows
     if n < 2:
         raise DimensionTooSmall("the noisy construction needs N >= 2")
+    # float mode writes R directly: a codes gather took 1.5 ms against 0.08 ms (N=20, 2-vCPU Xeon)
     exact = T.mode == EXACT
     t = 1 + T.codes.T if exact else T.a.T  # t[i, m] = T[m, i], or its code in exact mode
     view = np.empty((n, n, n, n), dtype=t.dtype)  # view[i, m, j, k] = R[(m,i),(k,j)]
@@ -114,7 +118,7 @@ def noisy_dilation(T):
     view[:, :, 1:, :] = (t + len(T.values) if exact else (1 - t) / (n * (n - 1)))[:, :, None, None]
     view = view.reshape(n * n, n * n)
     values = np.concatenate([[Fraction(0)], T.values, (1 - T.values) / (n * (n - 1))]) if exact else None
-    matrix = StochMatrix._from_codes(values, view) if exact else StochMatrix._from_array(view)
+    matrix = StochMatrix._from_codes(values, view) if exact else StochMatrix._from_nums(view, 1.0)
     return with_environment(matrix, ProbVec.point_mass(n, 0, mode=T.mode))
 
 
@@ -224,5 +228,5 @@ def unistochastic_dilation(T):
     u[ks[1:], :, ks[1:], :] = np.eye(n) - vh[1:, :, None] * vh[1:, None, :]
     u[0, :, 1:, :] = -h0[:, 1:, None] * vh[None, 1:, :]
     u = u.reshape(n * n, n * n)
-    E = with_environment(StochMatrix._from_array(u**2), ProbVec.point_mass(n, 0, mode=FLOAT))
+    E = with_environment(StochMatrix._from_nums(u**2, 1.0), ProbVec.point_mass(n, 0, mode=FLOAT))
     return UnitaryDilation(**vars(E), unitary=u)

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import EXACT, FLOAT, StochMatrix
+from .core import EXACT, StochMatrix
 
 
 def two_state(a, b, mode=EXACT):
     """The general stochastic 2x2 matrix [[1-b, a], [b, 1-a]], 0 <= a, b <= 1."""
+    # two forms: float mode rounds b, then 1.0 - b; rounding the exact 1 - b once moves b = 1/3 by an ulp
     if mode == EXACT:
         a, b = Fraction(a), Fraction(b)
         data = [[1 - b, a], [b, 1 - a]]
@@ -23,16 +24,8 @@ def maxwell_demon(mode=EXACT):
     (right-hot, right-cold, left-hot, left-cold) of a single molecule:
     the door stays shut for rh and lc; a molecule found rc or lh changes
     sides with probability 1/2, keeping its kinetic energy."""
-    h = Fraction(1, 2) if mode == EXACT else 0.5
-    one = Fraction(1) if mode == EXACT else 1.0
-    zero = Fraction(0) if mode == EXACT else 0.0
-    data = [
-        [one, zero, h, zero],
-        [zero, h, zero, zero],
-        [zero, zero, h, zero],
-        [zero, h, zero, one],
-    ]
-    return StochMatrix(data, mode=mode)
+    h = Fraction(1, 2)
+    return StochMatrix([[1, 0, h, 0], [0, h, 0, 0], [0, 0, h, 0], [0, h, 0, 1]], mode=mode)
 
 
 # Noisy environmental dilation of the Maxwell-demon matrix, tabulated in
@@ -60,8 +53,4 @@ _DEMON_DILATION_24THS = [
 def maxwell_demon_dilation(mode=EXACT):
     """The 16x16 noisy environmental dilation of :func:`maxwell_demon`,
     tabulated independently of the dilation code."""
-    if mode == EXACT:
-        data = [[Fraction(v, 24) for v in row] for row in _DEMON_DILATION_24THS]
-    else:
-        data = [[v / 24.0 for v in row] for row in _DEMON_DILATION_24THS]
-    return StochMatrix(data, mode=mode)
+    return StochMatrix([[Fraction(v, 24) for v in row] for row in _DEMON_DILATION_24THS], mode=mode)

@@ -71,6 +71,9 @@ BAD_INPUTS = [
     ("validate", {"mode": "float", "rows": 1, "cols": 2, "data": [[[1.0], [0.5, 0.5]]]}, 2),
     ("validate", {"mode": "exact", "rows": 1, "cols": 1, "data": [[{"num": 1}]]}, 2),
     ("entropy --vec", {"mode": "float", "rows": 2, "cols": 1, "data": [[{"p": 0.5}], [0.5]]}, 2),
+    # an exact token whose exponent reaches Python's limit on int digits: one could not write it back
+    ("validate", {"mode": "exact", "rows": 1, "cols": 1, "data": [["1e5000"]]}, 1),
+    ("entropy --vec", {"mode": "exact", "rows": 1, "cols": 1, "data": [["1e50000000"]]}, 1),
 ]
 BAD_INPUT_IDS = [
     "missing-rows", "zero-denominator", "not-a-number", "top-level-list", "vector-sum", "nan-entry",
@@ -79,7 +82,7 @@ BAD_INPUT_IDS = [
     "overflow-sinkhorn", "overflow-region", "overflow-unistochastic", "overflow-validate-float",
     "overflow-fixed-point-float", "vector-row-two-entries", "vector-row-string", "vector-row-empty",
     "matrix-row-not-a-list", "exact-ragged-list-entry", "float-ragged-list-entry", "exact-object-entry",
-    "vector-object-entry",
+    "vector-object-entry", "exponent-past-int-limit", "huge-exponent",
 ]
 NON_SCALAR_ENTRY_IDS = [
     "exact-ragged-list-entry", "float-ragged-list-entry", "exact-object-entry", "vector-object-entry",
@@ -127,6 +130,14 @@ class TestExitCodes:
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert run(["validate", str(bad)]) == 1
+
+    def test_int_past_the_digit_limit_is_one_line_io_error(self, capsys, tmp_path):
+        # json refuses to read an int literal longer than Python's limit on int digits
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"mode": "exact", "rows": 1, "cols": 1, "data": [[1' + "0" * 4400 + "]]}")
+        assert run(["validate", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {bad}: ") and len(err.strip().splitlines()) == 1
 
     def test_domain_error_is_two(self, capsys, demon_file):
         # the demon matrix has a zero fixed-point component
@@ -180,6 +191,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: DimensionMismatch: dilation has {size} rows, not a multiple of the matrix's 4\n"
         )
+
+    def test_verify_dilation_refuses_an_environment_that_does_not_fit(self, capsys, tmp_path):
+        # R's 4 rows are a multiple of T's 2, but not of rho's 5 states
+        payload = (bs.matrix_to_json(StochMatrix.identity(2, mode=EXACT)),
+                   bs.matrix_to_json(StochMatrix.identity(4, mode=EXACT)),
+                   bs.vector_to_json(ProbVec.point_mass(5, 0, mode=EXACT)))
+        T, R, rho = write_inputs(tmp_path, payload)
+        assert run(["verify-dilation", T, R, "--rho", rho]) == 2
+        assert capsys.readouterr().err == (
+            "error: DimensionMismatch: 4x4 dilation does not act on a system with a 5-state environment\n"
+        )
+
+    @pytest.mark.parametrize("command", ["sinkhorn", "entropy-region", "demo"])
+    def test_mode_only_where_it_converts(self, capsys, tmp_path, command):
+        # sinkhorn and entropy-region always run in float, the demo on its own matrices
+        (path,) = write_inputs(tmp_path, bs.matrix_to_json(bs.two_state(Fraction(1, 5), Fraction(2, 5))))
+        argv = ["demo", "maxwell"] if command == "demo" else [command, path]
+        assert run([*argv, "--mode", "exact"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: unrecognized arguments: --mode exact\n")
 
     def test_memory_error_gives_one_line_error(self, capsys, monkeypatch, tmp_path):
         # a uniform dilation whose lcm is astronomical asks numpy for terabytes;
@@ -314,6 +344,21 @@ class TestCommands:
         assert all(c["pass"] for c in report["checks"])
         R = bs.matrix_from_json(json.loads(out.read_text()))
         assert R == demon_dilation_expected(mode=EXACT)
+
+    @pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
+    def test_fixed_point_residual_is_one_apply(self, capsys, monkeypatch, demon_file, mode):
+        calls = []
+
+        def counting(T, p):
+            calls.append(p)
+            return apply(T, p)
+
+        apply = bs.core.apply
+        monkeypatch.setattr(bs.core, "apply", counting)
+        code, report = run_json(capsys, ["fixed-point", demon_file, *mode])
+        assert code == 0 and len(calls) == 1
+        (check,) = report["checks"]
+        assert check["name"] == "fixed_point_residual" and check["defect"] == 0
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
     def test_dilate_noisy_sums_and_contracts_r_once(self, capsys, monkeypatch, demon_file, mode):

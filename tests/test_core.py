@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -70,16 +71,16 @@ class TestValidate:
         with pytest.raises((NegativeEntry, NonFiniteEntry)) as public:
             cls(data, mode=FLOAT)
         with pytest.raises(type(public.value)) as handed_over:
-            cls._from_array(np.array(data))
+            cls._from_nums(np.array(data), 1.0)
         assert handed_over.value.index == public.value.index
         assert repr(handed_over.value.value) == repr(public.value.value)
 
     def test_from_array_keeps_the_array_and_the_constructor_copies(self):
         data = np.full((2, 2), 0.5)
-        assert StochMatrix._from_array(data).a is data
+        assert StochMatrix._from_nums(data, 1.0).a is data
         assert not np.shares_memory(StochMatrix(data, mode=FLOAT).a, data)
         assert not np.shares_memory(ProbVec(data[0], mode=FLOAT).a, data)
-        assert StochMatrix._from_array(data) == StochMatrix(data, mode=FLOAT)
+        assert StochMatrix._from_nums(data, 1.0) == StochMatrix(data, mode=FLOAT)
 
     def test_mode_consistency(self):
         rng = np.random.default_rng(11)
@@ -265,6 +266,29 @@ class TestIterate:
         T = StochMatrix([[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]])
         p = ProbVec.uniform(3)
         assert bs.iterate(T, p, 1) == ([p, bs.apply(T, p)], False)
+
+
+class TestExactEntry:
+    """An exact token whose decimal exponent reaches the interpreter's limit
+    on int digits is refused before Python expands it."""
+
+    @pytest.mark.parametrize("token", ["1e4300", "1e5000", "2.5E-5000", "3e+4_300", " 1e50000000 "])
+    def test_exponent_at_the_limit_is_refused(self, token):
+        with pytest.raises(ValueError, match="4300-digit limit"):
+            bs.matrix_from_json({"mode": "exact", "rows": 1, "cols": 1, "data": [[token]]})
+
+    def test_exponent_below_the_limit_is_read(self):
+        M = StochMatrix([["1e4299", "1e-4299"]], mode=EXACT)
+        assert M.a.tolist() == [[Fraction(10**4299), Fraction(1, 10**4299)]]
+
+    @pytest.mark.parametrize("no_limit", [lambda: 0, None], ids=["limit-zero", "no-limit-function"])
+    def test_no_limit_reads_every_exponent(self, monkeypatch, no_limit):
+        # 0 switches the limit off; Python 3.10 before 3.10.7 has no limit and no function to read it
+        if no_limit is None:
+            monkeypatch.delattr(sys, "get_int_max_str_digits")
+        else:
+            monkeypatch.setattr(sys, "get_int_max_str_digits", no_limit)
+        assert ProbVec(["1e-5000", 1 - Fraction("1e-5000")], mode=EXACT).a[0] == Fraction(1, 10**5000)
 
 
 class TestSerialization:

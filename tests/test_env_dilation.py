@@ -173,6 +173,27 @@ class TestExtractDilated:
             bs.extract_dilated(bs.noisy_dilation(bs.maxwell_demon(mode=mode)).matrix, 0, system_size=system_size)
 
 
+class TestWithEnvironment:
+    @pytest.mark.parametrize(
+        "shape, m",
+        [((6, 6), 4), ((4, 4), 5), ((4, 2), 2), ((2, 4), 2)],
+        ids=["not-a-multiple", "smaller-than-rho", "tall", "wide"],
+    )
+    def test_refuses_a_matrix_that_does_not_fit(self, shape, m):
+        # a square R of n * len(rho) states for some n >= 1, or one error that names both sizes
+        R = StochMatrix(np.full(shape, Fraction(1, shape[0])), mode=EXACT)
+        with pytest.raises(DimensionMismatch) as info:
+            with_environment(R, ProbVec.point_mass(m, 0, mode=EXACT))
+        rows, cols = shape
+        assert str(info.value) == f"{rows}x{cols} dilation does not act on a system with a {m}-state environment"
+
+    def test_fits_every_multiple(self):
+        R = StochMatrix.identity(6, mode=EXACT)
+        for m in (1, 2, 3, 6):
+            E = with_environment(R, ProbVec.uniform(m, mode=EXACT))
+            assert E.partition.n == 6 // m and E.right_inverse.a.shape == (6, 6 // m)
+
+
 class TestVerifyEnvDilation:
     def test_noisy_dilation_verifies(self, demon):
         assert bs.verify_env_dilation(demon, bs.noisy_dilation(demon))

@@ -31,7 +31,7 @@ import bistoch as bs
 from bistoch import EXACT, FLOAT, Partition, ProbVec, StochMatrix, core, entropy, with_environment
 from bistoch.core import RESIDUAL_TOL
 from bistoch.entropy import _augment
-from bistoch.errors import NegativeEntry, NotStochastic
+from bistoch.errors import DimensionMismatch, NegativeEntry, NonFiniteEntry, NotStochastic
 
 from conftest import random_permutation_mixture, random_stochastic_exact
 
@@ -845,6 +845,76 @@ class TestValueCodes:
         assert_same_object(bs.coarse_grain(R, E.partition, E.right_inverse), extracted)
         assert_same_object(bs.product_right_inverse(6, rho), section)
         assert_same_object(dec.reconstruct(mode=EXACT), R)
+
+
+def assert_rounded(F, E):
+    """The float object F holds each entry of the exact object E rounded once, bit for bit."""
+    want = np.array([float(v) for v in E.a.flat]).reshape(E.a.shape)
+    assert type(F) is type(E) and (F.mode, E.mode) == (FLOAT, EXACT)
+    assert F.a.dtype == np.float64 and F.a.shape == E.a.shape and F.a.tobytes() == want.tobytes()
+
+
+class TestOneConstruction:
+    """Each builder makes one object for both modes: its float result is its
+    exact result with each entry rounded once, which is ``to_float()``."""
+
+    @SETTINGS
+    @given(st.integers(1, 24), shuffled_partitions(), exact_matrices(kind="stochastic", square=False), st.data())
+    def test_float_builders_round_the_exact_ones(self, n, P, M, data):
+        k = data.draw(st.integers(0, n - 1))
+        rho = ProbVec(M.a[:, 0], mode=EXACT)
+        builders = {
+            "uniform": lambda mode: ProbVec.uniform(n, mode=mode),
+            "point_mass": lambda mode: ProbVec.point_mass(n, k, mode=mode),
+            "identity": lambda mode: StochMatrix.identity(n, mode=mode),
+            "uniform_right_inverse": lambda mode: bs.uniform_right_inverse(P, mode=mode),
+            "product_right_inverse": lambda mode: bs.product_right_inverse(n, rho if mode == EXACT else rho.to_float()),
+            "maxwell_demon": lambda mode: bs.maxwell_demon(mode=mode),
+            "maxwell_demon_dilation": lambda mode: bs.maxwell_demon_dilation(mode=mode),
+        }
+        for name, build in builders.items():
+            F, E = build(FLOAT), build(EXACT)
+            assert_rounded(F, E)
+            assert F.a.tobytes() == E.to_float().a.tobytes(), name
+
+    @SETTINGS
+    @given(exact_matrices(square=False))
+    def test_to_float_rounds_each_entry(self, M):
+        assert_rounded(M.to_float(), M)
+
+    def test_to_float_of_an_entry_too_large_for_a_float(self):
+        M = StochMatrix([[Fraction(1, 3), Fraction(10) ** 400], [Fraction(0), Fraction(10) ** 400]], mode=EXACT)
+        errors = []
+        for convert in (lambda: M.to_float(), lambda: StochMatrix(M.a, mode=FLOAT)):
+            with pytest.raises(NonFiniteEntry) as info:
+                convert()
+            errors.append((info.value.index, repr(info.value.value)))
+        assert errors[0] == errors[1] == ((0, 1), repr(np.float64(np.inf)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda mode: ProbVec.uniform(3, mode=mode),
+            lambda mode: ProbVec.point_mass(3, 0, mode=mode),
+            lambda mode: StochMatrix.identity(3, mode=mode),
+            lambda mode: bs.uniform_right_inverse(Partition.consecutive([1, 2]), mode=mode),
+            lambda mode: bs.projection_matrix(Partition.consecutive([1, 2]), mode=mode),
+            lambda mode: bs.two_state(0.5, 0.5, mode=mode),
+            lambda mode: bs.maxwell_demon(mode=mode),
+            lambda mode: bs.maxwell_demon_dilation(mode=mode),
+            lambda mode: StochMatrix([[1]], mode=mode),
+        ],
+        ids=["uniform", "point_mass", "identity", "uniform_right_inverse", "projection_matrix", "two_state",
+             "maxwell_demon", "maxwell_demon_dilation", "constructor"],
+    )
+    def test_unknown_mode(self, build):
+        with pytest.raises(ValueError, match="unknown mode 'decimal'"):
+            build("decimal")
+
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_empty_identity(self, mode):
+        with pytest.raises(DimensionMismatch, match="^0x0 matrix has no entries$"):
+            StochMatrix.identity(0, mode=mode)
 
 
 def _near_the_bound(draw):
