@@ -190,9 +190,11 @@ def cmd_fixed_point(args):
     report = Report("fixed-point", [args.matrix])
     report.body["result"] = _fmt(res)
     r = res.representative
-    # T r sums to the column sums of T, so the residual carries the input's defect
+    # T r sums to the column sums of T, so the residual carries the input's defect; T r is
+    # read on numerators, t @ q over T.den * r.den, and not built as a ProbVec, which checks its sum
     tol = core._tol(T, core.RESULT_TOL + core._sum_check(T).max_column_defect)
-    report.check("fixed_point_residual", defect=core._max_difference(core.apply(T, r), r), tol=tol)
+    t, q = core._exact_operands(lambda t, q: (t * T.cols + T.den) * q, T.nums, r.nums)
+    report.check("fixed_point_residual", defect=r._value(np.max(np.abs(t @ q - q * T.den))) / T.den, tol=tol)
     return report.emit()
 
 

@@ -141,11 +141,11 @@ def product_right_inverse(n, rho):
     """
     m = rho.n
     # an exact rho's own codes: from [0, *rho], a point mass would convert m + 1 values, not 3
-    values, at = (rho.values, rho.codes) if rho.mode == EXACT else (rho.a, np.arange(m))
+    zero, values, at = (Fraction(0), rho.values, rho.codes) if rho.mode == EXACT else (0.0, rho.a, np.arange(m))
     codes = np.zeros((m, n, n), dtype=np.intp)  # codes into [0, *values]
     ks = np.arange(n)
     codes[:, ks, ks] = 1 + at[:, None]  # Y[i*n + k, k] = rho[i]
-    return StochMatrix._from_codes(np.concatenate([[Fraction(0)], values]), codes.reshape(n * m, n), rho.mode)
+    return StochMatrix._from_codes(np.concatenate([[zero], values]), codes.reshape(n * m, n), rho.mode)
 
 
 def _class_sums(labels, n, A):

@@ -112,14 +112,21 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
 def _exact_entry(value):
     """The Fraction of a float, a rational or a string such as "1/3" or "2.5e-3".
 
-    A string whose decimal exponent reaches the interpreter's limit on the
-    digits of an int written as a string is a ``ValueError``: its value
-    could not be written back, and Python would expand any exponent first.
+    A string with an exponent whose value has a numerator or denominator
+    with more digits than the interpreter writes an int with is a
+    ``ValueError``: it could not be written back.  A nonzero value whose
+    exponent exceeds that limit by more than the string's length is refused
+    before it is expanded, as it certainly has too many digits.
     """
     if isinstance(value, str) and (exponent := _EXPONENT.search(value)):
         limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # 0: no limit, as before Python 3.10.7
-        if limit and abs(int(exponent[1])) >= limit:
-            raise ValueError(f"exponent of {value!r} reaches the {limit}-digit limit of Python ints")
+        mantissa = Fraction(value[: exponent.start()] + "e0")
+        if limit and mantissa and abs(int(exponent[1])) > limit + len(value):
+            raise ValueError(f"{value!r} has more digits than the {limit}-digit limit of Python ints")
+        result = Fraction(value) if mantissa else mantissa
+        if limit and max(abs(result.numerator), result.denominator) >= 10**limit:
+            raise ValueError(f"{value!r} has more digits than the {limit}-digit limit of Python ints")
+        return result
     if isinstance(value, (float, Rational, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")

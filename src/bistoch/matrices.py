@@ -9,14 +9,8 @@ from .core import EXACT, StochMatrix
 
 def two_state(a, b, mode=EXACT):
     """The general stochastic 2x2 matrix [[1-b, a], [b, 1-a]], 0 <= a, b <= 1."""
-    # two forms: float mode rounds b, then 1.0 - b; rounding the exact 1 - b once moves b = 1/3 by an ulp
-    if mode == EXACT:
-        a, b = Fraction(a), Fraction(b)
-        data = [[1 - b, a], [b, 1 - a]]
-    else:
-        a, b = float(a), float(b)
-        data = [[1.0 - b, a], [b, 1.0 - a]]
-    return StochMatrix(data, mode=mode)
+    a, b = Fraction(a), Fraction(b)
+    return StochMatrix([[1 - b, a], [b, 1 - a]], mode=mode)
 
 
 def maxwell_demon(mode=EXACT):

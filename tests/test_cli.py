@@ -321,6 +321,8 @@ class TestCommands:
         assert report["result"]["representative"] == ["1/2", 0, 0, "1/2"]
         assert report["result"]["face_dimension"] == 1
         assert report["result"]["is_unique"] is False
+        (check,) = report["checks"]
+        assert check["name"] == "fixed_point_residual" and check["defect"] == 0 and check["tol"] == 0
 
     def test_apply(self, capsys, demon_file, uniform4_file):
         code, report = run_json(capsys, ["apply", demon_file, uniform4_file])
@@ -345,20 +347,19 @@ class TestCommands:
         R = bs.matrix_from_json(json.loads(out.read_text()))
         assert R == demon_dilation_expected(mode=EXACT)
 
-    @pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
-    def test_fixed_point_residual_is_one_apply(self, capsys, monkeypatch, demon_file, mode):
-        calls = []
-
-        def counting(T, p):
-            calls.append(p)
-            return apply(T, p)
-
-        apply = bs.core.apply
-        monkeypatch.setattr(bs.core, "apply", counting)
-        code, report = run_json(capsys, ["fixed-point", demon_file, *mode])
-        assert code == 0 and len(calls) == 1
+    def test_fixed_point_residual_at_the_tolerance_edge(self, capsys, tmp_path):
+        # each column sums to the largest float within DEFAULT_TOL of 1, so T r sums to
+        # 1 + 1.000000001e-9: a ProbVec refuses T r, and the residual must not build one
+        data = [[0.062208377840388795, 0.5572367780722448], [0.9377916231596111, 0.44276322292775505]]
+        (path,) = write_inputs(tmp_path, {"mode": "float", "rows": 2, "cols": 2, "data": data})
+        T = StochMatrix(data, mode=FLOAT)
+        r = bs.fixed_point(T).representative
+        with pytest.raises(bs.errors.NotStochastic):
+            bs.apply(T, r)
+        code, report = run_json(capsys, ["fixed-point", path, "--mode", "float"])
+        assert code == 0
         (check,) = report["checks"]
-        assert check["name"] == "fixed_point_residual" and check["defect"] == 0
+        assert check["pass"] and check["defect"] == float(f"{np.max(np.abs(T.a @ r.a - r.a)):.12g}")
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
     def test_dilate_noisy_sums_and_contracts_r_once(self, capsys, monkeypatch, demon_file, mode):

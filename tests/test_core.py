@@ -269,17 +269,30 @@ class TestIterate:
 
 
 class TestExactEntry:
-    """An exact token whose decimal exponent reaches the interpreter's limit
-    on int digits is refused before Python expands it."""
+    """An exact token with an exponent whose numerator or denominator has more
+    digits than the interpreter's limit on int digits is refused, and a far
+    exponent is refused before Python expands it."""
 
-    @pytest.mark.parametrize("token", ["1e4300", "1e5000", "2.5E-5000", "3e+4_300", " 1e50000000 "])
-    def test_exponent_at_the_limit_is_refused(self, token):
+    @pytest.mark.parametrize(
+        "token",
+        ["1e4300", "1e5000", "2.5E-5000", "3e+4_300", " 1e50000000 ", "0.1e4301", "1.5e-4300", "1" * 3000 + "e3000"],
+    )
+    def test_too_many_digits_is_refused(self, token):
         with pytest.raises(ValueError, match="4300-digit limit"):
             bs.matrix_from_json({"mode": "exact", "rows": 1, "cols": 1, "data": [[token]]})
 
-    def test_exponent_below_the_limit_is_read(self):
-        M = StochMatrix([["1e4299", "1e-4299"]], mode=EXACT)
-        assert M.a.tolist() == [[Fraction(10**4299), Fraction(1, 10**4299)]]
+    def test_digits_within_the_limit_are_read(self):
+        M = StochMatrix([["1e4299", "1e-4299", "0.1e4300", "1000e-4302", "1.5e-4299"]], mode=EXACT)
+        assert M.a.tolist() == [[Fraction(10**4299), Fraction(1, 10**4299), Fraction(10**4299), Fraction(1, 10**4299),
+                                 Fraction(3, 2 * 10**4299)]]
+
+    @pytest.mark.parametrize("token", ["0e5000", "-0.000E50000000", "0e-50000000"])
+    def test_zero_with_any_exponent_is_read(self, token):
+        assert StochMatrix([[token]], mode=EXACT).a.tolist() == [[Fraction(0)]]
+
+    def test_a_malformed_mantissa_is_refused(self):
+        with pytest.raises(ValueError):
+            StochMatrix([["0/1e5"]], mode=EXACT)
 
     @pytest.mark.parametrize("no_limit", [lambda: 0, None], ids=["limit-zero", "no-limit-function"])
     def test_no_limit_reads_every_exponent(self, monkeypatch, no_limit):

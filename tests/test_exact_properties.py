@@ -862,6 +862,7 @@ class TestOneConstruction:
     @given(st.integers(1, 24), shuffled_partitions(), exact_matrices(kind="stochastic", square=False), st.data())
     def test_float_builders_round_the_exact_ones(self, n, P, M, data):
         k = data.draw(st.integers(0, n - 1))
+        a, b = (data.draw(st.fractions(0, 1, max_denominator=10**6)) for _ in range(2))
         rho = ProbVec(M.a[:, 0], mode=EXACT)
         builders = {
             "uniform": lambda mode: ProbVec.uniform(n, mode=mode),
@@ -869,6 +870,7 @@ class TestOneConstruction:
             "identity": lambda mode: StochMatrix.identity(n, mode=mode),
             "uniform_right_inverse": lambda mode: bs.uniform_right_inverse(P, mode=mode),
             "product_right_inverse": lambda mode: bs.product_right_inverse(n, rho if mode == EXACT else rho.to_float()),
+            "two_state": lambda mode: bs.two_state(a, b, mode=mode),
             "maxwell_demon": lambda mode: bs.maxwell_demon(mode=mode),
             "maxwell_demon_dilation": lambda mode: bs.maxwell_demon_dilation(mode=mode),
         }
@@ -876,6 +878,12 @@ class TestOneConstruction:
             F, E = build(FLOAT), build(EXACT)
             assert_rounded(F, E)
             assert F.a.tobytes() == E.to_float().a.tobytes(), name
+
+    @SETTINGS
+    @given(*(st.floats(0, 1).map(abs) for _ in range(2)))
+    def test_two_state_of_floats_subtracts_in_floats(self, a, b):
+        # rounding the exact 1 - b once is IEEE's correctly rounded 1.0 - b
+        assert bs.two_state(a, b, mode=FLOAT).a.tobytes() == np.array([[1.0 - b, a], [b, 1.0 - a]]).tobytes()
 
     @SETTINGS
     @given(exact_matrices(square=False))
