@@ -47,8 +47,9 @@ def _fmt(value):
     A dataclass result becomes a dict keyed by its field names, so report
     keys follow the library's result fields; a dict keeps its keys; a
     ``ProbVec``, numpy array, list or tuple becomes a list.  Scalars: floats
-    to 12 significant digits, a ``Fraction`` as ``"p/q"`` (an int when whole),
-    bools and ints as themselves.
+    to 12 significant digits, a ``Fraction`` as ``"p/q"`` (an int when whole;
+    one past Python's int-digit limit is a ``TooManyDigits``), bools and ints
+    as themselves.
     """
     if dataclasses.is_dataclass(value):
         return {f.name: _fmt(getattr(value, f.name)) for f in dataclasses.fields(value)}
@@ -59,7 +60,7 @@ def _fmt(value):
     if isinstance(value, (list, tuple, np.ndarray)):
         return [_fmt(v) for v in value]
     if isinstance(value, Fraction):
-        return str(value) if value.denominator > 1 else value.numerator
+        return core._written(value)
     if isinstance(value, (float, np.floating)):
         return float(f"{float(value):.12g}")
     if isinstance(value, (bool, np.bool_)):

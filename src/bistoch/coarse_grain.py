@@ -202,7 +202,7 @@ def roundtrip_defect(T, dilation):
     the marginal identity holds for every p iff this check passes.
     """
     P, S, Y = dilation.partition, dilation.matrix, dilation.right_inverse
-    if S.rows != P.d or T.a.shape != (P.n, P.n):
+    if S.rows != P.d or T.nums.shape != (P.n, P.n):
         raise DimensionMismatch("dilation dimensions disagree with T")
     exact = T.mode == S.mode == Y.mode == EXACT
     if not exact:
@@ -239,9 +239,9 @@ def uniform_dilation(T, p):
         raise NotFixedPoint("T p differs from p")
     partition = Partition.consecutive(sizes)
     c = partition.labels
-    # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: N^2 quotients, gathered by codes
-    quotients = StochMatrix._from_nums(t * (L // q)[:, None], T.den * L)
-    S = StochMatrix._from_codes(quotients.values, quotients.codes[np.ix_(c, c)])
+    # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: the distinct numerators of the N^2 quotients, gathered by their codes
+    quotients, codes = np.unique(t * (L // q)[:, None], return_inverse=True)
+    S = StochMatrix._from_nums(quotients, T.den * L, codes.reshape(T.rows, T.cols)[np.ix_(c, c)])
     dil = CoarseGrainDilation(partition=partition, matrix=S, right_inverse=uniform_right_inverse(partition))
     dil.checks = {"bi_stochastic": core._sum_check(S).bi, "coarse_grain_roundtrip": roundtrip_defect(T, dil)[0] == 0}
     return dil

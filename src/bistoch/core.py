@@ -5,16 +5,18 @@ probability from source state ``n`` to target state ``m``, so a matrix is
 left-stochastic when every *column* sums to one.
 
 Matrices and vectors carry one of two numeric modes.  In ``"exact"`` mode
-entries are :class:`fractions.Fraction` objects held in object-dtype numpy
-arrays; all comparisons are exact.  Each exact object computes its integer
-numerators over one common denominator once, at construction (``nums`` and
-``den``, see :class:`_Entries`).  ``nums`` is int64 when ``max(max num,
-den) * entries < 2**63``, so that every sum of its non-negative entries,
-and its difference from ``den``, fits; otherwise it holds Python ints.  A
-kernel that multiplies numerators bounds its own products first and works
-on Python ints where the bound fails (:func:`_exact_operands`).  An exact
-object also keeps how its entries share values: ``a == values[codes]``.
-The public constructor finds the distinct entry objects by one id pass
+an object is defined by integer numerators over one common denominator
+(``nums`` and ``den``, see :class:`_Entries`): ``den`` is the lcm of the
+entries' reduced denominators, so equal objects have equal ``nums`` and
+``den``, and all comparisons are exact.  ``nums`` is int64 when ``max(max
+num, den) * entries < 2**63``, so that every sum of its non-negative
+entries, and its difference from ``den``, fits; otherwise it holds Python
+ints.  A kernel that multiplies numerators bounds its own products first
+and works on Python ints where the bound fails (:func:`_exact_operands`).
+The entries as :class:`fractions.Fraction` objects, the object-dtype array
+``a == values[codes]``, are built only when read, so that a kernel's
+result makes no Fraction unless its values leave the library.  The public
+constructor finds the distinct entry objects by one id pass
 (:func:`_distinct`).  A builder that knows more makes its result without
 that pass, through one of two constructors, each serving both modes.  One
 that knows its few exact values and their codes passes them
@@ -24,17 +26,17 @@ that knows its few exact values and their codes passes them
 to a code in one dict pass.  In float mode it rounds each value once and
 gathers the floats by the codes, so a float result is the rounding of the
 exact one, bit for bit.  One that computes numerators passes them with
-their denominator (:meth:`_Entries._from_nums`), which makes one Fraction
-per distinct numerator, or stores a float array over ``1.0`` as it is:
+their denominator (:meth:`_Entries._from_nums`), which divides both by their
+gcd and makes no Fraction, or stores a float array over ``1.0`` as it is:
 ``fixed_point``, ``apply`` and ``iterate``, ``coarse_grain``, the uniform
-dilation, the float noisy and unistochastic dilations and the Birkhoff
-reconstruction.  The JSON encoder reads the codes, so no other pass over
-the entries looks for shared values.  Each value is converted once, and
-entries that share a value share one object in ``a``.  Sums, comparisons
-and peels over a whole object read ``nums`` and ``den``, and results become
-Fractions again only where they leave the library
-(:meth:`_Entries._from_nums`, :meth:`_Entries._value`, and
-:func:`_fractions` for the fixed-point basis), always with Python-int
+dilation (with the codes it gathers its N^2 quotients by), the float noisy
+and unistochastic dilations and the Birkhoff reconstruction.  The JSON
+encoder reads the codes, so no pass over the entries looks for shared
+values that a builder knew.  Each value is converted once, and entries that
+share a value share one object in ``a``.  Sums, comparisons and peels over
+a whole object read ``nums`` and ``den``, and Fractions made from
+numerators (:attr:`_Entries.values`, :meth:`_Entries._value`, and
+:func:`_fractions` for the fixed-point basis) always have Python-int
 numerators.  In ``"float"`` mode entries are IEEE doubles, an array is its
 own numerators over ``1.0``, and comparisons use the tolerances below.  The
 two modes never mix inside one object or one operation.
@@ -43,8 +45,8 @@ The analysis of a stochastic matrix rests on two primitives shared by both
 modes: a breadth-first search over its boolean support (:func:`_reached`),
 which gives irreducibility and the closed communicating classes, and one
 linear solve per closed class for its stationary law
-(:func:`_class_stationary`), fraction-free on integer numerators in exact
-mode.
+(:func:`_class_stationary`), fraction-free on Python ints in exact mode,
+each column over its own denominator.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from numbers import Rational
 
@@ -67,6 +70,7 @@ from .errors import (
     NotBiStochastic,
     NotSquare,
     NotStochastic,
+    TooManyDigits,
 )
 
 EXACT = "exact"
@@ -169,8 +173,8 @@ def _numerators(a):
 
     Returns ``(nums, L)`` with L the lcm of the entries' denominators and
     ``a == nums / L`` entrywise; sums and comparisons of ``nums`` are exact.
-    Only the constructor of :class:`_Entries` calls it: kernels read the
-    ``nums`` and ``den`` it stored.
+    Only the exact constructors of :class:`_Entries` call it, on the values
+    they are given: kernels read the ``nums`` and ``den`` it stored.
     """
     ratios = [v.as_integer_ratio() for v in a.flat]
     L = math.lcm(*{den for _, den in ratios})
@@ -178,7 +182,9 @@ def _numerators(a):
 
 
 def _fractions(nums, L):
-    """Inverse of :func:`_numerators`: the array of values ``nums / L``.
+    """Inverse of :func:`_numerators`: the array of values ``nums / L``,
+    made only where values are read (:attr:`_Entries.values`) or leave the
+    library (the fixed-point basis).
 
     Fractions for an integer ``L``; ``tolist`` hands over Python ints also
     from int64 numerators: a Fraction keeps an ``np.int64`` numerator, and
@@ -214,32 +220,34 @@ def _raise_first(error, arr, mask):
 
 class _Entries:
     """Shared base of :class:`ProbVec` and :class:`StochMatrix`: a numeric
-    mode and an array ``a`` of checked entries.
+    mode and checked entries.
 
     The mode is inferred from the data unless given: any float entry makes it
-    ``"float"``.  Each object computes its numerators once, at construction,
-    before the check of the entries' signs.  Exact entries stay Fractions in
-    ``a`` and also become integer numerators ``nums`` over the lcm ``den`` of
-    their denominators, so ``a == nums / den``: int64 where every sum of
-    them fits (:meth:`_set_exact`), Python ints otherwise.  A float array is
-    its own numerators over ``den = 1.0``.  An exact object also keeps the
-    factorisation ``a == values[codes]``: ``values`` is a 1-D object array
-    of distinct Fraction objects and ``codes`` an int array of the object's
-    shape (a float object has ``values = codes = None``).  The public
-    constructor takes them from one id pass over ``data`` (:func:`_distinct`),
-    so an object shared by many entries of ``data`` is converted once and
-    stays shared in ``a``.  A builder that knows more uses one of two
-    constructors, each for both modes: :meth:`_from_codes` takes exact
-    values and their codes, and in float mode rounds each value once;
-    :meth:`_from_nums` takes the numerators a kernel computed, and in float
-    mode stores that fresh array itself, so a large float result is not
-    copied.  Every exact construction goes through :meth:`_set_exact`,
-    which converts and sign-checks each value once.  Every float
-    construction goes through :meth:`_set_float`, which checks the shape and
-    the finite, non-negative entries.  Sums and comparisons over a whole
-    object read ``nums`` and ``den`` and never convert ``a`` again.  A float
-    entry too large for a double, such as an exact ``1e400``, is a
-    :class:`NonFiniteEntry`.
+    ``"float"``.  An exact object is its integer numerators ``nums`` over
+    ``den``, the lcm of its entries' reduced denominators, so that equal
+    entries give equal ``nums`` and ``den``: int64 where every sum of them
+    fits (:meth:`_set_exact`), Python ints otherwise.  Its entries as
+    Fractions are built only when read, each once (``cached_property``):
+    ``codes``, an int array of the object's shape, by one sort of ``nums``;
+    ``values``, a 1-D object array of distinct Fractions, one per code, from
+    the numerator of that code; and ``a == values[codes]``, the object array
+    of the entries.  A float object is its own numerators ``a`` over ``den =
+    1.0``, with ``values = codes = None``.
+
+    The public constructor takes the distinct entry objects of ``data`` by
+    one id pass (:func:`_distinct`), so an object shared by many entries is
+    converted once and stays shared in ``a``.  A builder that knows more
+    uses one of two constructors, each for both modes: :meth:`_from_codes`
+    takes exact values and their codes, and in float mode rounds each value
+    once; :meth:`_from_nums` takes the numerators a kernel computed, makes
+    no Fraction in exact mode, and in float mode stores that fresh array
+    itself, so a large float result is not copied.  Every exact construction
+    ends in :meth:`_set_exact`, which checks the shape and the signs and
+    stores the numerators in their dtype; every float construction goes
+    through :meth:`_set_float`, which checks the shape and the finite,
+    non-negative entries.  Sums and comparisons over a whole object read
+    ``nums`` and ``den``.  A float entry too large for a double, such as an
+    exact ``1e400``, is a :class:`NonFiniteEntry`.
     """
 
     def __init__(self, data, mode=None):
@@ -249,8 +257,8 @@ class _Entries:
         if mode == EXACT:
             data = np.asarray(data, dtype=object)
             distinct, inverse = _distinct(data)
-            values = np.array([v if isinstance(v, Fraction) else _exact_entry(v) for v in distinct], dtype=object)
-            self._set_exact(values, inverse.reshape(data.shape))
+            self.values = np.array([v if isinstance(v, Fraction) else _exact_entry(v) for v in distinct], dtype=object)
+            self._set_exact(*_numerators(self.values), inverse.reshape(data.shape))
         elif mode == FLOAT:
             self._set_float(_floats(data))
         else:
@@ -273,25 +281,30 @@ class _Entries:
         if mode != EXACT:
             raise ValueError(f"unknown mode {mode!r}")
         obj = cls.__new__(cls)
-        obj._set_exact(values, codes)
+        obj.values = values
+        obj._set_exact(*_numerators(values), codes)
         obj._check_sum()
         return obj
 
     @classmethod
-    def _from_nums(cls, nums, den):
-        """The object with entries ``nums / den``, for kernels that compute numerators.
+    def _from_nums(cls, nums, den, codes=None):
+        """The object with entries ``nums / den``, or ``nums[codes] / den``, for kernels that compute numerators.
 
         Exact mode (an integer ``den``, not necessarily the entries' lcm)
-        makes one Fraction per distinct numerator and builds from their codes
-        (:meth:`_from_codes`).  Float mode (a float ``den``) stores the
-        float64 array ``nums`` itself over ``1.0``, not a copy, so no one
-        else may write to it; another ``den`` divides first.
+        divides ``nums`` and ``den`` by their gcd and makes no Fraction.  A
+        builder that gathers its entries from fewer numerators passes those
+        as ``nums`` with the ``codes`` that gather them, each code used, so
+        that its checks run on the numerators and no sort finds its codes.
+        Float mode (a float ``den``) stores the float64 array ``nums``
+        itself over ``1.0``, not a copy, so no one else may write to it;
+        another ``den`` divides first.
         """
-        if not isinstance(den, float):
-            distinct, codes = np.unique(nums, return_inverse=True)
-            return cls._from_codes(_fractions(distinct, den), codes.reshape(nums.shape))
         obj = cls.__new__(cls)
-        obj._set_float(nums if den == 1.0 else nums / den)
+        if isinstance(den, float):
+            obj._set_float(nums if den == 1.0 else nums / den)
+        else:
+            g = math.gcd(den, int(np.gcd.reduce(nums, axis=None)))
+            obj._set_exact(nums // g if g > 1 else nums, den // g, codes)
         obj._check_sum()
         return obj
 
@@ -302,24 +315,45 @@ class _Entries:
         _raise_first(NegativeEntry, arr, arr < -DEFAULT_TOL)
         self.mode, self.a, self.nums, self.den, self.values, self.codes = FLOAT, arr, arr, 1.0, None, None
 
-    def _set_exact(self, values, codes):
-        """Check and store an exact object from its distinct values and their codes.
+    def _set_exact(self, nums, den, codes=None):
+        """Check and store an exact object: numerators ``nums`` over their lcm ``den``.
 
-        Numerators are computed once per value, and so is the sign check: a
-        negative numerator is traced to its first entry only when one exists.
-        They are stored as int64 when ``max(max num, den) * entries`` is
-        below ``_INT64_LIMIT``, a bound read on the values, not the entries:
-        the entries are then non-negative, so every sum of them fits, and so
-        does its difference from ``den``.
+        With ``codes``, ``nums`` holds one numerator per code and the
+        entries' numerators are ``nums[codes]``: the sign check and the
+        dtype bound run on ``nums``, once per value, before that gather.  A
+        negative numerator is traced to its first entry only when one exists
+        (``den > 0``, so an entry is negative iff its numerator is).  The
+        numerators are stored as int64 when ``max(max num, den) * entries``
+        is below ``_INT64_LIMIT``: the entries are then non-negative, so
+        every sum of them fits, and so does its difference from ``den``.
         """
-        self._check_shape(codes)
-        nums, den = _numerators(values)
-        arr, negative = values[codes], nums < 0
-        if negative.any():  # den > 0, so an exact entry is negative iff its numerator is
-            _raise_first(NegativeEntry, arr, negative[codes])
-        if max(nums.max(initial=0), den) * codes.size < _INT64_LIMIT:
-            nums = nums.astype(np.int64)
-        self.mode, self.a, self.nums, self.den, self.values, self.codes = EXACT, arr, nums[codes], den, values, codes
+        entries = nums if codes is None else codes
+        self._check_shape(entries)
+        if codes is not None:
+            self.codes = codes
+        negative = nums.min(initial=0) < 0  # den > 0, so an entry is negative iff its numerator is
+        fits = not negative and max(int(nums.max(initial=0)), den) * entries.size < _INT64_LIMIT
+        nums = nums.astype(np.int64 if fits else object, copy=False)
+        self.mode, self.nums, self.den = EXACT, nums if codes is None else nums[codes], den
+        if negative:
+            _raise_first(NegativeEntry, self.a, self.nums < 0)
+
+    @cached_property
+    def codes(self):
+        """Exact mode: the code of each entry, from one sort of ``nums``."""
+        return np.unique(self.nums, return_inverse=True)[1].reshape(self.nums.shape)
+
+    @cached_property
+    def values(self):
+        """Exact mode: one Fraction per code, the numerator of its entries over ``den``."""
+        nums = np.empty(int(self.codes.max(initial=-1)) + 1, dtype=self.nums.dtype)
+        nums[self.codes] = self.nums
+        return _fractions(nums, self.den)
+
+    @cached_property
+    def a(self):
+        """The entries: ``values[codes]`` in exact mode, a float64 array in float mode."""
+        return self.values[self.codes]
 
     def _check_sum(self):
         """A constraint on the sum of the entries: none for a matrix."""
@@ -348,10 +382,8 @@ class _Entries:
         return self.mode == other.mode and self.den == other.den and bool(np.array_equal(self.nums, other.nums))
 
     def allclose(self, other, tol=RESIDUAL_TOL):
-        if self.a.shape != other.a.shape:
-            return False
-        d = self.to_float().a - other.to_float().a
-        return bool(np.max(np.abs(d)) <= tol)
+        same_shape = self.nums.shape == other.nums.shape
+        return same_shape and bool(np.max(np.abs(self.to_float().a - other.to_float().a)) <= tol)
 
 
 class ProbVec(_Entries):
@@ -384,7 +416,7 @@ class ProbVec(_Entries):
 
     @property
     def n(self):
-        return self.a.shape[0]
+        return self.nums.shape[0]
 
     def is_interior(self):
         """True when every entry is strictly positive."""
@@ -418,11 +450,11 @@ class StochMatrix(_Entries):
 
     @property
     def rows(self):
-        return self.a.shape[0]
+        return self.nums.shape[0]
 
     @property
     def cols(self):
-        return self.a.shape[1]
+        return self.nums.shape[1]
 
     @property
     def is_square(self):
@@ -573,14 +605,22 @@ def _class_stationary(T, members):
 
     Solves ``(T_C - I) p = 0`` with its last row replaced by ``sum(p) = 1``,
     which is nonsingular on a closed class.  Float mode returns the law over
-    ``1.0``.  Exact mode runs fraction-free Gauss-Jordan elimination
-    (Bareiss) on the integer numerators over their common denominator L,
-    ``(t - L I)``, on Python ints whatever the dtype of T's numerators (its
-    minors outgrow int64), and returns the integer solution column over the
-    determinant it leaves on the diagonal (which may be negative).  It needs
-    no pivot search: T restricted to a proper subset S of the class leaks
-    mass out of S, so ``T_S - I`` and every leading minor of the system are
-    nonsingular.
+    ``1.0``.  Exact mode scales each column j of ``T_C`` by its own
+    denominator ``d_j``, the lcm of that column's reduced denominators,
+    rather than by the common ``den``, which would make every minor grow
+    with the lcm of all columns' denominators: ``T_C = t' / d`` column by column, with integer ``t'``, and ``y
+    = p / d`` solves ``(t' - diag d) y = 0`` with its last row replaced by
+    ``d . y = 1``.  Fraction-free forward elimination (Bareiss) on
+    Python-int lists makes the system upper triangular, eliminating column
+    0, 1, ... in turn below the diagonal, so that each pivot is the leading
+    minor of its order and the last is the determinant ``det``.  The
+    right-hand side ``e_k`` becomes the leading minor of order k - 1 in the
+    last row and zeros above, so back substitution from the last row gives
+    the integer solution ``det * y`` (Cramer's rule), each division exact.
+    It returns ``d * det * y`` over ``det``, which may be negative.  No pivot
+    search is needed: T restricted to a proper subset S of the class leaks
+    mass out of S, so ``T_S - I`` is nonsingular, and the leading minor of
+    the scaled system on S is its determinant times the ``d_j`` of S.
     """
     k = len(members)
     full = np.zeros(T.rows, dtype=float if T.mode == FLOAT else object)
@@ -590,18 +630,21 @@ def _class_stationary(T, members):
         sol = np.clip(np.linalg.solve(system, np.eye(k)[-1]), 0.0, None)
         full[members] = sol / sol.sum()
         return full, 1.0
-    t, L = T.nums[np.ix_(members, members)], T.den
-    t[np.diag_indices(k)] -= L
-    m = np.zeros((k, k + 1), dtype=object)  # [t - L I | 0], last row [1 ... 1 | 1], as Python ints
-    m[:, :k] = t
-    m[-1] = 1
+    # each column of T_C as Python ints with its gcd with den: a closed class holds all of the column's mass
+    columns = [(col, math.gcd(T.den, *col)) for col in T.nums[np.ix_(members, members)].T.tolist()]
+    d = [T.den // g for _, g in columns]
+    m = [[col[i] // g - d[i] * (i == j) for j, (col, g) in enumerate(columns)] for i in range(k - 1)] + [list(d)]
     prev = 1
-    for c in range(k):
-        rest = np.arange(k) != c
-        m[rest] = (m[c, c] * m[rest] - m[rest, c][:, None] * m[c]) // prev
-        prev = m[c, c]
-    full[members] = m[:, k]
-    return full, prev
+    for c in range(k - 1):
+        pivot, top = m[c][c], m[c][c + 1:]
+        for row in m[c + 1:]:
+            row[c + 1:] = [(pivot * v - row[c] * w) // prev for v, w in zip(row[c + 1:], top)]
+        prev = pivot
+    x = [0] * (k - 1) + [prev]
+    for i in range(k - 2, -1, -1):
+        x[i] = -sum(u * v for u, v in zip(m[i][i + 1:], x[i + 1:])) // m[i][i]
+    full[members] = [dj * xj for dj, xj in zip(d, x)]
+    return full, m[-1][-1]
 
 
 def fixed_point(T):
@@ -614,8 +657,9 @@ def fixed_point(T):
     differences from the first.  The reported representative is their
     average, which is deterministic and strictly positive on the union of
     the closed classes.  Exact mode combines the laws on integer numerators
-    over the lcm of their denominators, and makes Fractions once at the end;
-    float mode combines them over ``1.0``.
+    over the lcm of their denominators: the representative is built from
+    them (:meth:`_Entries._from_nums`) and the basis is made Fractions once,
+    at the end; float mode combines them over ``1.0``.
     """
     _require_left_stochastic(T)
     laws = [_class_stationary(T, c) for c in _recurrent_classes(T)]
@@ -683,21 +727,32 @@ def iterate(T, p, steps):
 # Vectors are stored with cols = 1.
 # ---------------------------------------------------------------------------
 
+def _written(value):
+    """An exact value as JSON holds it: an int when whole, else the string "p/q".
+
+    A numerator or denominator with more digits than the interpreter writes
+    an int with is a :class:`TooManyDigits`: no file or report could hold it.
+    """
+    try:
+        text = str(value)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise TooManyDigits(f"an exact value has more digits than the {limit}-digit limit of Python ints") from None
+    return value.numerator if value.denominator == 1 else text
+
+
 def _to_json(M, shape):
     """The JSON object of ``M``'s entries as a 2-D array of the given shape.
 
-    Exact mode encodes each of ``M.values`` once and gathers the strings by
-    ``M.codes``.
+    Exact mode writes each of ``M.values`` once (:func:`_written`) and
+    gathers the results by ``M.codes``.
     """
-    a = M.a
-    if M.mode == EXACT:
-        ratios = (v.as_integer_ratio() for v in M.values)
-        a = np.array([num if den == 1 else f"{num}/{den}" for num, den in ratios], dtype=object)[M.codes]
+    a = np.array([_written(v) for v in M.values], dtype=object)[M.codes] if M.mode == EXACT else M.a
     return {"mode": M.mode, "rows": shape[0], "cols": shape[1], "data": a.reshape(shape).tolist()}
 
 
 def matrix_to_json(M):
-    return _to_json(M, M.a.shape)
+    return _to_json(M, M.nums.shape)
 
 
 def _from_json(cls, obj):

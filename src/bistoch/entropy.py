@@ -248,7 +248,7 @@ class BirkhoffDecomposition:
         weights in term order, as a term-by-term loop adds them.  Exact mode,
         for an exact decomposition, adds the numerators over ``den``, on
         int64 when ``den`` fits (every sum is at most the weights' sum,
-        ``den``), and makes one ``Fraction`` per distinct sum.
+        ``den``), and makes no ``Fraction`` (:meth:`StochMatrix._from_nums`).
         """
         n = self.n
         if mode == EXACT:

@@ -63,6 +63,11 @@ class NotExact(BistochError):
     pass
 
 
+class TooManyDigits(BistochError):
+    """An exact value whose numerator or denominator has more digits than
+    Python writes an int with (``sys.get_int_max_str_digits()``)."""
+
+
 class InvalidRightInverse(BistochError):
     pass
 

@@ -139,6 +139,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot read {bad}: ") and len(err.strip().splitlines()) == 1
 
+    def test_value_past_the_digit_limit_is_one_line_error(self, capsys, tmp_path):
+        # x = 1.5e-(limit - 1) has a denominator of limit digits, which a file
+        # holds; T^2 p has denominators of twice as many, which no report can
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter writes ints of any length")
+        x = Fraction(3, 2 * 10 ** (limit - 1))
+        T, p = bs.two_state(x, x), ProbVec.point_mass(2, 0, mode=EXACT)
+        matrix, vector = tmp_path / "T.json", tmp_path / "p.json"
+        matrix.write_text(json.dumps(bs.matrix_to_json(T)))
+        vector.write_text(json.dumps(bs.vector_to_json(p)))
+        assert run(["iterate", str(matrix), str(vector), "--steps", "1"]) == 0
+        capsys.readouterr()
+        assert run(["iterate", str(matrix), str(vector), "--steps", "2"]) == 2
+        message = f"error: TooManyDigits: an exact value has more digits than the {limit}-digit limit of Python ints\n"
+        assert capsys.readouterr() == ("", message)
+        # the same value refused where a file is written
+        with pytest.raises(bs.errors.TooManyDigits):
+            bs.vector_to_json(bs.iterate(T, p, 2)[0][-1])
+
     def test_domain_error_is_two(self, capsys, demon_file):
         # the demon matrix has a zero fixed-point component
         assert run(["dilate", "uniform", demon_file]) == 2

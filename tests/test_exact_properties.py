@@ -103,29 +103,38 @@ def supports(draw):
     return [[r for r in range(n) if edges[r * n + c] or (planted is not None and planted[c] == r)] for c in range(n)]
 
 
-@st.composite
-def reducible_matrices(draw):
-    """Exact stochastic matrices with closed blocks and transient states, states shuffled.
+LARGE_PRIMES = (2**31 - 1, 2**61 - 1, 2**89 - 1)
 
-    A column of a block state spreads its mass over that block only, and a
-    column of a transient state over all states; zero weights may split a
-    block further.
-    """
-    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    n = sum(sizes) + draw(st.integers(0, 2))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+def _closed_blocks(rng, sizes, transient, large):
+    """An exact stochastic matrix with closed blocks of the given sizes and
+    ``transient`` transient states, states shuffled.  A block column spreads
+    its mass over its block, a transient column over all states, each over
+    its own denominator, and zero weights may split a block further; with
+    ``large``, about half the denominators are a large prime times a small
+    int, so T's numerators may pass int64."""
+    n = sum(sizes) + transient
     bounds = np.cumsum([0, *sizes])
     columns = []
     for k in range(n):
         block = next((range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo <= k < hi), range(n))
-        q = int(rng.integers(1, 13))
+        q = int(rng.integers(1, 13)) * (LARGE_PRIMES[int(rng.integers(0, 3))] if large and rng.random() < 0.5 else 1)
+        # the block's weights: cuts of q drawn as fractions of it, since numpy draws no int past 2**63
+        cuts = sorted(int(q * Fraction(int(c), 2**20)) for c in rng.integers(0, 2**20 + 1, len(block) - 1))
         column = [Fraction(0)] * n
-        for m, w in zip(block, _composition(rng, q, len(block))):
-            column[m] = Fraction(w, q)
+        for m, a, b in zip(block, [0, *cuts], [*cuts, q]):
+            column[m] = Fraction(b - a, q)
         columns.append(column)
-    order = draw(st.permutations(range(n)))
-    a = np.array(columns, dtype=object).T
-    return StochMatrix(a[np.ix_(order, order)], mode=EXACT)
+    order = rng.permutation(n)
+    return StochMatrix(np.array(columns, dtype=object).T[np.ix_(order, order)], mode=EXACT)
+
+
+@st.composite
+def reducible_matrices(draw):
+    """Exact stochastic matrices with closed blocks and transient states, states shuffled (:func:`_closed_blocks`)."""
+    sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+    transient, large = draw(st.integers(0, 2)), draw(st.booleans())
+    return _closed_blocks(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), sizes, transient, large)
 
 
 @st.composite
@@ -539,7 +548,7 @@ class TestNoUnreadWork:
         )
         entries_of_r = {id(v) for v in R.a.flat}
         assert not any(id(v) in entries_of_r for call in converted for v in call)
-        # what these calls convert are point masses, sections and results, each smaller than R
+        # what these calls convert are point masses and sections, each smaller than R: results make no Fractions
         assert converted and max(len(call) for call in converted) < R.a.size
         assert T == demon and verified is True and report.bi and dec.reconstruct(mode=EXACT) == R
 
@@ -1021,7 +1030,7 @@ class TestInt64Numerators:
         assert_python_ints(*bs.coarse_grain(dil.matrix, dil.partition, dil.right_inverse).a.flat)
 
     def test_a_fixed_point_past_int64(self):
-        # T fits in int64; the Bareiss solve forms minors of t - L I, here near L**2 > 2**63
+        # T fits in int64; the Bareiss solve forms minors of t' - diag d, every column over q, here near q**2 > 2**63
         q = 2**40 - 87
         rnd = np.random.default_rng(3)
         columns = []
@@ -1100,3 +1109,165 @@ class TestInt64Numerators:
         assert_fractions_equal(R.a, S.a)
         assert_python_ints(*R.a.flat)
         assert_numerators(R)
+
+
+def _kernel_numerators(M, g, as_objects):
+    """M's numerators and denominator as a kernel might return them: both
+    times g, so not in lowest terms, int64 where they fit unless
+    ``as_objects``, Python ints otherwise."""
+    nums = [v * g for v in M.nums.reshape(-1).tolist()]
+    dtype = object if as_objects or max(nums) >= 2**63 else np.int64
+    return np.array(nums, dtype=dtype).reshape(M.nums.shape), M.den * g
+
+
+def assert_built_from_numerators(A, B):
+    """A, built by ``_from_nums``, is the object B the public constructor
+    built: same ``nums`` dtype, ``den``, ``==``, JSON and float bits, and
+    entries of the same value and type.  A's values are distinct Fractions
+    with Python-int numerators, and entries of one value share one object."""
+    assert type(A) is type(B) and A.mode == B.mode == EXACT
+    assert A.nums.dtype == B.nums.dtype and A.den == B.den
+    assert A.nums.tolist() == B.nums.tolist()
+    assert_numerators(A)
+    assert A == B and B == A
+    to_json = core.vector_to_json if isinstance(A, ProbVec) else core.matrix_to_json
+    assert to_json(A) == to_json(B)
+    assert A.to_float().a.tobytes() == B.to_float().a.tobytes()
+    assert_fractions_equal(A.a, B.a)
+    assert_python_ints(*A.values)
+    assert len(set(A.values.tolist())) == len(A.values) == len({id(v) for v in A.a.flat})
+    assert_fractions_equal(A.values[A.codes], A.a)
+
+
+class TestFromNumerators:
+    """An exact object built from a kernel's numerators (``_from_nums``)
+    makes no Fraction, and is the object the public constructor builds from
+    the Fractions ``num / den``: on both sides of the int64 bound, whatever
+    the input's dtype and common factor."""
+
+    @SETTINGS
+    @given(st.booleans(), st.sampled_from([1, 2, 6, 2**40 + 15]), st.booleans(), st.data())
+    def test_matrix(self, near_bound, g, as_objects, data):
+        M = _near_the_bound(data.draw)[0] if near_bound else data.draw(exact_matrices(square=False))
+        nums, den = _kernel_numerators(M, g, as_objects)
+        fresh = [[Fraction(v, den) for v in row] for row in nums.tolist()]
+        assert_built_from_numerators(StochMatrix._from_nums(nums, den), StochMatrix(fresh, mode=EXACT))
+        # a negative numerator is reported at the same first entry, with the same value
+        k = data.draw(st.integers(0, nums.size - 1))
+        nums = nums.astype(object)
+        nums.reshape(-1)[k] = -nums.reshape(-1)[k] - 1
+        errors = []
+        for build in (lambda: StochMatrix._from_nums(nums, den),
+                      lambda: StochMatrix([[Fraction(v, den) for v in row] for row in nums.tolist()], mode=EXACT)):
+            with pytest.raises(NegativeEntry) as info:
+                build()
+            errors.append((info.value.index, info.value.value, type(info.value.value)))
+        assert errors[0] == errors[1] and type(errors[0][1].numerator) is int
+
+    @SETTINGS
+    @given(exact_matrices(kind="stochastic", square=False), st.sampled_from([1, 3, 2**62 + 7]), st.booleans())
+    def test_vector(self, M, g, as_objects):
+        p = ProbVec(M.a[:, 0], mode=EXACT)
+        nums, den = _kernel_numerators(p, g, as_objects)
+        fresh = [Fraction(v, den) for v in nums.tolist()]
+        assert_built_from_numerators(ProbVec._from_nums(nums, den), ProbVec(fresh, mode=EXACT))
+
+    def test_kernels_make_no_fraction(self, monkeypatch):
+        T = random_stochastic_exact(np.random.default_rng(6), 6)
+        E = bs.noisy_dilation(T)
+        R = E.matrix
+        dec = bs.birkhoff_decompose(R)
+        S, q = bs.two_state(Fraction(1, 3), Fraction(1, 2)), ProbVec([Fraction(2, 5), Fraction(3, 5)], mode=EXACT)
+        r = ProbVec([Fraction(k, 21) for k in range(1, 7)], mode=EXACT)
+        images = [r]
+        for _ in range(3):
+            images.append(ProbVec(T.a @ images[-1].a, mode=EXACT))
+        section = bs.product_right_inverse(6, ProbVec([Fraction(1, 2), Fraction(0), Fraction(1, 2)], mode=EXACT))
+        P = Partition.first_marginal(6, 3)
+        S3 = StochMatrix(np.kron(np.eye(3, dtype=int), T.a), mode=EXACT)  # T in each environment block
+
+        def refuse(nums, L):
+            raise AssertionError("Fractions made from a kernel's numerators")
+
+        monkeypatch.setattr(core, "_fractions", refuse)
+        assert bs.coarse_grain(S3, P, section) == T
+        assert bs.extract_dilated(R, 0) == T
+        assert bs.verify_env_dilation(T, E) is True
+        assert bs.uniform_dilation(S, q).checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
+        assert dec.reconstruct(mode=EXACT) == R
+        trajectory, _ = bs.iterate(T, r, 3)
+        assert trajectory == images
+
+
+def gauss_jordan_stationary(T, members):
+    """The exact stationary solve ``_class_stationary`` ran before it scaled
+    columns by their own denominators, kept as an oracle: fraction-free
+    Gauss-Jordan elimination (Bareiss) of ``[t - L I | 0]``, last row ``[1
+    ... 1 | 1]``, over the common denominator L, and the integer solution
+    column over the determinant left on the diagonal."""
+    k = len(members)
+    full = np.zeros(T.rows, dtype=object)
+    t, L = T.nums[np.ix_(members, members)], T.den
+    t[np.diag_indices(k)] -= L
+    m = np.zeros((k, k + 1), dtype=object)
+    m[:, :k] = t
+    m[-1] = 1
+    prev = 1
+    for c in range(k):
+        rest = np.arange(k) != c
+        m[rest] = (m[c, c] * m[rest] - m[rest, c][:, None] * m[c]) // prev
+        prev = m[c, c]
+    full[members] = m[:, k]
+    return full, prev
+
+
+def assert_stationary_matches_oracle(T):
+    """Each closed class's law from ``_class_stationary`` is the oracle's, as
+    Python ints over a Python int; returns the classes' sizes and the signs
+    of their determinants."""
+    seen = []
+    for members in core._recurrent_classes(T):
+        full, den = core._class_stationary(T, members)
+        ref, ref_den = gauss_jordan_stationary(T, members)
+        assert full.dtype == object and type(den) is int and all(type(v) is int for v in full)
+        assert [Fraction(v, den) for v in full] == [Fraction(int(v), ref_den) for v in ref]
+        seen.append((len(members), den > 0))
+    return seen
+
+
+class TestStationarySolve:
+    """The per-column-denominator solve gives each closed class the law the
+    common-denominator Gauss-Jordan solve gave."""
+
+    @SETTINGS
+    @given(reducible_matrices())
+    def test_matches_gauss_jordan(self, T):
+        assert_stationary_matches_oracle(T)
+
+    def test_covers_signs_sizes_and_dtypes(self):
+        # the seeded matrices cover both determinant signs, classes of size 1
+        # and larger, transient states, and int64 and Python-int numerators
+        seen, dtypes = set(), set()
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            sizes = [int(s) for s in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
+            T = _closed_blocks(rng, sizes, seed % 3, large=seed % 2 == 1)
+            dtypes.add(T.nums.dtype)
+            seen.update((size > 1, positive) for size, positive in assert_stationary_matches_oracle(T))
+        assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+        assert seen == {(False, True), (True, True), (True, False)}  # a class of one state has det d_j > 0
+
+    def test_distinct_column_denominators(self):
+        # columns over 2, 3, 5 and 7: the old solve worked over their lcm 210
+        F = Fraction
+        T = _columns_to_matrix([[F(1, 2), F(1, 2), 0, 0], [F(1, 3), 0, F(2, 3), 0],
+                                [0, F(2, 5), F(1, 5), F(2, 5)], [F(3, 7), 0, 0, F(4, 7)]])
+        assert T.den == 210
+        assert assert_stationary_matches_oracle(T) == [(4, False)]
+        full, den = core._class_stationary(T, np.arange(4))
+        p = [Fraction(v, den) for v in full]
+        assert (T.a @ p).tolist() == p and sum(p) == 1
+
+    def test_identity(self):
+        T = StochMatrix.identity(4, mode=EXACT)
+        assert assert_stationary_matches_oracle(T) == [(1, True)] * 4
