@@ -221,7 +221,7 @@ def uniform_dilation(T, p):
     ``T p = p`` is checked on numerators, as ``t q == L_T q`` for T = t / L_T.
     S is built on numerators too: with L the lcm of the class sizes, the N^2
     quotients ``T[k, l] / d_k`` are ``t[k, l] (L // d_k)`` over ``L_T L``,
-    gathered by their codes.  Requires exact mode: a least common
+    gathered into S's d^2 numerators.  Requires exact mode: a least common
     denominator is meaningless for floats.
     """
     if T.mode != EXACT or p.mode != EXACT:
@@ -239,9 +239,8 @@ def uniform_dilation(T, p):
         raise NotFixedPoint("T p differs from p")
     partition = Partition.consecutive(sizes)
     c = partition.labels
-    # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: the distinct numerators of the N^2 quotients, gathered by their codes
-    quotients, codes = np.unique(t * (L // q)[:, None], return_inverse=True)
-    S = StochMatrix._from_nums(quotients, T.den * L, codes.reshape(T.rows, T.cols)[np.ix_(c, c)])
+    # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: numerators of the N^2 quotients over T.den L, gathered
+    S = StochMatrix._from_nums((t * (L // q)[:, None])[np.ix_(c, c)], T.den * L)
     dil = CoarseGrainDilation(partition=partition, matrix=S, right_inverse=uniform_right_inverse(partition))
     dil.checks = {"bi_stochastic": core._sum_check(S).bi, "coarse_grain_roundtrip": roundtrip_defect(T, dil)[0] == 0}
     return dil

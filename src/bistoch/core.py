@@ -29,13 +29,13 @@ exact one, bit for bit.  One that computes numerators passes them with
 their denominator (:meth:`_Entries._from_nums`), which divides both by their
 gcd and makes no Fraction, or stores a float array over ``1.0`` as it is:
 ``fixed_point``, ``apply`` and ``iterate``, ``coarse_grain``, the uniform
-dilation (with the codes it gathers its N^2 quotients by), the float noisy
-and unistochastic dilations and the Birkhoff reconstruction.  The JSON
-encoder reads the codes, so no pass over the entries looks for shared
-values that a builder knew.  Each value is converted once, and entries that
-share a value share one object in ``a``.  Sums, comparisons and peels over
-a whole object read ``nums`` and ``den``, and Fractions made from
-numerators (:attr:`_Entries.values`, :meth:`_Entries._value`, and
+dilation, the float noisy and unistochastic dilations and the Birkhoff
+reconstruction: its ``codes`` and ``values`` come from one sort of its
+numerators when first read.  The JSON encoder reads the codes, so no pass
+over the entries looks for shared values that a builder knew.  Each value
+is converted once, and entries that share a value share one object in
+``a``.  Sums, comparisons and peels over a whole object read ``nums`` and
+``den``, and Fractions made from numerators (:attr:`_Entries.values`, :meth:`_Entries._value`, and
 :func:`_fractions` for the fixed-point basis) always have Python-int
 numerators.  In ``"float"`` mode entries are IEEE doubles, an array is its
 own numerators over ``1.0``, and comparisons use the tolerances below.  The
@@ -227,12 +227,12 @@ class _Entries:
     ``den``, the lcm of its entries' reduced denominators, so that equal
     entries give equal ``nums`` and ``den``: int64 where every sum of them
     fits (:meth:`_set_exact`), Python ints otherwise.  Its entries as
-    Fractions are built only when read, each once (``cached_property``):
-    ``codes``, an int array of the object's shape, by one sort of ``nums``;
-    ``values``, a 1-D object array of distinct Fractions, one per code, from
-    the numerator of that code; and ``a == values[codes]``, the object array
-    of the entries.  A float object is its own numerators ``a`` over ``den =
-    1.0``, with ``values = codes = None``.
+    Fractions are built only when read, each once (``cached_property``),
+    unless a builder set them: ``values``, a 1-D object array of distinct
+    Fractions, and ``codes``, an int array of the object's shape indexing
+    them, both from one sort of ``nums`` (:meth:`_factor`); and ``a ==
+    values[codes]``, the object array of the entries.  A float object is its
+    own numerators ``a`` over ``den = 1.0``, with ``values = codes = None``.
 
     The public constructor takes the distinct entry objects of ``data`` by
     one id pass (:func:`_distinct`), so an object shared by many entries is
@@ -258,7 +258,8 @@ class _Entries:
             data = np.asarray(data, dtype=object)
             distinct, inverse = _distinct(data)
             self.values = np.array([v if isinstance(v, Fraction) else _exact_entry(v) for v in distinct], dtype=object)
-            self._set_exact(*_numerators(self.values), inverse.reshape(data.shape))
+            self.codes = inverse.reshape(data.shape)
+            self._set_exact(*_numerators(self.values), self.codes)
         elif mode == FLOAT:
             self._set_float(_floats(data))
         else:
@@ -281,20 +282,18 @@ class _Entries:
         if mode != EXACT:
             raise ValueError(f"unknown mode {mode!r}")
         obj = cls.__new__(cls)
-        obj.values = values
+        obj.values, obj.codes = values, codes
         obj._set_exact(*_numerators(values), codes)
         obj._check_sum()
         return obj
 
     @classmethod
-    def _from_nums(cls, nums, den, codes=None):
-        """The object with entries ``nums / den``, or ``nums[codes] / den``, for kernels that compute numerators.
+    def _from_nums(cls, nums, den):
+        """The object with entries ``nums / den``, for kernels that compute numerators.
 
         Exact mode (an integer ``den``, not necessarily the entries' lcm)
-        divides ``nums`` and ``den`` by their gcd and makes no Fraction.  A
-        builder that gathers its entries from fewer numerators passes those
-        as ``nums`` with the ``codes`` that gather them, each code used, so
-        that its checks run on the numerators and no sort finds its codes.
+        divides ``nums`` and ``den`` by their gcd and makes no Fraction and
+        no sort: ``codes`` and ``values`` wait until read (:meth:`_factor`).
         Float mode (a float ``den``) stores the float64 array ``nums``
         itself over ``1.0``, not a copy, so no one else may write to it;
         another ``den`` divides first.
@@ -304,7 +303,7 @@ class _Entries:
             obj._set_float(nums if den == 1.0 else nums / den)
         else:
             g = math.gcd(den, int(np.gcd.reduce(nums, axis=None)))
-            obj._set_exact(nums // g if g > 1 else nums, den // g, codes)
+            obj._set_exact(nums // g if g > 1 else nums, den // g)
         obj._check_sum()
         return obj
 
@@ -318,19 +317,18 @@ class _Entries:
     def _set_exact(self, nums, den, codes=None):
         """Check and store an exact object: numerators ``nums`` over their lcm ``den``.
 
-        With ``codes``, ``nums`` holds one numerator per code and the
-        entries' numerators are ``nums[codes]``: the sign check and the
-        dtype bound run on ``nums``, once per value, before that gather.  A
-        negative numerator is traced to its first entry only when one exists
-        (``den > 0``, so an entry is negative iff its numerator is).  The
-        numerators are stored as int64 when ``max(max num, den) * entries``
-        is below ``_INT64_LIMIT``: the entries are then non-negative, so
-        every sum of them fits, and so does its difference from ``den``.
+        With ``codes``, from a builder that set ``values`` and ``codes``,
+        ``nums`` holds one numerator per value and the entries' numerators
+        are ``nums[codes]``: the sign check and the dtype bound run on
+        ``nums``, once per value, before that gather.  A negative numerator
+        is traced to its first entry only when one exists (``den > 0``, so
+        an entry is negative iff its numerator is).  The numerators are
+        stored as int64 when ``max(max num, den) * entries`` is below
+        ``_INT64_LIMIT``: the entries are then non-negative, so every sum of
+        them fits, and so does its difference from ``den``.
         """
         entries = nums if codes is None else codes
         self._check_shape(entries)
-        if codes is not None:
-            self.codes = codes
         negative = nums.min(initial=0) < 0  # den > 0, so an entry is negative iff its numerator is
         fits = not negative and max(int(nums.max(initial=0)), den) * entries.size < _INT64_LIMIT
         nums = nums.astype(np.int64 if fits else object, copy=False)
@@ -338,17 +336,22 @@ class _Entries:
         if negative:
             _raise_first(NegativeEntry, self.a, self.nums < 0)
 
+    def _factor(self):
+        """Exact mode: set ``values`` and ``codes`` from one sort of ``nums``, for an object made from numerators."""
+        distinct, codes = np.unique(self.nums, return_inverse=True)
+        self.values, self.codes = _fractions(distinct, self.den), codes.reshape(self.nums.shape)
+
     @cached_property
     def codes(self):
-        """Exact mode: the code of each entry, from one sort of ``nums``."""
-        return np.unique(self.nums, return_inverse=True)[1].reshape(self.nums.shape)
+        """Exact mode: the code of each entry, an index into ``values`` (:meth:`_factor`)."""
+        self._factor()
+        return self.codes
 
     @cached_property
     def values(self):
-        """Exact mode: one Fraction per code, the numerator of its entries over ``den``."""
-        nums = np.empty(int(self.codes.max(initial=-1)) + 1, dtype=self.nums.dtype)
-        nums[self.codes] = self.nums
-        return _fractions(nums, self.den)
+        """Exact mode: one Fraction per distinct numerator over ``den``, in increasing order (:meth:`_factor`)."""
+        self._factor()
+        return self.values
 
     @cached_property
     def a(self):
@@ -382,8 +385,10 @@ class _Entries:
         return self.mode == other.mode and self.den == other.den and bool(np.array_equal(self.nums, other.nums))
 
     def allclose(self, other, tol=RESIDUAL_TOL):
-        same_shape = self.nums.shape == other.nums.shape
-        return same_shape and bool(np.max(np.abs(self.to_float().a - other.to_float().a)) <= tol)
+        if self.nums.shape != other.nums.shape:
+            return False
+        d = self.to_float().a - other.to_float().a
+        return bool(np.max(np.abs(d)) <= tol)
 
 
 class ProbVec(_Entries):

@@ -20,6 +20,7 @@ products pass 2**63 must still give the reference.
 
 import json
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -115,12 +116,12 @@ def _closed_blocks(rng, sizes, transient, large):
     int, so T's numerators may pass int64."""
     n = sum(sizes) + transient
     bounds = np.cumsum([0, *sizes])
+    cuts_of = random.Random(int(rng.integers(0, 2**63)))  # numpy draws no int past 2**63, Python's randint does
     columns = []
     for k in range(n):
         block = next((range(lo, hi) for lo, hi in zip(bounds, bounds[1:]) if lo <= k < hi), range(n))
         q = int(rng.integers(1, 13)) * (LARGE_PRIMES[int(rng.integers(0, 3))] if large and rng.random() < 0.5 else 1)
-        # the block's weights: cuts of q drawn as fractions of it, since numpy draws no int past 2**63
-        cuts = sorted(int(q * Fraction(int(c), 2**20)) for c in rng.integers(0, 2**20 + 1, len(block) - 1))
+        cuts = sorted(cuts_of.randint(0, q) for _ in range(len(block) - 1))  # the block's weights, uniform as in _composition
         column = [Fraction(0)] * n
         for m, a, b in zip(block, [0, *cuts], [*cuts, q]):
             column[m] = Fraction(b - a, q)
@@ -1246,15 +1247,19 @@ class TestStationarySolve:
 
     def test_covers_signs_sizes_and_dtypes(self):
         # the seeded matrices cover both determinant signs, classes of size 1
-        # and larger, transient states, and int64 and Python-int numerators
-        seen, dtypes = set(), set()
+        # and larger, transient states, int64 and Python-int numerators, and
+        # blocks that zero weights split into several closed classes
+        seen, dtypes, split = set(), set(), 0
         for seed in range(40):
             rng = np.random.default_rng(seed)
             sizes = [int(s) for s in rng.integers(1, 5, size=int(rng.integers(1, 4)))]
             T = _closed_blocks(rng, sizes, seed % 3, large=seed % 2 == 1)
             dtypes.add(T.nums.dtype)
-            seen.update((size > 1, positive) for size, positive in assert_stationary_matches_oracle(T))
+            classes = assert_stationary_matches_oracle(T)
+            seen.update((size > 1, positive) for size, positive in classes)
+            split = max(split, len(classes) - len(sizes))
         assert dtypes == {np.dtype(np.int64), np.dtype(object)}
+        assert split >= 1  # some block splits into several closed classes
         assert seen == {(False, True), (True, True), (True, False)}  # a class of one state has det d_j > 0
 
     def test_distinct_column_denominators(self):
