@@ -1,9 +1,18 @@
 """Command-line front end.
 
 Every subcommand prints a JSON run report to stdout: the command, the input
-and output files, a list of (name, pass, defect) checks, and a
-command-specific result payload.  Dilation subcommands always embed a
-verification check; an unverified dilation is never emitted.
+and output files, a list of checks, each its name, pass, defect and
+tolerance, and a command-specific result payload.  Dilation subcommands
+always embed their verification checks; an unverified dilation is never
+emitted.
+
+:func:`run` is the one runner.  It builds the :class:`Report` and calls the
+subcommand, which reads each input through the report (recording its
+path), records the checks the library gives for its result, each a name ->
+``(defect, tol)`` dict, and returns its result or None.  The runner then
+writes a result matrix to ``--out``, or puts it into the report, formats the
+result (:func:`_fmt`) and prints the report.  No check and no tolerance
+rule is computed here: each check is a library call.
 
 Exit codes: 0 success with all checks passing, 1 usage or I/O error,
 2 validation or verification failure, or a request too large for memory.
@@ -46,6 +55,7 @@ def _fmt(value):
 
     A dataclass result becomes a dict keyed by its field names, so report
     keys follow the library's result fields; a dict keeps its keys; a
+    ``StochMatrix`` becomes its JSON object, as a file holds it; a
     ``ProbVec``, numpy array, list or tuple becomes a list.  Scalars: floats
     to 12 significant digits, a ``Fraction`` as ``"p/q"`` (an int when whole;
     one past Python's int-digit limit is a ``TooManyDigits``), bools and ints
@@ -55,6 +65,8 @@ def _fmt(value):
         return {f.name: _fmt(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, dict):
         return {k: _fmt(v) for k, v in value.items()}
+    if isinstance(value, core.StochMatrix):
+        return core.matrix_to_json(value)
     if isinstance(value, ProbVec):
         value = value.a
     if isinstance(value, (list, tuple, np.ndarray)):
@@ -70,22 +82,18 @@ def _fmt(value):
     return value
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError: not JSON, not text, or an int past Python's digit limit
-        raise UsageError(f"cannot read {path}: {exc}") from exc
-
-
 def _parse(path, from_json):
     """Build a library object from a JSON file.
 
-    A file that does not have the documented structure is a usage error
-    (exit 1); a well-formed file holding an invalid object raises the
-    library's own error (exit 2).
+    A file that cannot be read as JSON, or does not have the documented
+    structure, is a usage error (exit 1); a well-formed file holding an
+    invalid object raises the library's own error (exit 2).
     """
-    obj = _load_json(path)
+    try:
+        with open(path) as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, not text, or an int past Python's digit limit
+        raise UsageError(f"cannot read {path}: {exc}") from exc
     try:
         return from_json(obj)
     except BistochError:
@@ -101,34 +109,34 @@ def _convert(x, mode):
     return x.to_float() if mode == FLOAT else type(x)(x.a, mode=mode)
 
 
-def _load_matrix(path, mode=None):
-    return _convert(_parse(path, core.matrix_from_json), mode)
-
-
-def _load_vector(path, mode=None):
-    return _convert(_parse(path, core.vector_from_json), mode)
-
-
-def _write_json(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-
 #: where a report's one-item-per-line list goes (see ``Report.emit``); JSON
 #: writes it as "\u0000rows", which no file name can hold
 _ROWS = "\0rows"
 
 
 class Report:
-    def __init__(self, command, inputs):
-        self.body = {
-            "command": command,
-            "inputs": list(inputs),
-            "outputs": [],
-            "checks": [],
-            "result": {},
-        }
+    """The JSON run report of one subcommand.
+
+    :func:`run` makes it; the subcommand reads its inputs through it
+    (:meth:`read`, :meth:`matrix`, :meth:`vector`), which records each path
+    as it is read, and records the library's checks (:meth:`checks`).
+    """
+
+    def __init__(self, command, inputs=()):
+        self.body = {"command": command, "inputs": list(inputs), "outputs": [], "checks": [], "result": {}}
+        self.rows = ()  # the items of a _ROWS placeholder in the result
+
+    def read(self, path, from_json, mode=None):
+        """The object of a JSON input file, converted to ``mode`` (None keeps its own)."""
+        obj = _convert(_parse(path, from_json), mode)
+        self.body["inputs"].append(path)
+        return obj
+
+    def matrix(self, path, mode=None):
+        return self.read(path, core.matrix_from_json, mode)
+
+    def vector(self, path, mode=None):
+        return self.read(path, core.vector_from_json, mode)
 
     def check(self, name, passed=None, defect=0, tol=None):
         """Record one check.  A check given ``tol`` passes when ``defect <= tol``
@@ -139,16 +147,24 @@ class Report:
         self.body["checks"].append(entry)
         return entry["pass"]
 
-    def output(self, path):
+    def checks(self, defects):
+        """Record a library dict of checks, name -> ``(defect, tol)``, in its order."""
+        for name, (defect, tol) in defects.items():
+            self.check(name, defect=defect, tol=tol)
+
+    def write(self, path, text):
+        """Write an output file and record its path."""
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
         self.body["outputs"].append(path)
 
-    def emit(self, rows=()):
+    def emit(self):
         """Write the report to stdout as indented JSON and return the exit code.
 
-        ``rows`` replaces a ``_ROWS`` placeholder in the body: a list written
-        one item per line, each item as compact JSON.
+        ``self.rows`` replaces a ``_ROWS`` placeholder in the body: a list
+        written one item per line, each item as compact JSON.
         """
-        listed = "[" + ",".join("\n" + json.dumps(item) for item in rows) + "\n]"
+        listed = "[" + ",".join("\n" + json.dumps(item) for item in self.rows) + "\n]"
         sys.stdout.write(json.dumps(self.body, indent=1).replace(json.dumps(_ROWS), listed, 1) + "\n")
         return 0 if all(c["pass"] for c in self.body["checks"]) else 2
 
@@ -165,209 +181,135 @@ def _at_least(least):
     return parse
 
 
-def _emit_matrix(report, M, out):
-    payload = core.matrix_to_json(M)
-    if out:
-        _write_json(out, payload)
-        report.output(out)
-    else:
-        report.body["result"]["matrix"] = payload
-
-
 # ---------------------------------------------------------------------------
-# subcommand implementations
+# subcommand implementations: each reads its inputs through the report,
+# records the library's checks on it and returns its result, or None
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args):
-    M = _load_matrix(args.matrix, args.mode)
-    report = Report("validate", [args.matrix])
-    report.body["result"] = _fmt(core.validate(M, args.tol))
-    return report.emit()
+def cmd_validate(args, report):
+    return core.validate(report.matrix(args.matrix, args.mode), args.tol)
 
 
-def cmd_fixed_point(args):
-    T = _load_matrix(args.matrix, args.mode)
+def cmd_fixed_point(args, report):
+    T = report.matrix(args.matrix, args.mode)
     res = core.fixed_point(T)
-    report = Report("fixed-point", [args.matrix])
-    report.body["result"] = _fmt(res)
-    r = res.representative
-    # T r sums to the column sums of T, so the residual carries the input's defect; T r is
-    # read on numerators, t @ q over T.den * r.den, and not built as a ProbVec, which checks its sum
-    tol = core._tol(T, core.RESULT_TOL + core._sum_check(T).max_column_defect)
-    t, q = core._exact_operands(lambda t, q: (t * T.cols + T.den) * q, T.nums, r.nums)
-    report.check("fixed_point_residual", defect=r._value(np.max(np.abs(t @ q - q * T.den))) / T.den, tol=tol)
-    return report.emit()
+    report.checks({"fixed_point_residual": core.fixed_point_residual(T, res.representative)})
+    return res
 
 
-def cmd_apply(args):
-    T = _load_matrix(args.matrix, args.mode)
-    p = _load_vector(args.vector, args.mode or T.mode)
-    q = core.apply(T, p)
-    report = Report("apply", [args.matrix, args.vector])
-    report.body["result"] = _fmt({"image": q})
-    return report.emit()
+def cmd_apply(args, report):
+    T = report.matrix(args.matrix, args.mode)
+    return {"image": core.apply(T, report.vector(args.vector, args.mode or T.mode))}
 
 
-def cmd_iterate(args):
-    T = _load_matrix(args.matrix, args.mode)
-    p = _load_vector(args.vector, args.mode or T.mode)
-    trajectory, converged = core.iterate(T, p, args.steps)
-    report = Report("iterate", [args.matrix, args.vector])
-    report.body["result"] = _fmt(
-        {"steps": args.steps, "converged": converged, "final": trajectory[-1], "trajectory": trajectory}
-    )
-    return report.emit()
+def cmd_iterate(args, report):
+    T = report.matrix(args.matrix, args.mode)
+    trajectory, converged = core.iterate(T, report.vector(args.vector, args.mode or T.mode), args.steps)
+    return {"steps": args.steps, "converged": converged, "final": trajectory[-1], "trajectory": trajectory}
 
 
-def cmd_coarse_grain(args):
-    S = _load_matrix(args.matrix, args.mode)
-    partition = _parse(args.partition, Partition.from_json)
-    if args.right_inverse:
-        Y = _load_matrix(args.right_inverse, S.mode)
-        inputs = [args.matrix, args.partition, args.right_inverse]
-    else:
-        Y = uniform_right_inverse(partition, mode=S.mode)
-        inputs = [args.matrix, args.partition]
+def cmd_coarse_grain(args, report):
+    S = report.matrix(args.matrix, args.mode)
+    partition = report.read(args.partition, Partition.from_json)
+    Y = report.matrix(args.right_inverse, S.mode) if args.right_inverse else uniform_right_inverse(partition, S.mode)
     T = coarse_grain(S, partition, Y)
-    report = Report("coarse-grain", inputs)
-    report.check("left_stochastic", defect=core._sum_check(T).max_column_defect, tol=core._tol(T, core.DEFAULT_TOL))
-    _emit_matrix(report, T, args.out)
-    return report.emit()
+    report.checks({"left_stochastic": core.sum_defect(T, rows=False)})
+    return {"matrix": T}
 
 
-def cmd_dilate(args):
-    T = _load_matrix(args.matrix, args.mode)
-    report = Report(f"dilate {args.kind}", [args.matrix])
+#: per dilation kind: the mode T is converted to (None keeps it), and the
+#: checks its report records, in order, each under the name the dilation's
+#: ``defects()`` gives it
+_DILATIONS = {
+    "uniform": (EXACT, {"bi_stochastic": "bi_stochastic", "coarse_grain_roundtrip": "coarse_grain_roundtrip"}),
+    "noisy": (None, {"bi_stochastic": "bi_stochastic", "extract_dilated == input": "coarse_grain_roundtrip",
+                     "marginal_identity": "coarse_grain_roundtrip"}),
+    "unistochastic": (FLOAT, {"orthogonal": "orthogonal", "bi_stochastic": "bi_stochastic",
+                              "extract_dilated == input": "coarse_grain_roundtrip"}),
+}
+
+
+def cmd_dilate(args, report):
+    mode, names = _DILATIONS[args.kind]
+    T = _convert(report.matrix(args.matrix, args.mode), mode)
+    result = {}
     if args.kind == "uniform":
-        if args.vec:
-            p = _load_vector(args.vec, EXACT)
-            report.body["inputs"].append(args.vec)
-        else:
-            p = core.fixed_point(_convert(T, EXACT)).representative
-        dil = uniform_dilation(_convert(T, EXACT), p)
-        report.body["result"]["partition"] = dil.partition.to_json()
-        report.check("bi_stochastic", dil.checks["bi_stochastic"])
-        report.check("coarse_grain_roundtrip", dil.checks["coarse_grain_roundtrip"])
+        p = report.vector(args.vec, EXACT) if args.vec else core.fixed_point(T).representative
+        dil = uniform_dilation(T, p)
+        result["partition"] = dil.partition.to_json()
+    elif args.kind == "noisy":
+        dil = env_dilation.noisy_dilation(T)
     else:
-        if args.kind == "noisy":
-            dil, sum_tol = env_dilation.noisy_dilation(T), core._tol(T, core.DEFAULT_TOL)
-        else:
-            T = _convert(T, FLOAT)
-            dil, sum_tol = env_dilation.unistochastic_dilation(T), core.RESIDUAL_TOL
-            report.check("orthogonal", defect=dil.orthogonality_defect(), tol=core.RESIDUAL_TOL)
-        rep = core._sum_check(dil.matrix)
-        report.check("bi_stochastic", defect=max(rep.max_column_defect, rep.max_row_defect), tol=sum_tol)
-        defect, tol = roundtrip_defect(T, dil)
-        # the unistochastic completion normalises column n of T: the extracted column is T[:, n] / colsum_n
-        slack = 0 if args.kind == "noisy" else core._sum_check(T).max_column_defect
-        report.check("extract_dilated == input", defect=defect, tol=tol + slack)
-        if args.kind == "noisy":
-            report.check("marginal_identity", defect=defect, tol=tol)
-    _emit_matrix(report, dil.matrix, args.out)
-    return report.emit()
+        dil = env_dilation.unistochastic_dilation(T)
+    defects = dil.defects()
+    report.checks({name: defects[key] for name, key in names.items()})
+    return {**result, "matrix": dil.matrix}
 
 
-def cmd_extract(args):
-    R = _load_matrix(args.matrix, args.mode)
-    T = env_dilation.extract_dilated(R, args.zero_index)
-    report = Report("extract", [args.matrix])
-    report.check("left_stochastic", defect=core._sum_check(T).max_column_defect, tol=core._tol(T, core.DEFAULT_TOL))
-    _emit_matrix(report, T, args.out)
-    return report.emit()
+def cmd_extract(args, report):
+    T = env_dilation.extract_dilated(report.matrix(args.matrix, args.mode), args.zero_index)
+    report.checks({"left_stochastic": core.sum_defect(T, rows=False)})
+    return {"matrix": T}
 
 
-def cmd_verify_dilation(args):
-    T = _load_matrix(args.matrix, args.mode)
-    R = _load_matrix(args.dilation, args.mode)
+def cmd_verify_dilation(args, report):
+    T = report.matrix(args.matrix, args.mode)
+    R = report.matrix(args.dilation, args.mode)
     if R.rows % T.rows:  # also R.rows < T.rows: an environment of 0 states
         raise DimensionMismatch(f"dilation has {R.rows} rows, not a multiple of the matrix's {T.rows}")
-    if args.rho:
-        rho = _load_vector(args.rho, T.mode)
-        inputs = [args.matrix, args.dilation, args.rho]
-    else:
-        rho = ProbVec.point_mass(R.rows // T.rows, 0, mode=T.mode)
-        inputs = [args.matrix, args.dilation]
-    report = Report("verify-dilation", inputs)
-    defect, tol = roundtrip_defect(T, env_dilation.with_environment(R, rho))
-    report.check("marginal_identity", defect=defect, tol=tol)
-    return report.emit()
+    rho = report.vector(args.rho, T.mode) if args.rho else ProbVec.point_mass(R.rows // T.rows, 0, mode=T.mode)
+    report.checks({"marginal_identity": roundtrip_defect(T, env_dilation.with_environment(R, rho))})
 
 
-def cmd_entropy(args):
-    p = _load_vector(args.vec, args.mode)
-    report = Report("entropy", [args.vec])
-    report.body["result"] = _fmt({"entropy": entropy_mod.shannon_entropy(p)})
-    return report.emit()
+def cmd_entropy(args, report):
+    return {"entropy": entropy_mod.shannon_entropy(report.vector(args.vec, args.mode))}
 
 
-def cmd_entropy_region(args):
-    T = _load_matrix(args.matrix, FLOAT)
+def cmd_entropy_region(args, report):
+    T = report.matrix(args.matrix, FLOAT)
     n = T.rows
     anchor = ProbVec.uniform(n)
     directions = [ProbVec.point_mass(n, k) for k in range(n)]
     points = entropy_mod.region_boundary_scan(T, anchor, directions, resolution=args.grid)
-    report = Report("entropy-region", [args.matrix])
     header = "t," + ",".join(f"p{k}" for k in range(n)) + ",H(p),H(Tp)"
     rows = [",".join(f"{v:.12g}" for v in row) for b in points for row in b.samples]
     csv = "\n".join([header, *rows]) + "\n"
     if args.out:
-        with open(args.out, "w", newline="\n") as fh:
-            fh.write(csv)
-        report.output(args.out)
-    else:
-        report.body["result"]["csv"] = csv
-    boundary = [
+        report.write(args.out, csv)
+    result = {} if args.out else {"csv": csv}
+    result["boundary"] = [
         {"t": b.t, "point": b.point, "H(p)": b.h_p, "H(Tp)": b.h_tp, "full_segment_inside": b.full_segment_inside}
         for b in points
     ]
-    report.body["result"]["boundary"] = _fmt(boundary)
-    return report.emit()
+    return result
 
 
-def cmd_ledger(args):
-    T = _load_matrix(args.matrix, args.mode)
-    p = _load_vector(args.vector, T.mode)
-    led = entropy_mod.entropy_ledger(T, p)
-    report = Report("ledger", [args.matrix, args.vector])
-    report.body["result"] = {**_fmt(led), "marginal_sum": _fmt(led.h_marginal_1 + led.h_marginal_2)}
-    report.check("evolved_not_below_lifted", defect=max(0.0, led.h_lifted - led.h_evolved), tol=core.RESIDUAL_TOL)
-    return report.emit()
+def cmd_ledger(args, report):
+    T = report.matrix(args.matrix, args.mode)
+    led = entropy_mod.entropy_ledger(T, report.vector(args.vector, T.mode))
+    report.checks(led.defects())
+    return {**_fmt(led), "marginal_sum": led.h_marginal_1 + led.h_marginal_2}
 
 
-def cmd_birkhoff(args):
-    S = _load_matrix(args.matrix, args.mode)
+def cmd_birkhoff(args, report):
+    S = report.matrix(args.matrix, args.mode)
     dec = entropy_mod.birkhoff_decompose(S, tol=args.tol)
-    report = Report("birkhoff", [args.matrix])
-    weight_sum = dec.weight_sum()
-    result = {"term_count": len(dec.weights), "weight_sum": weight_sum, "residual_mass": dec.residual_mass}
-    report.body["result"] = {"terms": _ROWS, **_fmt(result)}
-    # both checks allow the mass that peeling left unexplained; the weights
-    # also carry the input's column defect: sum(w) = colsum(S) - colsum(residual)
-    tol = core._tol(S, dec.residual_mass + core.RESIDUAL_TOL)
-    report.check("reconstruction", defect=core._max_difference(dec.reconstruct(mode=S.mode), S), tol=tol)
-    column_defect = core._sum_check(S, args.tol).max_column_defect
-    tol = core._tol(S, dec.residual_mass + column_defect + core.RESIDUAL_TOL)
-    report.check("weights_sum_to_one", defect=abs(weight_sum - 1), tol=tol)
+    report.checks(dec.defects(S))
     # one term per line, and only the weights go through _fmt: a permutation is already a list of ints
-    terms = ({"weight": _fmt(w), "permutation": sigma} for w, sigma in zip(dec.weights, dec.perms.tolist()))
-    return report.emit(terms)
+    report.rows = ({"weight": _fmt(w), "permutation": sigma} for w, sigma in zip(dec.weights, dec.perms.tolist()))
+    return {"terms": _ROWS, "term_count": len(dec.weights), "weight_sum": dec.weight_sum(),
+            "residual_mass": dec.residual_mass}
 
 
-def cmd_sinkhorn(args):
-    T = _load_matrix(args.matrix, FLOAT)
+def cmd_sinkhorn(args, report):
+    T = report.matrix(args.matrix, FLOAT)
     res = sinkhorn_mod.sinkhorn_knopp(T, tol=args.tol, max_iter=args.max_iter)
-    report = Report("sinkhorn", [args.matrix])
-    report.body["result"] = _fmt(
-        {"d1": res.d1, "d2": res.d2, "iterations": res.iterations, "final_defect": res.final_defect}
-    )
-    report.check("bi_stochastic", defect=res.final_defect, tol=args.tol)
-    scaled = res.d1[:, None] * T.a * res.d2
-    report.check("diagonal_factorization", defect=float(np.max(np.abs(scaled - res.matrix.a))), tol=10 * args.tol)
-    _emit_matrix(report, res.matrix, args.out)
-    return report.emit()
+    report.checks(res.defects(T, args.tol))
+    return {"d1": res.d1, "d2": res.d2, "iterations": res.iterations, "final_defect": res.final_defect,
+            "matrix": res.matrix}
 
 
-def cmd_demo_maxwell(args):
+def cmd_demo_maxwell(args, report):
     """Reproduce the Maxwell-demon worked example end to end."""
     T = matrices.maxwell_demon(mode=EXACT)
     uniform = ProbVec.uniform(4, mode=EXACT)
@@ -399,16 +341,11 @@ def cmd_demo_maxwell(args):
           for key, want in zip(ledger, [1.38629, 1.73287, 1.25548, 1.38629, 2.64178])),
         ("ledger_second_marginal_is_input", led.marginal_2.allclose(uniform.to_float()), True, None),
     ]
-    report, failed = Report("demo maxwell", []), []
-    for name, got, want, tol in table:
-        defect = 0 if tol is None else np.max(np.abs(got - want))
-        if not report.check(name, tol is None and got == want, defect, tol):
-            failed.append(name)
-    report.body["result"] = _fmt(result)
-    code = report.emit()
-    if failed:
-        raise DemoMismatch(failed[0])
-    return code
+    report.body["result"] = _fmt(result)  # emitted also when a check fails (see run)
+    passed = [report.check(name, tol is None and got == want, 0 if tol is None else np.max(np.abs(got - want)), tol)
+              for name, got, want, tol in table]
+    if not all(passed):
+        raise DemoMismatch(table[passed.index(False)][0])
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +439,20 @@ def run(argv):
         print(f"usage error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 1
+    # named by the subcommand and, for dilate and demo, the choice of what it runs
+    report = Report(" ".join([args.subcommand, *(getattr(args, k) for k in ("kind", "name") if k in args)]))
     try:
-        return args.func(args)
+        result = args.func(args, report)
+        if getattr(args, "out", None) and "matrix" in result:  # a result matrix goes to --out, else into the report
+            report.write(args.out, json.dumps(core.matrix_to_json(result.pop("matrix")), indent=1) + "\n")
+        if result is not None:
+            report.body["result"] = _fmt(result)
+        return report.emit()
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DemoMismatch as exc:
+        report.emit()
         print(f"demo mismatch: {exc}", file=sys.stderr)
         return 2
     except (BistochError, MemoryError) as exc:

@@ -15,7 +15,7 @@ gather ``S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|``, where ``c = labels``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import accumulate, chain
@@ -103,15 +103,30 @@ class CoarseGrainDilation:
     ``matrix`` is S on the ``partition.d`` fine states and ``right_inverse``
     is the d x N matrix Y: the uniform section for :func:`uniform_dilation`,
     the product section of the environment state over the first-marginal
-    partition for the environmental dilations.  ``checks`` holds what the
-    construction checked, by name; :func:`roundtrip_defect` checks the
-    dilation itself.
+    partition for the environmental dilations.  ``source`` is the T the
+    builder dilated, None for a bare triple of ``with_environment``.
+    :meth:`defects` computes the checks of the dilation against its source
+    when called, and ``checks`` is whether each passes, computed on first
+    read.
     """
 
     partition: Partition
     matrix: StochMatrix
     right_inverse: StochMatrix
-    checks: dict = field(default_factory=dict)
+    source: StochMatrix = None
+
+    def defects(self):
+        """The checks of the dilation by name, each as ``(defect, tol)``: the
+        row and column sums of S (``bi_stochastic``, :func:`core.sum_defect`)
+        and ``X S Y = T`` for the source T (``coarse_grain_roundtrip``,
+        :func:`roundtrip_defect`)."""
+        return {"bi_stochastic": core.sum_defect(self.matrix),
+                "coarse_grain_roundtrip": roundtrip_defect(self.source, self)}
+
+    @cached_property
+    def checks(self):
+        """Whether each check of :meth:`defects` passes, ``defect <= tol``, by name."""
+        return {name: bool(defect <= tol) for name, (defect, tol) in self.defects().items()}
 
 
 def projection_matrix(P, mode=EXACT):
@@ -217,8 +232,9 @@ def uniform_dilation(T, p):
     Writes each ``p[k]`` as ``d_k / d`` over the least common denominator d,
     which are p's numerators and denominator (``p.nums``, ``p.den``), forms
     the consecutive-index partition with class sizes ``d_k`` and returns
-    ``S = Y T X``, which is exactly bi-stochastic and coarse grains back to T.
-    ``T p = p`` is checked on numerators, as ``t q == L_T q`` for T = t / L_T.
+    ``S = Y T X``, which is exactly bi-stochastic and coarse grains back to T:
+    the result's ``defects()`` and ``checks`` check both when first read, not
+    here.  ``T p = p`` is checked on numerators, as ``t q == L_T q`` for T = t / L_T.
     S is built on numerators too: with L the lcm of the class sizes, the N^2
     quotients ``T[k, l] / d_k`` are ``t[k, l] (L // d_k)`` over ``L_T L``,
     gathered into S's d^2 numerators.  Requires exact mode: a least common
@@ -241,6 +257,4 @@ def uniform_dilation(T, p):
     c = partition.labels
     # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: numerators of the N^2 quotients over T.den L, gathered
     S = StochMatrix._from_nums((t * (L // q)[:, None])[np.ix_(c, c)], T.den * L)
-    dil = CoarseGrainDilation(partition=partition, matrix=S, right_inverse=uniform_right_inverse(partition))
-    dil.checks = {"bi_stochastic": core._sum_check(S).bi, "coarse_grain_roundtrip": roundtrip_defect(T, dil)[0] == 0}
-    return dil
+    return CoarseGrainDilation(partition, S, uniform_right_inverse(partition), T)

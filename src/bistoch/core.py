@@ -401,7 +401,7 @@ class ProbVec(_Entries):
     def _check_sum(self):
         total = self.nums.sum()
         if abs(total - self.den) > _tol(self, DEFAULT_TOL):
-            raise NotStochastic(f"entries sum to {self._value(total)}, expected 1")
+            raise NotStochastic(f"entries sum to {_shown(self._value(total))}, expected 1")
 
     @staticmethod
     def _check_shape(arr):
@@ -498,14 +498,15 @@ def _require_left_stochastic(T):
         raise NotSquare(f"{T.rows}x{T.cols} matrix is not square")
     report = _sum_check(T)
     if not report.left:
-        raise NotStochastic(f"column sums deviate by {report.max_column_defect}")
+        raise NotStochastic(f"column sums deviate by {_shown(report.max_column_defect)}")
     return report
 
 
 def _require_bistochastic(M, tol=DEFAULT_TOL):
     report = _sum_check(M, tol)
     if not report.bi:
-        raise NotBiStochastic(f"column defect {report.max_column_defect}, row defect {report.max_row_defect}")
+        column, row = _shown(report.max_column_defect), _shown(report.max_row_defect)
+        raise NotBiStochastic(f"column defect {column}, row defect {row}")
     return report
 
 
@@ -527,6 +528,15 @@ def _sum_check(M, tol=DEFAULT_TOL):
         max_column_defect=col_defect,
         max_row_defect=row_defect,
     )
+
+
+def sum_defect(M, tol=DEFAULT_TOL, rows=True):
+    """The sum check of M as ``(defect, tol)``: the largest defect of a column
+    sum, and with ``rows`` of a row sum too, held to ``tol`` in float mode and
+    to 0 in exact mode (:func:`_tol`)."""
+    report = _sum_check(M)
+    defect = max(report.max_column_defect, report.max_row_defect) if rows else report.max_column_defect
+    return defect, _tol(M, tol)
 
 
 def _max_difference(A, B):
@@ -679,6 +689,18 @@ def fixed_point(T):
     )
 
 
+def fixed_point_residual(T, p):
+    """How far p is from a fixed point of T, as ``(defect, tol)``: the largest
+    entry of ``|T p - p|``, read on numerators, ``t @ q`` over ``T.den *
+    p.den``, and not built as a ``ProbVec``, which would check its sum.  T p
+    sums to the column sums of T, so in float mode the tolerance
+    ``RESULT_TOL`` carries T's largest column defect; in exact mode it is 0.
+    """
+    tol = _tol(T, RESULT_TOL + _sum_check(T).max_column_defect)
+    t, q = _exact_operands(lambda t, q: (t * T.cols + T.den) * q, T.nums, p.nums)
+    return p._value(np.max(np.abs(t @ q - q * T.den))) / T.den, tol
+
+
 def _require_applicable(T, p):
     """Raise unless T acts on p: same mode, matching dimension, left-stochastic T."""
     _require_same_mode(T, p)
@@ -731,6 +753,20 @@ def iterate(T, p, steps):
 # Exact entries are integers or strings "p/q"; float entries are JSON numbers.
 # Vectors are stored with cols = 1.
 # ---------------------------------------------------------------------------
+
+def _shown(value):
+    """A value as an error message writes it: ``str(value)``, or, for an exact
+    value past the interpreter's int-digit limit, which ``str`` refuses, an
+    approximation such as ``~1.00000e-4299``: the value over a power of ten
+    near it, from the logarithms of its numerator and denominator, rounded
+    to a float.  The value is positive: a sum or a sum defect."""
+    try:
+        return str(value)
+    except ValueError:
+        exponent = math.floor(math.log10(value.numerator) - math.log10(value.denominator))
+        mantissa, _, shift = f"{float(value / Fraction(10) ** exponent):.5e}".partition("e")
+        return f"~{mantissa}e{exponent + int(shift)}"
+
 
 def _written(value):
     """An exact value as JSON holds it: an int when whole, else the string "p/q".

@@ -165,6 +165,12 @@ class EntropyLedger:
     marginal_1: ProbVec
     marginal_2: ProbVec
 
+    def defects(self):
+        """The check of the ledger as ``(defect, tol)``: the bi-stochastic step
+        does not lower the entropy of the whole, up to round-off
+        (``evolved_not_below_lifted``)."""
+        return {"evolved_not_below_lifted": (max(0.0, self.h_lifted - self.h_evolved), RESIDUAL_TOL)}
+
 
 def entropy_ledger(T, p):
     """Track entropy through the noisy dilation of T applied to p.
@@ -239,6 +245,18 @@ class BirkhoffDecomposition:
         if self.nums is None:
             return sum(self.weights.tolist())
         return Fraction(sum(self.nums), self.den)
+
+    def defects(self, S):
+        """The checks of a decomposition of S, each as ``(defect, tol)``: the
+        largest entry of ``|reconstruct() - S|`` (``reconstruction``) and the
+        weights' sum defect (``weights_sum_to_one``), exact in exact mode.  In
+        float mode both allow the ``residual_mass`` peeling left, and the
+        weights also carry S's largest column defect: ``sum(w) = colsum(S) -
+        colsum(residual)``."""
+        tol = core._tol(S, self.residual_mass + RESIDUAL_TOL)
+        weights_tol = core._tol(S, self.residual_mass + core._sum_check(S).max_column_defect + RESIDUAL_TOL)
+        return {"reconstruction": (core._max_difference(self.reconstruct(mode=S.mode), S), tol),
+                "weights_sum_to_one": (abs(self.weight_sum() - 1), weights_tol)}
 
     def reconstruct(self, mode=FLOAT):
         """The sum of the weighted permutation matrices.

@@ -54,14 +54,16 @@ def flat_index(m, i, n):
     return i * n + m
 
 
-def with_environment(R, rho):
+def with_environment(R, rho, source=None):
     """R as an environmental dilation whose environment starts in rho: the
     first-marginal partition and the product section of rho.  R must be
-    square, of size ``n * len(rho)`` for a system of n >= 1 states."""
+    square, of size ``n * len(rho)`` for a system of n >= 1 states.
+    ``source`` is the T that R dilates, which the result's checks compare
+    with (:meth:`~bistoch.coarse_grain.CoarseGrainDilation.defects`)."""
     n, rest = divmod(R.rows, rho.n)
     if not R.is_square or rest or not n:
         raise DimensionMismatch(f"{R.rows}x{R.cols} dilation does not act on a system with a {rho.n}-state environment")
-    return CoarseGrainDilation(Partition.first_marginal(n, rho.n), R, product_right_inverse(n, rho))
+    return CoarseGrainDilation(Partition.first_marginal(n, rho.n), R, product_right_inverse(n, rho), source)
 
 
 @dataclass
@@ -87,6 +89,17 @@ class UnitaryDilation(CoarseGrainDilation):
         g = self.unitary.T @ self.unitary
         g[np.diag_indices_from(g)] -= 1.0
         return float(max(g.max(), -g.min()))
+
+    def defects(self):
+        """The checks of :meth:`CoarseGrainDilation.defects`, after ``orthogonal``
+        (:meth:`orthogonality_defect` to ``RESIDUAL_TOL``).  R = U∘U sums to 1
+        up to round-off, so its sums are held to ``RESIDUAL_TOL``; the
+        completion normalises each column of T, so the round trip also allows
+        T's largest column defect."""
+        orthogonal, sums = self.orthogonality_defect(), core.sum_defect(self.matrix, core.RESIDUAL_TOL)
+        roundtrip, tol = roundtrip_defect(self.source, self)
+        return {"orthogonal": (orthogonal, core.RESIDUAL_TOL), "bi_stochastic": sums,
+                "coarse_grain_roundtrip": (roundtrip, tol + core._sum_check(self.source).max_column_defect)}
 
 
 def noisy_dilation(T):
@@ -119,7 +132,7 @@ def noisy_dilation(T):
     view = view.reshape(n * n, n * n)
     values = np.concatenate([[Fraction(0)], T.values, (1 - T.values) / (n * (n - 1))]) if exact else None
     matrix = StochMatrix._from_codes(values, view) if exact else StochMatrix._from_nums(view, 1.0)
-    return with_environment(matrix, ProbVec.point_mass(n, 0, mode=T.mode))
+    return with_environment(matrix, ProbVec.point_mass(n, 0, mode=T.mode), T)
 
 
 def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
@@ -228,5 +241,5 @@ def unistochastic_dilation(T):
     u[ks[1:], :, ks[1:], :] = np.eye(n) - vh[1:, :, None] * vh[1:, None, :]
     u[0, :, 1:, :] = -h0[:, 1:, None] * vh[None, 1:, :]
     u = u.reshape(n * n, n * n)
-    E = with_environment(StochMatrix._from_nums(u**2, 1.0), ProbVec.point_mass(n, 0, mode=FLOAT))
+    E = with_environment(StochMatrix._from_nums(u**2, 1.0), ProbVec.point_mass(n, 0, mode=FLOAT), T)
     return UnitaryDilation(**vars(E), unitary=u)

@@ -23,6 +23,15 @@ class SinkhornResult:
     iterations: int
     final_defect: float
 
+    def defects(self, T, tol=RESULT_TOL):
+        """The checks of a balancing of T to ``tol``, each as ``(defect, tol)``:
+        the final sum defect (``bi_stochastic``), and the largest entry of
+        ``|diag(d1) T diag(d2) - matrix|`` against ``10 * tol``
+        (``diagonal_factorization``)."""
+        scaled = self.d1[:, None] * T.to_float().a * self.d2
+        factorization = float(np.max(np.abs(scaled - self.matrix.a)))
+        return {"bi_stochastic": (self.final_defect, tol), "diagonal_factorization": (factorization, 10 * tol)}
+
 
 def sinkhorn_knopp(T, tol=RESULT_TOL, max_iter=DEFAULT_MAX_ITER):
     """Balance a strictly positive square matrix to bi-stochastic form.

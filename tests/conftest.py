@@ -1,9 +1,12 @@
+import importlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bistoch import (
+    core,
+    env_dilation,
     EXACT,
     FLOAT,
     ProbVec,
@@ -11,6 +14,25 @@ from bistoch import (
     maxwell_demon,
     two_state,
 )
+
+
+@pytest.fixture
+def sum_and_contraction_calls(monkeypatch):
+    """Records ``(name, shape)`` for each call of ``core._sum_check`` and of
+    ``coarse_grain``, as the library and the CLI call them."""
+    calls = []
+
+    def counting(fn):
+        def wrapper(M, *args, **kwargs):
+            calls.append((fn.__name__, M.nums.shape))
+            return fn(M, *args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(core, "_sum_check", counting(core._sum_check))
+    for module in (importlib.import_module("bistoch.coarse_grain"), env_dilation):
+        monkeypatch.setattr(module, "coarse_grain", counting(module.coarse_grain))
+    return calls
 
 
 @pytest.fixture

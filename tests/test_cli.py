@@ -1,4 +1,3 @@
-import importlib
 import json
 import math
 import os
@@ -15,7 +14,13 @@ from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
 from bistoch.cli import Report, _fmt, run
 from bistoch.core import RESIDUAL_TOL
 
-from conftest import demon_dilation_expected, random_stochastic_exact, random_stochastic_float
+from conftest import (
+    demon_dilation_expected,
+    random_prob_vec_exact,
+    random_prob_vec_float,
+    random_stochastic_exact,
+    random_stochastic_float,
+)
 
 
 @pytest.fixture
@@ -158,6 +163,29 @@ class TestExitCodes:
         # the same value refused where a file is written
         with pytest.raises(bs.errors.TooManyDigits):
             bs.vector_to_json(bs.iterate(T, p, 2)[0][-1])
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [(["fixed-point"], "NotStochastic"), (["dilate", "noisy"], "NotStochastic"), (["extract"], "NotBiStochastic"),
+         (["entropy", "--vec"], "NotStochastic")],
+        ids=["fixed-point", "dilate-noisy", "extract", "entropy"],
+    )
+    def test_message_with_a_value_past_the_digit_limit_is_one_line(self, capsys, tmp_path, argv, error):
+        # 1/(x + 1) and 1/(x + 3), x = 2·10^(limit - 1), each fit a file; their sum and its
+        # defect from 1 have twice as many digits, which the message gives as an approximation
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter writes ints of any length")
+        x = 2 * 10 ** (limit - 1)
+        small = [f"1/{x + 1}", f"1/{x + 3}"]
+        if argv[0] == "entropy":
+            payload = {"mode": "exact", "rows": 2, "cols": 1, "data": [[v] for v in small]}
+        else:
+            payload = {"mode": "exact", "rows": 2, "cols": 2, "data": [[small[0], 0], [small[1], 1]]}
+        assert run([*argv, *write_inputs(tmp_path, payload)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {error}: ") and "~1.00000e" in err
 
     def test_domain_error_is_two(self, capsys, demon_file):
         # the demon matrix has a zero fixed-point component
@@ -382,25 +410,22 @@ class TestCommands:
         assert check["pass"] and check["defect"] == float(f"{np.max(np.abs(T.a @ r.a - r.a)):.12g}")
 
     @pytest.mark.parametrize("mode", [[], ["--mode", "float"]], ids=["exact", "float"])
-    def test_dilate_noisy_sums_and_contracts_r_once(self, capsys, monkeypatch, demon_file, mode):
+    def test_dilate_noisy_sums_and_contracts_r_once(self, capsys, sum_and_contraction_calls, demon_file, mode):
         # three checks, one row and column sum of R and one contraction of R
-        calls = []
-
-        def counting(fn):
-            def wrapper(M, *args, **kwargs):
-                calls.append((fn.__name__, M.a.shape))
-                return fn(M, *args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(bs.core, "_sum_check", counting(bs.core._sum_check))
-        for module in (importlib.import_module("bistoch.coarse_grain"), bs.env_dilation):
-            monkeypatch.setattr(module, "coarse_grain", counting(module.coarse_grain))
         code, report = run_json(capsys, ["dilate", "noisy", demon_file, *mode])
         assert code == 0
         assert [c["name"] for c in report["checks"]] == ["bi_stochastic", "extract_dilated == input", "marginal_identity"]
-        on_r = sorted(name for name, shape in calls if shape == (16, 16))
+        on_r = sorted(name for name, shape in sum_and_contraction_calls if shape == (16, 16))
         assert on_r == ["_sum_check", "coarse_grain"]
+
+    def test_dilate_uniform_sums_and_contracts_s_once(self, capsys, sum_and_contraction_calls, tmp_path):
+        # two checks, one row and column sum of S and one contraction of S (d = 5)
+        (path,) = write_inputs(tmp_path, bs.matrix_to_json(bs.two_state(Fraction(1, 3), Fraction(1, 2))))
+        code, report = run_json(capsys, ["dilate", "uniform", path])
+        assert code == 0
+        assert [c["name"] for c in report["checks"]] == ["bi_stochastic", "coarse_grain_roundtrip"]
+        on_s = sorted(name for name, shape in sum_and_contraction_calls if shape == (5, 5))
+        assert on_s == ["_sum_check", "coarse_grain"]
 
     def test_extract_round_trip(self, capsys, tmp_path, demon, demon_file):
         dilation = tmp_path / "dilation.json"
@@ -601,6 +626,66 @@ class TestCommands:
         assert code == 2 and captured.err == "demo mismatch: one_step_image\n"
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["one_step_image", "one_step_entropy"]
         assert len(report["checks"]) == 13
+
+
+def positive_stochastic(rng, n, mode):
+    """A seeded left-stochastic matrix with positive entries: weights 1-8 over their column sums."""
+    w = rng.integers(1, 9, size=(n, n))
+    if mode == FLOAT:
+        return StochMatrix(w / w.sum(axis=0), mode=FLOAT)
+    return StochMatrix([[Fraction(int(v), int(s)) for v, s in zip(row, w.sum(axis=0))] for row in w], mode=EXACT)
+
+
+def report_checks(defects, names=None):
+    """The report entries of a library dict of checks, name -> (defect, tol); ``names`` maps
+    each report name, in report order, to its library name."""
+    names = names or {name: name for name in defects}
+    return [{"name": name, "pass": bool(defects[key][0] <= defects[key][1]),
+             "defect": _fmt(defects[key][0]), "tol": _fmt(defects[key][1])} for name, key in names.items()]
+
+
+class TestReportsMatchLibrary:
+    """Every check a report carries is the library's ``(defect, tol)`` for the same inputs, formatted."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", [EXACT, FLOAT])
+    def test_checks_are_the_library_defects(self, capsys, tmp_path, mode, seed):
+        rng = np.random.default_rng(seed)
+        T = positive_stochastic(rng, 3, mode)
+        R = bs.noisy_dilation(T).matrix
+        p = random_prob_vec_exact(rng, 3) if mode == EXACT else random_prob_vec_float(rng, 3)
+        P = bs.Partition.first_marginal(3, 3)
+        files = {"T": bs.matrix_to_json(T), "R": bs.matrix_to_json(R), "p": bs.vector_to_json(p), "P": P.to_json()}
+        for name, payload in files.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(payload))
+        path = {name: str(tmp_path / f"{name}.json") for name in files}
+        roundtrip = "coarse_grain_roundtrip"
+        dec = bs.birkhoff_decompose(R)
+        cases = [
+            (["dilate", "noisy", path["T"]], bs.noisy_dilation(T).defects(),
+             {"bi_stochastic": "bi_stochastic", "extract_dilated == input": roundtrip, "marginal_identity": roundtrip}),
+            (["dilate", "unistochastic", path["T"]], bs.unistochastic_dilation(T.to_float()).defects(),
+             {"orthogonal": "orthogonal", "bi_stochastic": "bi_stochastic", "extract_dilated == input": roundtrip}),
+            (["fixed-point", path["T"]], {"fixed_point_residual": bs.core.fixed_point_residual(
+                T, bs.fixed_point(T).representative)}, None),
+            (["coarse-grain", path["R"], path["P"]], {"left_stochastic": bs.core.sum_defect(
+                bs.coarse_grain(R, P, bs.uniform_right_inverse(P, mode=mode)), rows=False)}, None),
+            (["extract", path["R"]], {"left_stochastic": bs.core.sum_defect(bs.extract_dilated(R, 0), rows=False)}, None),
+            (["verify-dilation", path["T"], path["R"]], {"marginal_identity": bs.roundtrip_defect(
+                T, bs.with_environment(R, ProbVec.point_mass(3, 0, mode=mode)))}, None),
+            (["birkhoff", path["R"]], dec.defects(R), None),
+            (["sinkhorn", path["T"]], bs.sinkhorn_knopp(T.to_float()).defects(T.to_float()), None),
+            (["ledger", path["T"], path["p"]], bs.entropy_ledger(T, p).defects(), None),
+        ]
+        if mode == EXACT:  # a float T would be dilated through the exact values of its floats
+            T2 = bs.two_state(Fraction(int(rng.integers(1, 6)), 6), Fraction(int(rng.integers(1, 6)), 6))
+            (tmp_path / "T2.json").write_text(json.dumps(bs.matrix_to_json(T2)))
+            dil = bs.uniform_dilation(T2, bs.fixed_point(T2).representative)
+            cases.append((["dilate", "uniform", str(tmp_path / "T2.json")], dil.defects(), None))
+        for argv, defects, names in cases:
+            code, report = run_json(capsys, argv)
+            assert code == 0, argv
+            assert report["checks"] == report_checks(defects, names), argv
 
 
 PINNED = json.loads((Path(__file__).parent / "data" / "cli_reports.json").read_text())

@@ -166,6 +166,20 @@ class TestUniformDilation:
         assert bs.validate(dil.matrix).bi
         assert bs.coarse_grain(dil.matrix, dil.partition, dil.right_inverse) == T
 
+    def test_checks_run_when_first_read(self, sum_and_contraction_calls):
+        # the dilation sums and contracts S only for its checks, and checks is computed once
+        T = bs.two_state(Fraction(1, 3), Fraction(1, 2))
+        dil = uniform_dilation(T, ProbVec([Fraction(2, 5), Fraction(3, 5)], mode=EXACT))
+
+        def on_s():
+            return sorted(name for name, shape in sum_and_contraction_calls if shape == (5, 5))
+
+        assert on_s() == []
+        assert dil.checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
+        assert dil.checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
+        assert on_s() == ["_sum_check", "coarse_grain"]
+        assert dil.defects() == {"bi_stochastic": (0, 0), "coarse_grain_roundtrip": (0, 0)}
+
     def test_identity(self):
         T = StochMatrix.identity(2, mode=EXACT)
         dil = uniform_dilation(T, ProbVec([Fraction(1, 2), Fraction(1, 2)], mode=EXACT))

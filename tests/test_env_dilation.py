@@ -242,6 +242,20 @@ class TestOneDilationType:
             assert bs.coarse_grain(dil.matrix, dil.partition, dil.right_inverse).allclose(T, tol=RESIDUAL_TOL)
             assert bs.verify_env_dilation(T, dil) is True
 
+    def test_every_construction_checks_its_source(self):
+        T = bs.two_state(Fraction(1, 3), Fraction(1, 2))
+        p = ProbVec([Fraction(2, 5), Fraction(3, 5)], mode=EXACT)
+        names = ["bi_stochastic", "coarse_grain_roundtrip"]
+        for dil in (bs.uniform_dilation(T, p), bs.noisy_dilation(T), bs.unistochastic_dilation(T)):
+            assert dil.source is T
+            unitary = isinstance(dil, bs.UnitaryDilation)
+            assert list(dil.checks) == list(dil.defects()) == (["orthogonal", *names] if unitary else names)
+            assert all(dil.checks.values())
+            # against another T the round trip fails, and only it
+            other = replace(dil, source=bs.two_state(Fraction(1, 4), Fraction(1, 2)))
+            assert {name for name, ok in other.checks.items() if not ok} == {"coarse_grain_roundtrip"}
+        assert with_environment(bs.noisy_dilation(T).matrix, ProbVec.point_mass(2, 0, mode=EXACT)).source is None
+
     def test_roundtrip_defect(self, demon, demon_float):
         assert bs.roundtrip_defect(demon, bs.noisy_dilation(demon)) == (0, 0)
         defect, tol = bs.roundtrip_defect(demon_float, bs.noisy_dilation(demon_float))
