@@ -455,8 +455,8 @@ def run(argv):
         report.emit()
         print(f"demo mismatch: {exc}", file=sys.stderr)
         return 2
-    except (BistochError, MemoryError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (BistochError, MemoryError) as exc:  # a bare MemoryError() carries no message of its own
+        print(f"error: {type(exc).__name__}: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -119,9 +119,12 @@ class CoarseGrainDilation:
         """The checks of the dilation by name, each as ``(defect, tol)``: the
         row and column sums of S (``bi_stochastic``, :func:`core.sum_defect`)
         and ``X S Y = T`` for the source T (``coarse_grain_roundtrip``,
-        :func:`roundtrip_defect`)."""
-        return {"bi_stochastic": core.sum_defect(self.matrix),
-                "coarse_grain_roundtrip": roundtrip_defect(self.source, self)}
+        :meth:`roundtrip`)."""
+        return {"bi_stochastic": core.sum_defect(self.matrix), "coarse_grain_roundtrip": self.roundtrip(self.source)}
+
+    def roundtrip(self, T):
+        """How far the dilation coarse grains back to T, ``(defect, tol)``: :func:`roundtrip_defect`."""
+        return roundtrip_defect(T, self)
 
     @cached_property
     def checks(self):

@@ -24,9 +24,13 @@ exact arithmetic, and a uni-stochastic dilation built from an orthogonal
 completion of the isometry induced by a Kraus representation of T.  That
 completion is the Householder product of a QR factorization of the
 isometry, written in closed form: N^2 (2N - 1) nonzeros at most, in O(N^4)
-time, where forming it by a complete QR costs O(N^5).  Both float
-constructions hand their fresh N^2 x N^2 array to :class:`StochMatrix` as
-its numerators over ``1.0``, without a copy (``_from_nums``).
+time, where forming it by a complete QR costs O(N^5).  The result keeps U
+as its three nonzero blocks (:class:`UnitaryDilation`): R is their squares
+written into one zeroed array, the dense U is assembled only when read, and
+the orthogonality check runs on the blocks in O(N^5) time and O(N^3)
+memory, with no N^2 x N^2 Gram matrix.  Both float constructions hand their
+fresh N^2 x N^2 array to :class:`StochMatrix` as its numerators over
+``1.0``, without a copy (``_from_nums``).
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -78,28 +83,78 @@ class KrausSet:
         return float(np.max(np.abs(total - np.eye(self.n))))
 
 
+_STRIPE = 2**15  # entries in one stripe of the Gram matrix of UnitaryDilation.row0: one column block or more
+
+
+def _written(column0, row0, diagonal):
+    """An N^2 x N^2 array holding the given blocks where U holds its three (:class:`UnitaryDilation`), else 0."""
+    n = len(column0)
+    u = np.zeros((n, n, n, n))  # u[i, m', j, m] = U[(m',i),(m,j)]
+    ks = np.arange(n)
+    u[ks, :, 0, ks] = column0
+    u[0, :, 1:, :] = row0
+    u[ks[1:], :, ks[1:], :] = diagonal
+    return u.reshape(n * n, n * n)
+
+
 @dataclass(eq=False)  # an array field has no single truth value, so no field-wise ==
 class UnitaryDilation(CoarseGrainDilation):
-    """A standard dilation whose R is the entrywise square of the real orthogonal ``unitary``."""
+    """A standard dilation whose R is the entrywise square of the real orthogonal U.
 
-    unitary: np.ndarray = None
+    U is kept as its three nonzero blocks, in the block view ``u[i, m', j, m]
+    = U[(m',i),(m,j)]``: ``column0[k] = u[k, :, 0, k]`` (N x N), ``row0 =
+    u[0, :, 1:, :]`` (N x (N-1) x N) and ``diagonal[K-1] = u[K, :, K, :]``
+    for K >= 1 ((N-1) x N x N).  ``unitary`` assembles the dense U on first
+    read.
+    """
+
+    column0: np.ndarray = None
+    row0: np.ndarray = None
+    diagonal: np.ndarray = None
+
+    @cached_property
+    def unitary(self):
+        """The dense N^2 x N^2 orthogonal U, zero outside its three blocks."""
+        return _written(self.column0, self.row0, self.diagonal)
 
     def orthogonality_defect(self):
-        """The largest entry of ``|U^T U - I|``, with the identity taken off the diagonal in place."""
-        g = self.unitary.T @ self.unitary
-        g[np.diag_indices_from(g)] -= 1.0
-        return float(max(g.max(), -g.min()))
+        """The largest entry of ``|U^T U - I|``, from the blocks in O(N^5) time and O(N^3) extra memory.
+
+        Column (0, k) of U lives in row block k, and column (K, m) for K >= 1
+        in row blocks 0 and K.  So the Gram matrix on column block 0 is
+        diagonal, it meets column (K, m) only through row block 0 (k = 0)
+        or K (k = K), and on column blocks K, K' >= 1 it is the Gram matrix
+        of ``row0`` plus that of ``diagonal[K-1]`` where K = K'.  The
+        symmetric ``row0`` part is formed one stripe of column blocks at a
+        time, from the stripe's first column on.
+        """
+        a, c = self.column0, self.diagonal
+        n = len(a)
+        b = self.row0.reshape(n, -1)  # b[m', (K-1)N + m]
+        worst = [np.abs((a * a).sum(axis=1) - 1).max(), np.abs(a[0] @ b).max(initial=0),
+                 np.abs(a[1:, None, :] @ c).max(initial=0)]
+        step = max(1, _STRIPE // n**3)
+        for k0 in range(0, n - 1, step):
+            k1 = min(k0 + step, n - 1)
+            g = (b[:, k0 * n:k1 * n].T @ b[:, k0 * n:]).reshape(k1 - k0, n, -1, n)  # g[k, m, K', m'], K' from k0
+            ks = np.arange(k1 - k0)
+            g[ks, :, ks, :] += np.swapaxes(c[k0:k1], 1, 2) @ c[k0:k1] - np.eye(n)  # each diagonal block's Gram, less I
+            worst += [g.max(), -g.min()]
+        return float(max(worst))
 
     def defects(self):
         """The checks of :meth:`CoarseGrainDilation.defects`, after ``orthogonal``
         (:meth:`orthogonality_defect` to ``RESIDUAL_TOL``).  R = U∘U sums to 1
-        up to round-off, so its sums are held to ``RESIDUAL_TOL``; the
-        completion normalises each column of T, so the round trip also allows
-        T's largest column defect."""
+        up to round-off, so its sums are held to ``RESIDUAL_TOL``."""
         orthogonal, sums = self.orthogonality_defect(), core.sum_defect(self.matrix, core.RESIDUAL_TOL)
-        roundtrip, tol = roundtrip_defect(self.source, self)
         return {"orthogonal": (orthogonal, core.RESIDUAL_TOL), "bi_stochastic": sums,
-                "coarse_grain_roundtrip": (roundtrip, tol + core._sum_check(self.source).max_column_defect)}
+                "coarse_grain_roundtrip": self.roundtrip(self.source)}
+
+    def roundtrip(self, T):
+        """:func:`roundtrip_defect`, whose tolerance also allows T's largest
+        column defect: the completion normalises each column of T."""
+        defect, tol = roundtrip_defect(T, self)
+        return defect, tol + core._sum_check(T).max_column_defect
 
 
 def noisy_dilation(T):
@@ -163,10 +218,11 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
 def verify_env_dilation(T, dilation):
     """True iff the marginal identity of the dilation holds: the first
     marginal of ``R (p (x) rho)`` is ``T p`` for every p (see
-    :func:`~bistoch.coarse_grain.roundtrip_defect`).  The contraction runs
-    over the support of rho only, one environment state in every standard
-    dilation."""
-    defect, tol = roundtrip_defect(T, dilation)
+    :func:`~bistoch.coarse_grain.roundtrip_defect`), to the tolerance of the
+    dilation's own round-trip check (:meth:`UnitaryDilation.roundtrip`).  The
+    contraction runs over the support of rho only, one environment state in
+    every standard dilation."""
+    defect, tol = dilation.roundtrip(T)
     return bool(defect <= tol)
 
 
@@ -224,22 +280,19 @@ def unistochastic_dilation(T):
         u[K, m', K, m] = delta(m', m) - vh_K[m] vh_K[m']   for K >= 1,
         u[0, m', K, m] = -vh_K[m] H_0[m', K]              for K >= 1,
 
-    and every other entry is 0: U has N^2 (2N - 1) nonzeros at most, and
-    costs O(N^4) to write out.
+    and every other entry is 0: U has N^2 (2N - 1) nonzeros at most.  These
+    three blocks are the result's fields; their squares, written out in
+    O(N^4), are R.
     """
     core._require_left_stochastic(T)
     n = T.rows
     v = np.sqrt(T.to_float().a).T  # v[k] = sqrt(T[:, k])
-    vh = v / np.linalg.norm(v, axis=1)[:, None]
+    vh = np.ascontiguousarray(v / np.linalg.norm(v, axis=1)[:, None])  # C order, so row0 is too and reshapes as a view
     alpha, tail = v[0, 0], v[0, 1:]
     beta = -math.copysign(math.hypot(alpha, np.linalg.norm(tail)), alpha)
     w = np.concatenate([[1.0], tail / (alpha - beta)])
     h0 = np.eye(n) - (beta - alpha) / beta * np.outer(w, w)  # only its columns K >= 1 are read
-    u = np.zeros((n, n, n, n))  # u[i, m', j, m] = U[(m',i),(m,j)]
-    ks = np.arange(n)
-    u[ks, :, 0, ks] = vh
-    u[ks[1:], :, ks[1:], :] = np.eye(n) - vh[1:, :, None] * vh[1:, None, :]
-    u[0, :, 1:, :] = -h0[:, 1:, None] * vh[None, 1:, :]
-    u = u.reshape(n * n, n * n)
-    E = with_environment(StochMatrix._from_nums(u**2, 1.0), ProbVec.point_mass(n, 0, mode=FLOAT), T)
-    return UnitaryDilation(**vars(E), unitary=u)
+    row0, diagonal = -h0[:, 1:, None] * vh[None, 1:, :], np.eye(n) - vh[1:, :, None] * vh[1:, None, :]
+    R = StochMatrix._from_nums(_written(vh**2, row0**2, diagonal**2), 1.0)
+    E = with_environment(R, ProbVec.point_mass(n, 0, mode=FLOAT), T)
+    return UnitaryDilation(**vars(E), column0=vh, row0=row0, diagonal=diagonal)

@@ -273,6 +273,18 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err.startswith("error: MemoryError: ") and len(captured.err.strip().splitlines()) == 1
 
+    def test_bare_memory_error_names_its_reason(self, capsys, monkeypatch, tmp_path):
+        # the interpreter's own refusal, as when a partition's tuples outgrow memory, has an empty message
+        def exhausted(T, p):
+            raise MemoryError()
+
+        monkeypatch.setattr("bistoch.cli.uniform_dilation", exhausted)
+        path = tmp_path / "T.json"
+        path.write_text(json.dumps(bs.matrix_to_json(bs.two_state(Fraction(1, 3), Fraction(1, 2)))))
+        assert run(["dilate", "uniform", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: MemoryError: out of memory\n")
+
     def test_non_square_iterate_gives_one_line_error(self, tmp_path):
         matrix, vector = tmp_path / "T.json", tmp_path / "p.json"
         matrix.write_text(json.dumps(bs.matrix_to_json(StochMatrix([[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]]))))

@@ -1,9 +1,10 @@
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix, with_environment
@@ -81,6 +82,12 @@ def float_matrices_with_zeros(draw):
 
 
 class TestNoisyDilation:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(float_matrices_with_zeros())
+    def test_marginal_identity_on_float_inputs(self, T):
+        assume(T.rows >= 2)
+        assert bs.verify_env_dilation(T, bs.noisy_dilation(T)) is True
+
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     def test_matches_entrywise_closed_form(self, mode):
         rng = np.random.default_rng(53)
@@ -358,10 +365,12 @@ class TestUnistochasticDilation:
         assert dil.orthogonality_defect() <= 1e-12
         assert bs.extract_dilated(dil.matrix, 0, tol=1e-12).allclose(demon.to_float(), tol=1e-12)
 
-    def test_entries_square_to_unitary_rows(self):
-        T = bs.two_state(0.42, 0.17, mode=FLOAT)
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(float_matrices_with_zeros())
+    def test_entries_square_to_unitary_rows(self, T):
+        # R is written from the blocks' squares, the unitary assembled from the blocks: the same entries
         dil = bs.unistochastic_dilation(T)
-        assert np.allclose(dil.matrix.a, dil.unitary**2)
+        assert np.array_equal(dil.matrix.a, dil.unitary**2)
 
     @staticmethod
     def assert_matches_qr(T):
@@ -389,22 +398,72 @@ class TestUnistochasticDilation:
         self.assert_matches_qr(bs.two_state(0.0, 1.0, mode=FLOAT))
 
     def test_orthogonal_at_scale(self):
-        n = 32
+        # at N=32 a dense U is d^2 * 8 = 8 MiB: the build holds one d x d array, R, and the check none
+        n, d = 32, 32 * 32
         T = random_stochastic_float(np.random.default_rng(32), n)
-        dil = bs.unistochastic_dilation(T)
-        assert dil.orthogonality_defect() <= RESIDUAL_TOL
+        tracemalloc.start()
+        try:
+            dil = bs.unistochastic_dilation(T)
+            held, build = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            orthogonality = dil.orthogonality_defect()
+            check = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build < 1.5 * d * d * 8 and check < 2**20
+        assert "unitary" not in vars(dil)  # the check did not assemble U
+        assert orthogonality <= RESIDUAL_TOL
         assert bs.validate(dil.matrix, tol=RESIDUAL_TOL).bi
         assert bs.extract_dilated(dil.matrix, 0).allclose(T, tol=RESIDUAL_TOL)
 
     @pytest.mark.parametrize("n", [2, 5, 20])
     def test_orthogonality_defect_matches_dense_reference(self, n):
-        # bit for bit the largest entry of |U^T U - I|, also where U is not orthogonal: a Gram matrix
-        # whose off-diagonal entries are negative, and one whose diagonal overshoots 1
+        # the largest entry of |U^T U - I| of the assembled U, to the round-off of a 2N-term dot product
+        # of entries at most 1, also where U is not orthogonal: blocks that tilt two columns towards each
+        # other give a Gram matrix whose extreme is that negative off-diagonal entry, and scaled blocks
+        # one whose diagonal overshoots 1
         dil = bs.unistochastic_dilation(random_stochastic_float(np.random.default_rng(n), n))
-        for u in (dil.unitary, dil.unitary + 1e-6 * np.eye(n * n), dil.unitary - 1e-6 * np.ones((n * n, n * n))):
-            reference = float(np.max(np.abs(u.T @ u - np.eye(n * n))))
-            assert replace(dil, unitary=u).orthogonality_defect() == reference
+
+        def perturbed(change):
+            blocks = {name: getattr(dil, name).copy() for name in ("column0", "row0", "diagonal")}
+            change(*blocks.values())
+            return replace(dil, **blocks)
+
+        def tilt(x, y):  # two columns of U, in the row block they share
+            x[:], y[:] = x - 1e-6 * y, y - 1e-6 * x
+
+        tilted = {  # by the flat indices of the two columns, j * N + m for column (j, m)
+            (0, n): perturbed(lambda a, b, c: tilt(a[0], b[:, 0, 0])),  # (0, 0) and (1, 0) in row block 0
+            (1, n): perturbed(lambda a, b, c: tilt(a[1], c[0, :, 0])),  # (0, 1) and (1, 0) in row block 1
+            (n, n + 1): perturbed(lambda a, b, c: tilt(c[0, :, 0], c[0, :, 1])),  # (1, 0) and (1, 1)
+        }
+        scaled = {  # by whether the overshooting diagonal entry is in column block 0
+            True: perturbed(lambda a, b, c: np.multiply(a, 1 + 1e-6, out=a)),
+            False: perturbed(lambda a, b, c: np.multiply(c, 1 + 1e-6, out=c)),
+        }
+        for extreme, case in [(None, dil), *tilted.items(), *scaled.items()]:
+            gram = case.unitary.T @ case.unitary - np.eye(n * n)
+            assert abs(case.orthogonality_defect() - np.max(np.abs(gram))) <= 2 * n * np.finfo(float).eps
+            k = np.argmax(np.diagonal(gram))
+            if isinstance(extreme, bool):
+                assert gram[k, k] == gram.max() > -gram.min() and (k < n) == extreme
+            elif extreme:
+                assert gram[extreme] == gram.min() < -max(gram.max(), np.abs(np.diagonal(gram)).max())
         assert dil.unitary.shape == (n * n, n * n)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(float_matrices_with_zeros())
+    def test_marginal_identity_on_float_inputs(self, T):
+        # also for a T whose columns carry a sum defect: the completion normalises them, which the
+        # dilation's own round-trip tolerance allows, and verify_env_dilation applies that tolerance
+        dil = bs.unistochastic_dilation(T)
+        assert bs.verify_env_dilation(T, dil) is True and dil.checks["coarse_grain_roundtrip"]
+
+    def test_single_state_has_empty_off_diagonal_blocks(self):
+        dil = bs.unistochastic_dilation(StochMatrix([[1.0]], mode=FLOAT))
+        assert (dil.row0.size, dil.diagonal.size) == (0, 0)
+        assert dil.orthogonality_defect() == 0
+        assert np.array_equal(dil.unitary, [[1.0]])
 
     def test_coarse_graining_reduction(self):
         rng = np.random.default_rng(62)
