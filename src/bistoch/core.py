@@ -754,18 +754,22 @@ def iterate(T, p, steps):
 # Vectors are stored with cols = 1.
 # ---------------------------------------------------------------------------
 
+_SHOWN_DIGITS = 30  # an exact value with a longer numerator or denominator is shown approximately
+
+
 def _shown(value):
     """A value as an error message writes it: ``str(value)``, or, for an exact
-    value past the interpreter's int-digit limit, which ``str`` refuses, an
-    approximation such as ``~1.00000e-4299``: the value over a power of ten
-    near it, from the logarithms of its numerator and denominator, rounded
-    to a float.  The value is positive: a sum or a sum defect."""
-    try:
+    value whose numerator or denominator has more than ``_SHOWN_DIGITS``
+    digits, an approximation such as ``~1.00000e-4299``: the value over a
+    power of ten near it, from the logarithms of its numerator and
+    denominator, rounded to a float.  A message thus stays short, also for
+    a value past the interpreter's int-digit limit, which ``str`` refuses.
+    The value is positive: a sum or a sum defect."""
+    if not isinstance(value, Fraction) or max(value.numerator, value.denominator) < 10**_SHOWN_DIGITS:
         return str(value)
-    except ValueError:
-        exponent = math.floor(math.log10(value.numerator) - math.log10(value.denominator))
-        mantissa, _, shift = f"{float(value / Fraction(10) ** exponent):.5e}".partition("e")
-        return f"~{mantissa}e{exponent + int(shift)}"
+    exponent = math.floor(math.log10(value.numerator) - math.log10(value.denominator))
+    mantissa, _, shift = f"{float(value / Fraction(10) ** exponent):.5e}".partition("e")
+    return f"~{mantissa}e{exponent + int(shift)}"
 
 
 def _written(value):

@@ -278,33 +278,39 @@ class BirkhoffDecomposition:
         return StochMatrix._from_nums(total.reshape(n, n), den)
 
 
-def _augment(adjacency, match_row, c):
-    """Match column c by one augmenting path, searched depth first.
+def _augment(adjacency, match_row, match_col, flat, val, n, c):
+    """Match column c by a shortest augmenting path, searched breadth first.
 
     ``adjacency[c]`` lists the rows of column c's support in increasing
-    order and ``match_row[r]`` is the column matched to row r, or None.
-    Rows are tried in increasing index order, so matching columns 0, 1, ...
-    from an empty matching is deterministic.  The search keeps its path on
-    an explicit stack, so the path length meets no recursion limit.
-    Returns False, with ``match_row`` unchanged, when no augmenting path
-    exists.
+    order; ``match_row[r]`` is the column matched to row r and
+    ``match_col[c]`` the row matched to column c, each None when unmatched.
+    Columns are searched in FIFO order, each trying its rows in increasing
+    order, so matching columns 0, 1, ... from an empty matching is
+    deterministic; ``parent`` maps each row reached to the column that
+    reached it, and the path is flipped from the free row found back to c.
+    Matched residuals live in ``val``: a column u that leaves row r writes
+    ``val[u]`` back to ``flat[r * n + u]``, and one that enters row r reads
+    ``val[u]`` from there.  Returns False, with the matching unchanged, when no
+    augmenting path exists.
     """
-    visited = [False] * len(match_row)
-    path = [(None, c, iter(adjacency[c]))]  # (row it was entered by, column, rows not yet tried)
-    while path:
-        for r in path[-1][2]:
-            if not visited[r]:
-                break
-        else:
-            path.pop()
-            continue
-        if match_row[r] is None:
-            for entered_by, col, _ in reversed(path):
-                match_row[r] = col
-                r = entered_by
-            return True
-        visited[r] = True
-        path.append((r, match_row[r], iter(adjacency[match_row[r]])))
+    parent = {}
+    queue = [c]
+    for u in queue:  # a FIFO queue: the loop also reaches the columns appended
+        for r in adjacency[u]:
+            if r in parent:
+                continue
+            parent[r] = u
+            if match_row[r] is None:
+                while r is not None:
+                    u = parent[r]
+                    left = match_col[u]
+                    if left is not None:
+                        flat[left * n + u] = val[u]
+                    match_row[r], match_col[u] = u, r
+                    val[u] = flat[r * n + u]
+                    r = left
+                return True
+            queue.append(match_row[r])
     return False
 
 
@@ -316,12 +322,15 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     continues on the residual.  The support graph is built once and the
     matching is kept from one peel to the next: a peel removes only the
     matched edges it empties, and only their columns are matched again, by
-    an iterative augmenting-path search (:func:`_augment`).  The first term
-    is the matching of columns 0, 1, ... in turn from an empty matching.
-    Each peel reads and writes the residual at the flat indices
-    ``sigma * n + c``: one gather, one min and one scatter.  The terms are
-    stacked into the arrays of :class:`BirkhoffDecomposition` once, at the
-    end.
+    a shortest augmenting path (:func:`_augment`).  The first term is the
+    matching of columns 0, 1, ... in turn from an empty matching.  The
+    residual of each column's matched entry is held in one length-n array
+    ``val``, so a peel is one min, one subtract and one compare on it, and
+    the term's permutation is a copy of the column-to-row list
+    ``match_col``; the residual matrix is written only when a column
+    leaves its row, and the matched values go back into it once, at the
+    end.  The terms are stacked into the arrays of
+    :class:`BirkhoffDecomposition` once, at the end.
     Exact mode peels the integer numerators of S over their common
     denominator L to a residual of exactly zero, in their own dtype (a peel
     only subtracts, so int64 numerators never overflow), and returns each
@@ -339,31 +348,31 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     resid = S.nums.copy()
     flat = resid.reshape(-1)  # a view: the residual read and written through flat indices
     threshold = core._tol(S, RESIDUAL_TOL)
-    cols = np.arange(n)
     adjacency = [np.flatnonzero(col > threshold).tolist() for col in resid.T]
     edges = sum(map(len, adjacency))
-    match_row = [None] * n
+    match_row, match_col = [None] * n, [None] * n
+    val = np.empty(n, dtype=resid.dtype)  # val[c]: the residual at (match_col[c], c)
     unmatched = range(n)
-    sigma = np.empty(n, dtype=np.intp)
     terms = []
     # edges only disappear, so the support is empty exactly when resid <= threshold
-    while edges and all(_augment(adjacency, match_row, c) for c in unmatched):
-        sigma[match_row] = cols  # the column-to-row inverse of match_row
-        idx = sigma * n + cols  # sigma is a permutation: no index repeats
-        entries = flat[idx]
-        w = entries.min()
-        flat[idx] = entries = entries - w
-        terms.append((w, idx))
-        unmatched = (entries <= threshold).nonzero()[0].tolist()
-        for c in unmatched:  # the row as a Python int, which list.remove compares fast
-            adjacency[c].remove(r := int(sigma[c]))
-            match_row[r] = None
+    while edges and all(_augment(adjacency, match_row, match_col, flat, val, n, c) for c in unmatched):
+        w = np.minimum.reduce(val)
+        val -= w
+        terms.append((w, match_col.copy()))
+        unmatched = (val <= threshold).nonzero()[0].tolist()
+        for c in unmatched:
+            r = match_col[c]
+            flat[r * n + c] = val[c]
+            adjacency[c].remove(r)
+            match_row[r] = match_col[c] = None
         edges -= len(unmatched)
+    matched = [c for c in range(n) if match_col[c] is not None]
+    flat[[match_col[c] * n + c for c in matched]] = val[matched]
     residual_mass = S._value(max(resid.sum(axis=0).max(), resid.sum(axis=1).max()))
     delta = max(report.max_column_defect, report.max_row_defect)
     if residual_mass > core._tol(S, 2 * n * delta + n * n * RESIDUAL_TOL):
         raise NoPerfectMatching(f"residual of mass {residual_mass} has no perfect matching on its support")
-    perms = np.array([idx for _, idx in terms], dtype=np.intp).reshape(-1, n) // n
+    perms = np.array([sigma for _, sigma in terms], dtype=np.intp).reshape(-1, n)
     weights = np.array([S._value(w) for w, _ in terms])
     nums, den = (np.array([int(w) for w, _ in terms], dtype=object), S.den) if exact else (None, 1)
     return BirkhoffDecomposition(n=n, perms=perms, weights=weights, residual_mass=residual_mass, nums=nums, den=den)

@@ -187,6 +187,16 @@ class TestExitCodes:
         assert out == "" and len(err.splitlines()) == 1
         assert err.startswith(f"error: {error}: ") and "~1.00000e" in err
 
+    def test_message_with_a_long_exact_value_is_short(self, capsys, tmp_path):
+        # extract's row defect 1 - 1/(x + 1), x = 2·10^4299, is just inside the
+        # int-digit limit, and is approximated like every value of many digits
+        x = 2 * 10**4299
+        payload = {"mode": "exact", "rows": 2, "cols": 2, "data": [[f"1/{x + 1}", 0], [f"1/{x + 3}", 1]]}
+        assert run(["extract", *write_inputs(tmp_path, payload)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1 and len(err) < 200
+        assert err.startswith("error: NotBiStochastic: ")
+
     def test_domain_error_is_two(self, capsys, demon_file):
         # the demon matrix has a zero fixed-point component
         assert run(["dilate", "uniform", demon_file]) == 2

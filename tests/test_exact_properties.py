@@ -7,8 +7,8 @@ drawn with nonzero defects and with pairwise-coprime denominators, and
 partitions with shuffled classes.  Entry objects shared by a gather or a
 broadcast must give the same values as fresh copies.  Birkhoff peeling is
 also checked in float mode on the same permutation mixtures, and its
-augmenting-path search against the recursive from-scratch matcher it
-replaced.  Exact ``==``, which compares numerators, must agree with
+shortest-augmenting-path search against a breadth-first reference written
+here and the recursive from-scratch matcher.  Exact ``==``, which compares numerators, must agree with
 comparing the Fractions, and the JSON round trip must give back the same
 object in both modes.  An object built from values and codes must be the
 object the public constructor builds from the same entries, and the
@@ -21,6 +21,7 @@ products pass 2**63 must still give the reference.
 import json
 import math
 import random
+from collections import deque
 from dataclasses import replace
 from fractions import Fraction
 
@@ -224,10 +225,33 @@ def ref_coarse_grain(S, P, Y):
     return [[fsum(XS[k][mu] * Y.a[mu, l] for mu in range(P.d)) for l in range(P.n)] for k in range(P.n)]
 
 
+def bfs_augment(adjacency, match_row, c):
+    """Match column c by a shortest augmenting path: columns are searched in
+    FIFO order, each trying its rows in increasing order, and the first free
+    row reached ends the search.  Each queue entry carries its whole path,
+    the (column, row) edges it took; flipping the path gives each of its
+    columns the row it took.  Returns False, with ``match_row`` unchanged,
+    when no augmenting path exists."""
+    seen = set()
+    queue = deque([(c, [])])
+    while queue:
+        col, path = queue.popleft()
+        for r in adjacency[col]:
+            if r in seen:
+                continue
+            seen.add(r)
+            if match_row[r] is None:
+                for path_col, path_row in path + [(col, r)]:
+                    match_row[path_row] = path_col
+                return True
+            queue.append((match_row[r], path + [(col, r)]))
+    return False
+
+
 def ref_birkhoff(S):
-    """Greedy peeling on Fractions that keeps its matching, with the library's
-    augmenting-path search: after each peel only the columns whose matched
-    entry fell to zero are matched again."""
+    """Greedy peeling on Fractions that keeps its matching, with the
+    breadth-first search above: after each peel only the columns whose
+    matched entry fell to zero are matched again."""
     resid = [[Fraction(v) for v in row] for row in S.a.tolist()]
     n = S.rows
     adjacency = [[r for r in range(n) if resid[r][c] > 0] for c in range(n)]
@@ -235,7 +259,7 @@ def ref_birkhoff(S):
     emptied = range(n)
     terms = []
     while max(max(row) for row in resid) > 0:
-        assert all(_augment(adjacency, match_row, c) for c in emptied)
+        assert all(bfs_augment(adjacency, match_row, c) for c in emptied)
         sigma = [match_row.index(c) for c in range(n)]
         w = min(resid[sigma[c]][c] for c in range(n))
         for c in range(n):
@@ -467,13 +491,21 @@ class TestBirkhoff:
         # the weights add in term order in both modes
         assert dec.weight_sum() == sum(w for w, _ in dec.terms)
 
+    @SETTINGS
+    @given(st.sampled_from([EXACT, FLOAT]).flatmap(
+        lambda mode: st.integers(1, 12).flatmap(lambda d: permutation_mixtures(d=d, mode=mode))))
+    def test_term_count_bounds(self, S):
+        # each peel empties at least one support edge, and the last one empties n
+        n, edges = S.rows, np.count_nonzero(S.nums > core._tol(S, RESIDUAL_TOL))
+        assert len(bs.birkhoff_decompose(S).terms) <= min((n - 1) ** 2 + 1, edges - n + 1)
+
     def test_matching_is_kept(self, monkeypatch):
         # each augmentation after the first matching follows a support edge a peel emptied
         calls = []
 
-        def counting(*args):
-            calls.append(args[2])
-            return _augment(*args)
+        def counting(adjacency, match_row, match_col, flat, val, n, c):
+            calls.append(c)
+            return _augment(adjacency, match_row, match_col, flat, val, n, c)
 
         monkeypatch.setattr(entropy, "_augment", counting)
         S = random_permutation_mixture(np.random.default_rng(48), 48, mode=EXACT)
@@ -486,16 +518,35 @@ class TestAugment:
     @SETTINGS
     @given(supports())
     def test_matches_recursive_matcher(self, adjacency):
-        # from an empty matching, columns 0, 1, ... in turn, as the first peel does
+        # from an empty matching, columns 0, 1, ... in turn, as the first peel does:
+        # the library's search succeeds exactly when the recursive matcher finds a
+        # perfect matching, and matches as the breadth-first reference does
         n = len(adjacency)
-        match_row = [None] * n
+        want = np.zeros(n * n)  # the residual, with every matched entry where val holds it
+        for c, rows in enumerate(adjacency):
+            want[[r * n + c for r in rows]] = [r * n + c + 1 for r in rows]
+        flat, val = want.copy(), np.zeros(n)
+        match_row, match_col, ref_row = [None] * n, [None] * n, [None] * n
         for c in range(n):
-            before = list(match_row)
-            if not _augment(adjacency, match_row, c):
-                assert match_row == before
+            before = (list(match_row), list(match_col), val.copy(), flat.copy())
+            found = _augment(adjacency, match_row, match_col, flat, val, n, c)
+            assert found == bfs_augment(adjacency, ref_row, c)
+            if not found:
+                assert (match_row, match_col) == before[:2]
+                assert np.array_equal(val, before[2]) and np.array_equal(flat, before[3])
                 assert recursive_perfect_matching(adjacency, n) is None
                 return
-        assert [match_row.index(c) for c in range(n)] == recursive_perfect_matching(adjacency, n)
+            assert match_row == ref_row
+            assert match_col == [match_row.index(k) if k in match_row else None for k in range(n)]
+            # val holds each matched entry, and flat every other one, also those a column left
+            matched = [k for k in range(n) if match_col[k] is not None]
+            at = [match_col[k] * n + k for k in matched]
+            assert val[matched].tolist() == want[at].tolist()
+            assert np.array_equal(np.delete(flat, at), np.delete(want, at))
+            # a partial peel, which empties no entry: only val changes
+            val[matched] -= 0.25
+            want[at] -= 0.25
+        assert recursive_perfect_matching(adjacency, n) is not None
 
 
 class TestNumerators:
