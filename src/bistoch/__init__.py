@@ -19,7 +19,6 @@ from .core import (
     StochasticityReport,
     apply,
     fixed_point,
-    is_irreducible,
     iterate,
     matrix_from_json,
     matrix_to_json,
@@ -41,10 +40,8 @@ from .env_dilation import (
     KrausSet,
     UnitaryDilation,
     extract_dilated,
-    flat_index,
     kraus_from_stochastic,
     noisy_dilation,
-    stochastic_from_kraus,
     unistochastic_dilation,
     verify_env_dilation,
     with_environment,

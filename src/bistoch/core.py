@@ -92,8 +92,8 @@ FLOAT = "float"
 #: the slack allowed on negative entries (user-overridable where a ``tol``
 #: parameter exists)
 DEFAULT_TOL = 1e-9
-#: results: the Sinkhorn default, the fixed-point residual and Kraus
-#: completeness checks, and the limit of the Maxwell-demon demo
+#: results: the Sinkhorn default, the fixed-point residual check, and the
+#: limit of the Maxwell-demon demo
 RESULT_TOL = 1e-10
 #: round-off: structural zeros of a support, membership of the
 #: entropy-decreasing region, convergence of ``iterate``, and identities that
@@ -555,7 +555,7 @@ def validate(M, tol=DEFAULT_TOL):
     connected support digraph: state 0 reaches every state and every state
     reaches state 0, two searches of :func:`_reached`) is computed for a
     square left-stochastic matrix and is False otherwise; only this function
-    and :func:`is_irreducible` compute it.
+    computes it.
     """
     report = _sum_check(M, tol)
     report.irreducible = M.is_square and report.left and _strongly_connected(_support(M))
@@ -607,12 +607,6 @@ def _recurrent_classes(T):
             if not adj[np.ix_(~members, members)].any():
                 classes.append(np.flatnonzero(members))
     return classes
-
-
-def is_irreducible(T):
-    """True iff the support digraph of T is strongly connected."""
-    _require_left_stochastic(T)
-    return _strongly_connected(_support(T))
 
 
 def _class_stationary(T, members):

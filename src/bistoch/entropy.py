@@ -44,7 +44,10 @@ def _entropy_gap(Tf, arr):
 
 
 def in_decreasing_region(T, p, tol=RESIDUAL_TOL):
-    """True iff applying the left-stochastic T does not increase the entropy of p."""
+    """True iff applying the left-stochastic T does not increase the entropy of p.
+
+    Kept as the membership test the CI's region-scan step and ``demos/entropy_region.py`` use as a reference.
+    """
     if T.cols != (p.n if isinstance(p, ProbVec) else len(p)):
         raise DimensionMismatch("matrix and vector dimensions disagree")
     if not core._sum_check(T).left:

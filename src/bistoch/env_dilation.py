@@ -45,18 +45,7 @@ import numpy as np
 from . import core
 from .coarse_grain import CoarseGrainDilation, Partition, coarse_grain, product_right_inverse, roundtrip_defect
 from .core import EXACT, FLOAT, ProbVec, StochMatrix
-from .errors import (
-    DimensionMismatch,
-    DimensionTooSmall,
-    IncompleteKrausSet,
-    IndexOutOfRange,
-    NotSquare,
-)
-
-
-def flat_index(m, i, n):
-    """Environment-major flat index of composite state (m, i)."""
-    return i * n + m
+from .errors import DimensionMismatch, DimensionTooSmall, IndexOutOfRange, NotSquare
 
 
 def with_environment(R, rho, source=None):
@@ -73,7 +62,10 @@ def with_environment(R, rho, source=None):
 
 @dataclass
 class KrausSet:
-    """Real non-negative Kraus operators A_i with sum_i A_i^T A_i = 1."""
+    """Real non-negative Kraus operators A_i with sum_i A_i^T A_i = 1.
+
+    Kept as the paper's quantum analogy of T, which ``demos/two_state_dilations.py`` shows.
+    """
 
     n: int
     operators: list
@@ -148,13 +140,7 @@ class UnitaryDilation(CoarseGrainDilation):
         up to round-off, so its sums are held to ``RESIDUAL_TOL``."""
         orthogonal, sums = self.orthogonality_defect(), core.sum_defect(self.matrix, core.RESIDUAL_TOL)
         return {"orthogonal": (orthogonal, core.RESIDUAL_TOL), "bi_stochastic": sums,
-                "coarse_grain_roundtrip": self.roundtrip(self.source)}
-
-    def roundtrip(self, T):
-        """:func:`roundtrip_defect`, whose tolerance also allows T's largest
-        column defect: the completion normalises each column of T."""
-        defect, tol = roundtrip_defect(T, self)
-        return defect, tol + core._sum_check(T).max_column_defect
+                "coarse_grain_roundtrip": roundtrip_defect(self.source, self)}
 
 
 def noisy_dilation(T):
@@ -217,12 +203,12 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
 
 def verify_env_dilation(T, dilation):
     """True iff the marginal identity of the dilation holds: the first
-    marginal of ``R (p (x) rho)`` is ``T p`` for every p (see
-    :func:`~bistoch.coarse_grain.roundtrip_defect`), to the tolerance of the
-    dilation's own round-trip check (:meth:`UnitaryDilation.roundtrip`).  The
-    contraction runs over the support of rho only, one environment state in
-    every standard dilation."""
-    defect, tol = dilation.roundtrip(T)
+    marginal of ``R (p (x) rho)`` is ``T p`` for every p, to the one
+    round-trip rule of every dilation (:func:`~bistoch.coarse_grain.roundtrip_defect`),
+    the rule ``verify-dilation`` applies to a bare R file.  The contraction
+    runs over the support of rho only, one environment state in every
+    standard dilation."""
+    defect, tol = roundtrip_defect(T, dilation)
     return bool(defect <= tol)
 
 
@@ -232,6 +218,7 @@ def kraus_from_stochastic(T):
     Operator A_i has single non-zero column i holding the entrywise square
     roots of column i of T; completeness follows from the column sums of T.
     The result is always float-mode (square roots are irrational in general).
+    Kept as the paper's quantum analogy of T, which ``demos/two_state_dilations.py`` shows.
     """
     core._require_left_stochastic(T)
     Tf = T.to_float().a
@@ -242,15 +229,6 @@ def kraus_from_stochastic(T):
         a[:, i] = np.sqrt(Tf[:, i])
         operators.append(a)
     return KrausSet(n=n, operators=operators)
-
-
-def stochastic_from_kraus(kraus):
-    """The stochastic matrix T[m,n] = sum_i A_i[m,n]^2 of a Kraus set complete to ``RESULT_TOL``."""
-    defect = kraus.completeness_defect()
-    if defect > core.RESULT_TOL:
-        raise IncompleteKrausSet(defect)
-    total = sum(a**2 for a in kraus.operators)
-    return StochMatrix(np.clip(total, 0.0, None), mode=FLOAT)
 
 
 def unistochastic_dilation(T):

@@ -80,12 +80,6 @@ class DimensionTooSmall(BistochError):
     pass
 
 
-class IncompleteKrausSet(BistochError):
-    def __init__(self, defect):
-        self.defect = defect
-        super().__init__(f"Kraus completeness defect {defect}")
-
-
 class NotConverged(BistochError):
     def __init__(self, iterations, defect):
         self.iterations = iterations

@@ -76,6 +76,7 @@ def sinkhorn_2x2(a, b):
     Returns (d1, d2, p) with diag(d1) @ T @ diag(d2) = [[1-p, p], [p, 1-p]]
     and p = sqrt(ab) / (sqrt((1-a)(1-b)) + sqrt(ab)), strictly inside (0, 1).
     The diagonals are gauge-fixed by d1[0] = sqrt((1-a)/(1-b)).
+    Kept as the closed-form reference for ``sinkhorn_knopp`` in the tests and ``demos/two_state_dilations.py``.
     """
     if not (0.0 < a < 1.0 and 0.0 < b < 1.0):
         raise ParameterOutOfRange("parameters must satisfy 0 < a, b < 1")

@@ -1,13 +1,17 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
@@ -21,6 +25,8 @@ from conftest import (
     random_stochastic_exact,
     random_stochastic_float,
 )
+from test_env_dilation import float_matrices_with_zeros
+from test_exact_properties import permutation_mixtures, shuffled_partitions
 
 
 @pytest.fixture
@@ -601,12 +607,14 @@ class TestCommands:
 
     @pytest.mark.parametrize(
         "argv, check",
-        [(["fixed-point"], "fixed_point_residual"), (["dilate", "unistochastic"], "extract_dilated == input")],
-        ids=["fixed-point", "unistochastic"],
+        [(["fixed-point"], "fixed_point_residual"), (["dilate", "unistochastic"], "extract_dilated == input"),
+         (["dilate", "noisy"], "bi_stochastic")],
+        ids=["fixed-point", "unistochastic", "noisy"],
     )
     def test_results_carry_input_defect(self, capsys, tmp_path, argv, check):
         # every column sums to 1 + 5e-10, which validate accepts: the fixed
-        # point residual and the extracted columns then miss by 1.25e-10
+        # point residual and the extracted columns then miss by 1.25e-10, and
+        # the noisy R's columns by 5e-10
         path = tmp_path / "t.json"
         path.write_text(json.dumps(bs.matrix_to_json(StochMatrix(np.full((4, 4), (1 + 5e-10) / 4)))))
         code, report = run_json(capsys, [*argv, str(path)])
@@ -648,6 +656,93 @@ class TestCommands:
         assert code == 2 and captured.err == "demo mismatch: one_step_image\n"
         assert [c["name"] for c in report["checks"] if not c["pass"]] == ["one_step_image", "one_step_entropy"]
         assert len(report["checks"]) == 13
+
+
+def run_report(argv):
+    """The exit code and the report of ``run(argv)``, without a capture fixture."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv)
+    return code, json.loads(out.getvalue()) if out.getvalue() else None
+
+
+def write_json(path, payload):
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+class TestDilatedFilesVerify:
+    """Every file ``dilate`` writes reads back to its T through the CLI: one
+    round-trip rule (``roundtrip_defect``) for every dilation, whatever made
+    the file.  An environmental dilation's R passes ``extract`` and
+    ``verify-dilation``; a uniform S goes through ``coarse-grain``."""
+
+    def test_unistochastic_file_of_a_matrix_with_a_column_defect(self, tmp_path):
+        # columns sum to 1 + 5e-10, which validate accepts; the completion
+        # normalises them, so the round trip misses T by 2.84e-10 in both
+        a = np.random.default_rng(1).random((3, 3))
+        T = write_json(tmp_path / "T.json", bs.matrix_to_json(StochMatrix(a / a.sum(axis=0) * (1 + 5e-10))))
+        R = str(tmp_path / "R.json")
+        code, dilated = run_report(["dilate", "unistochastic", T, "--out", R])
+        assert code == 0
+        code, verified = run_report(["verify-dilation", T, R])
+        assert code == 0
+        (roundtrip,) = [c for c in dilated["checks"] if c["name"] == "extract_dilated == input"]
+        (identity,) = verified["checks"]
+        assert 1e-10 < identity["defect"] == roundtrip["defect"] <= identity["tol"] == roundtrip["tol"]
+        # the same file with one block-0 entry, read by the extraction as T[0, 0], moved past the tolerance
+        moved = json.loads(Path(R).read_text())
+        moved["data"][0][0] += 1e-8
+        code, verified = run_report(["verify-dilation", T, write_json(tmp_path / "moved.json", moved)])
+        (identity,) = verified["checks"]
+        assert code == 2 and identity["pass"] is False and identity["defect"] > 1e-8 / 2 > identity["tol"]
+
+    def test_moved_matrix_fails_against_the_file_of_the_true_one(self, tmp_path):
+        # T's column defect is allowed only up to DEFAULT_TOL: a T entry moved
+        # by 1e-3 raises its column defect as much as |X R Y - T|, and nothing
+        # on this path validates T, so the cap is what makes the check fail
+        a = np.random.default_rng(1).random((3, 3))
+        T = StochMatrix(a / a.sum(axis=0))
+        moved = StochMatrix(T.a + np.diag([1e-3, 0, 0]))
+        t, R = write_json(tmp_path / "T.json", bs.matrix_to_json(T)), str(tmp_path / "R.json")
+        assert run_report(["dilate", "noisy", t, "--out", R])[0] == 0
+        code, verified = run_report(["verify-dilation", write_json(tmp_path / "moved.json", bs.matrix_to_json(moved)), R])
+        (identity,) = verified["checks"]
+        assert code == 2 and identity["pass"] is False and identity["defect"] > 1e-3 / 2 > identity["tol"]
+        assert bs.verify_env_dilation(moved, bs.noisy_dilation(T)) is False
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(st.sampled_from([(FLOAT, "noisy"), (FLOAT, "unistochastic"), (EXACT, "uniform"), (EXACT, "noisy")]),
+           st.data())
+    def test_dilate_then_verify(self, case, data):
+        # float T carry column defects up to 5e-10, which validate accepts; an
+        # exact T = X S Y fixes p = (class sizes) / d. The uniform S is not an
+        # environmental dilation, so its file goes through coarse-grain with
+        # the partition its report gives, and must give back T exactly
+        mode, kind = case
+        least = 2 if kind == "noisy" else 1
+        if mode == FLOAT:
+            T = data.draw(float_matrices_with_zeros().filter(lambda T: T.rows >= least))
+        else:
+            P = data.draw(shuffled_partitions(n=data.draw(st.integers(least, 4))))
+            T = bs.coarse_grain(data.draw(permutation_mixtures(d=P.d)), P, bs.uniform_right_inverse(P))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp)
+            t, r = write_json(path / "T.json", bs.matrix_to_json(T)), str(path / "R.json")
+            argv = ["dilate", kind, t, "--out", r]
+            if kind == "uniform":
+                p = ProbVec([Fraction(size, P.d) for size in P.class_sizes], mode=EXACT)
+                argv += ["--vec", write_json(path / "p.json", bs.vector_to_json(p))]
+            code, report = run_report(argv)
+            assert code == 0
+            if kind == "uniform":
+                partition = write_json(path / "P.json", report["result"]["partition"])
+                back = str(path / "back.json")
+                assert run_report(["coarse-grain", r, partition, "--out", back])[0] == 0
+                assert bs.matrix_from_json(json.loads(Path(back).read_text())) == T
+            else:
+                assert run_report(["extract", r])[0] == 0
+                assert run_report(["verify-dilation", t, r])[0] == 0
 
 
 def positive_stochastic(rng, n, mode):
@@ -720,7 +815,9 @@ class TestPinnedReports:
     an exact two-state T, a seeded float T and two environment states) and,
     for each case in run order, the exit code, stdout, stderr and written
     files the CLI produced before the uniform, noisy and unistochastic
-    dilations became one result type.  The unistochastic completion may round
+    dilations became one result type.  The float round-trip tolerances are
+    those of the one round-trip rule, which adds T's column defect
+    (``roundtrip_defect``).  The unistochastic completion may round
     differently under another numpy, so only its check names and pass values
     are pinned.
     """

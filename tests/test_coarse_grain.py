@@ -35,8 +35,6 @@ class TestPartition:
     def test_properties(self):
         p = Partition(d=6, classes=((0, 1), (2,), (3, 4, 5)))
         assert p.class_sizes == (2, 1, 3)
-        assert p.is_proper
-        assert not Partition(d=2, classes=((0,), (1,))).is_proper
 
     def test_json_round_trip(self):
         p = Partition(d=4, classes=((0, 1), (2, 3)))

@@ -12,7 +12,6 @@ from bistoch.errors import (
     ModeMismatch,
     NegativeEntry,
     NonFiniteEntry,
-    NotSquare,
     NotStochastic,
 )
 
@@ -113,13 +112,13 @@ class TestPointMass:
 class TestIrreducible:
     def test_demon_matrix_reducible(self, demon):
         # the all-closed-door state is absorbing
-        assert not bs.is_irreducible(demon)
+        assert not bs.validate(demon).irreducible
 
     def test_identity_reducible(self):
-        assert not bs.is_irreducible(StochMatrix.identity(2, mode=EXACT))
+        assert not bs.validate(StochMatrix.identity(2, mode=EXACT)).irreducible
 
     def test_two_state_half_irreducible(self):
-        assert bs.is_irreducible(bs.two_state(Fraction(1, 2), Fraction(1, 2)))
+        assert bs.validate(bs.two_state(Fraction(1, 2), Fraction(1, 2))).irreducible
 
     def test_matches_networkx_oracle(self):
         import networkx as nx
@@ -146,17 +145,13 @@ class TestIrreducible:
                 for k in range(n):
                     if T.a[m, k] > 1e-12:
                         g.add_edge(k, m)
-            assert bs.is_irreducible(T) == nx.is_strongly_connected(g)
+            assert bs.validate(T).irreducible == nx.is_strongly_connected(g)
             # closed classes, in least-state order, are the attracting components
             closed = sorted((sorted(c) for c in nx.attracting_components(g)), key=min)
             assert [c.tolist() for c in bs.core._recurrent_classes(T)] == closed
             res = bs.fixed_point(T)
             assert res.face_dimension == len(closed) - 1
             assert np.flatnonzero(res.representative.a).tolist() == sorted(sum(closed, []))
-
-    def test_requires_square_stochastic(self):
-        with pytest.raises(NotSquare):
-            bs.is_irreducible(StochMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], mode=FLOAT))
 
 
 class TestFixedPoint:
@@ -193,7 +188,7 @@ class TestFixedPoint:
         for _ in range(30):
             n = int(rng.integers(2, 7))
             T = random_stochastic_float(rng, n)
-            assert bs.is_irreducible(T)
+            assert bs.validate(T).irreducible
             res = bs.fixed_point(T)
             assert res.is_unique
             assert res.representative.is_interior()

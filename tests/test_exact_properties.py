@@ -588,8 +588,8 @@ def converted(monkeypatch):
 
 
 class TestNoUnreadWork:
-    """Only ``validate``, ``is_irreducible`` and ``fixed_point`` search the
-    support digraph, and only the constructor converts entries to numerators."""
+    """Only ``validate`` and ``fixed_point`` search the support digraph, and
+    only the constructor converts entries to numerators."""
 
     def test_no_entry_of_a_prebuilt_dilation_is_converted_again(self, demon, converted):
         E = bs.noisy_dilation(demon)
