@@ -18,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate, chain
+from itertools import chain
 
 import numpy as np
 
@@ -30,48 +30,59 @@ from .errors import (
     InvalidRightInverse,
     NotExact,
     NotFixedPoint,
+    TooManyStates,
     ZeroComponent,
 )
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Partition:
-    """Ordered partition of {0, ..., d-1} into non-empty classes."""
+    """Ordered partition of {0, ..., d-1} into N non-empty classes, defined by its labels.
 
-    d: int
-    classes: tuple
+    ``labels[nu]`` is the class of fine state nu: a read-only intp array,
+    checked once to be a non-empty 1-D int array that uses every class
+    0..N-1.  A partition is immutable, as :meth:`first_marginal` shares its
+    instances.
+    ``d``, ``n`` and ``class_sizes`` derive from the labels; ``classes``,
+    the members of each class in increasing order, is built only when read.
+    """
+
+    labels: np.ndarray
 
     def __post_init__(self):
-        classes = tuple(tuple(sorted(c)) for c in self.classes)
-        object.__setattr__(self, "classes", classes)
-        if not classes or any(len(c) == 0 for c in classes):
-            raise InvalidPartition("classes must be non-empty")
-        if sorted(chain.from_iterable(classes)) != list(range(self.d)):
-            raise InvalidPartition(f"classes must partition 0..{self.d - 1}")
+        labels = np.array(self.labels)  # a copy, so that freezing it freezes no caller's array
+        if (labels.dtype.kind != "i" or labels.ndim != 1 or not labels.size or labels.min() < 0
+                or labels.max() >= labels.size or not np.bincount(labels).all()):
+            raise InvalidPartition("labels must be a non-empty 1-D int array using every class 0..N-1")
+        labels = labels.astype(np.intp, copy=False)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
+
+    def __eq__(self, other):
+        return isinstance(other, Partition) and bool(np.array_equal(self.labels, other.labels))
+
+    @property
+    def d(self):
+        return self.labels.size
 
     @property
     def n(self):
-        return len(self.classes)
-
-    @property
-    def class_sizes(self):
-        return tuple(len(c) for c in self.classes)
+        return len(self.class_sizes)
 
     @cached_property
-    def labels(self):
-        """Class index of each fine state: ``labels[nu] == k`` iff nu is in class k.
+    def class_sizes(self):
+        """The size of each class, as Python ints."""
+        return tuple(np.bincount(self.labels).tolist())
 
-        Computed once per partition and shared by every caller, so read-only.
-        """
-        labels = np.empty(self.d, dtype=int)
-        labels[np.concatenate(self.classes).astype(int)] = np.repeat(np.arange(self.n), self.class_sizes)
-        labels.flags.writeable = False
-        return labels
+    @cached_property
+    def classes(self):
+        """The members of each class in increasing order, as tuples of Python ints."""
+        members = np.split(np.argsort(self.labels, kind="stable"), np.cumsum(self.class_sizes[:-1]))
+        return tuple(tuple(c.tolist()) for c in members)
 
     @classmethod
     def consecutive(cls, sizes):
         """Classes of the given sizes over consecutive indices."""
-        bounds = list(accumulate(sizes, initial=0))
-        return cls(d=bounds[-1], classes=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+        return cls(np.repeat(np.arange(len(sizes)), sizes))
 
     @classmethod
     @lru_cache(maxsize=32, typed=True)
@@ -79,17 +90,25 @@ class Partition:
         """Class k = {(k, i) : i < m} under the flattening flat(k, i) = i*n + k.
 
         Cached: every extraction and verification of a dilation of the same
-        shape shares one partition, safe to share because it is frozen and
-        its ``labels`` are read-only.
+        shape shares one partition, safe to share because it is immutable.
         """
-        return cls(d=n * m, classes=tuple(tuple(range(k, n * m, n)) for k in range(n)))
+        return cls(np.tile(np.arange(n), m))
 
     def to_json(self):
         return {"d": self.d, "classes": [list(c) for c in self.classes]}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(d=obj["d"], classes=tuple(tuple(c) for c in obj["classes"]))
+        """The partition of ``{"d": d, "classes": [[...], ...]}``, a file's
+        classes in any order: they must be non-empty and hold each of 0..d-1
+        once, checked on the indices as given before any is cast to an int."""
+        d, classes = obj["d"], [tuple(c) for c in obj["classes"]]
+        if not classes or any(len(c) == 0 for c in classes):
+            raise InvalidPartition("classes must be non-empty")
+        if sorted(chain.from_iterable(classes)) != list(range(d)):
+            raise InvalidPartition(f"classes must partition 0..{d - 1}")
+        members = np.fromiter(chain.from_iterable(classes), np.intp, d)  # a permutation, which argsort inverts
+        return cls(np.repeat(np.arange(len(classes)), [len(c) for c in classes])[np.argsort(members)])
 
 
 @dataclass
@@ -133,16 +152,23 @@ def projection_matrix(P, mode=EXACT):
     return StochMatrix((P.labels == np.arange(P.n)[:, None]).astype(int), mode=mode)
 
 
+def _section(P, zero, values, codes, mode):
+    """The d x N right inverse with ``Y[nu, labels[nu]] = values[codes[nu]]``, and ``zero`` elsewhere.
+
+    Built from its codes into ``[zero, *values]``, one int per entry.
+    """
+    full = np.zeros((P.d, P.n), dtype=np.intp)
+    full[np.arange(P.d), P.labels] = 1 + codes
+    return StochMatrix._from_codes(np.concatenate([[zero], values]), full, mode)
+
+
 def uniform_right_inverse(P, mode=EXACT):
     """The d x N right inverse spreading each class mass uniformly over its members.
 
     ``Y[nu, k] = 1 / |c_k|`` iff ``labels[nu] == k``: N fractions and a
-    zero, the values of ``Y``, and an int code per entry that selects one.
+    zero, the values of ``Y``, one per class.
     """
-    values = np.array([Fraction(0), *(Fraction(1, size) for size in P.class_sizes)], dtype=object)
-    codes = np.zeros((P.d, P.n), dtype=np.intp)
-    codes[np.arange(P.d), P.labels] = 1 + P.labels
-    return StochMatrix._from_codes(values, codes, mode)
+    return _section(P, Fraction(0), [Fraction(1, size) for size in P.class_sizes], P.labels, mode)
 
 
 def product_right_inverse(n, rho):
@@ -153,13 +179,10 @@ def product_right_inverse(n, rho):
     rho[i]`` at flat index ``i*n + k``.  Its values are 0 and rho's, so it
     is built from their codes.
     """
-    m = rho.n
     # an exact rho's own codes: from [0, *rho], a point mass would convert m + 1 values, not 3
-    zero, values, at = (Fraction(0), rho.values, rho.codes) if rho.mode == EXACT else (0.0, rho.a, np.arange(m))
-    codes = np.zeros((m, n, n), dtype=np.intp)  # codes into [0, *values]
-    ks = np.arange(n)
-    codes[:, ks, ks] = 1 + at[:, None]  # Y[i*n + k, k] = rho[i]
-    return StochMatrix._from_codes(np.concatenate([[zero], values]), codes.reshape(n * m, n), rho.mode)
+    zero, values, at = (Fraction(0), rho.values, rho.codes) if rho.mode == EXACT else (0.0, rho.a, np.arange(rho.n))
+    # Y[i*n + k, k] = rho[i]: fine state i*n + k takes the code of environment state i
+    return _section(Partition.first_marginal(n, rho.n), zero, values, np.repeat(at, n), rho.mode)
 
 
 def _class_sums(labels, n, A):
@@ -191,14 +214,13 @@ def coarse_grain(S, P, Y):
     rows = np.flatnonzero(Y.nums.any(axis=1))
     if rows.size == P.d:  # every row: a view keeps the memory layout, on which float matmul rounding depends
         rows = slice(None)
-    labels = P.labels
     s, y = S.nums[:, rows], Y.nums[rows]
-    defect = _class_sums(labels[rows], P.n, y)
+    defect = _class_sums(P.labels[rows], P.n, y)
     defect[np.diag_indices(P.n)] -= Y.den
     if np.max(np.abs(defect)) > core._tol(S, core.DEFAULT_TOL):
         raise InvalidRightInverse("X @ Y differs from the identity")
     k = y.shape[0]  # (X s)(y) adds k products, each at most max(X s) max(y)
-    xs, y = core._exact_operands(lambda xs, y: xs * y * k, _class_sums(labels, P.n, s), y)
+    xs, y = core._exact_operands(lambda xs, y: xs * y * k, _class_sums(P.labels, P.n, s), y)
     return StochMatrix._from_nums(xs @ y, S.den * Y.den)
 
 
@@ -260,6 +282,8 @@ def uniform_dilation(T, p):
     t, q = core._exact_operands(lambda t, q: max(max(t * T.cols, T.den) * q, t * L), T.nums, p.nums)
     if not np.array_equal(t @ q, T.den * q):
         raise NotFixedPoint("T p differs from p")
+    if p.den > np.iinfo(np.intp).max:  # before anything of size d exists
+        raise TooManyStates(f"d = {core._shown(Fraction(p.den))} fine states, more than numpy can index")
     partition = Partition.consecutive(sizes)
     c = partition.labels
     # S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|: numerators of the N^2 quotients over T.den L, gathered

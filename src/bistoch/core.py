@@ -16,9 +16,10 @@ and works on Python ints where the bound fails (:func:`_exact_operands`).
 The entries as :class:`fractions.Fraction` objects, the object-dtype array
 ``a == values[codes]``, are built only when read, so that a kernel's
 result makes no Fraction unless its values leave the library.  The public
-constructor finds the distinct entry objects by one id pass
-(:func:`_distinct`).  A builder that knows more makes its result without
-that pass, through one of two constructors, each serving both modes.  One
+constructor converts each entry it is given and stores the numerators, so
+its ``values`` and ``codes`` too come from one sort of them when read.  A
+builder that knows more makes its result without converting each entry,
+through one of two constructors, each serving both modes.  One
 that knows its few exact values and their codes passes them
 (:meth:`_Entries._from_codes`): the exact noisy dilation, both right inverses,
 ``ProbVec.uniform`` and ``point_mass``, ``StochMatrix.identity``,
@@ -136,18 +137,6 @@ def _exact_entry(value):
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def _distinct(data):
-    """The distinct objects of an object array, and for each entry the index of its object.
-
-    Entries are told apart by identity, which is safe because ``data`` holds
-    a reference to every object while their ids are taken.
-    """
-    flat = data.reshape(-1)
-    ids = np.fromiter(map(id, flat), np.uintp, flat.size)
-    _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
-    return flat[first], inverse
-
-
 def _float(value):
     """``float(value)``, or an infinity of its sign where it is too large for a float."""
     try:
@@ -174,7 +163,7 @@ def _numerators(a):
     Returns ``(nums, L)`` with L the lcm of the entries' denominators and
     ``a == nums / L`` entrywise; sums and comparisons of ``nums`` are exact.
     Only the exact constructors of :class:`_Entries` call it, on the values
-    they are given: kernels read the ``nums`` and ``den`` it stored.
+    or entries they are given: kernels read the ``nums`` and ``den`` it stored.
     """
     ratios = [v.as_integer_ratio() for v in a.flat]
     L = math.lcm(*{den for _, den in ratios})
@@ -234,9 +223,9 @@ class _Entries:
     values[codes]``, the object array of the entries.  A float object is its
     own numerators ``a`` over ``den = 1.0``, with ``values = codes = None``.
 
-    The public constructor takes the distinct entry objects of ``data`` by
-    one id pass (:func:`_distinct`), so an object shared by many entries is
-    converted once and stays shared in ``a``.  A builder that knows more
+    The public constructor converts each entry of ``data`` and stores the
+    numerators, as for a kernel's result: ``values`` stays distinct, built by
+    :meth:`_factor` when read.  A builder that knows more
     uses one of two constructors, each for both modes: :meth:`_from_codes`
     takes exact values and their codes, and in float mode rounds each value
     once; :meth:`_from_nums` takes the numerators a kernel computed, makes
@@ -256,10 +245,8 @@ class _Entries:
             mode = FLOAT if any(floats) else EXACT
         if mode == EXACT:
             data = np.asarray(data, dtype=object)
-            distinct, inverse = _distinct(data)
-            self.values = np.array([v if isinstance(v, Fraction) else _exact_entry(v) for v in distinct], dtype=object)
-            self.codes = inverse.reshape(data.shape)
-            self._set_exact(*_numerators(self.values), self.codes)
+            entries = [v if isinstance(v, Fraction) else _exact_entry(v) for v in data.flat]
+            self._set_exact(*_numerators(np.array(entries, dtype=object).reshape(data.shape)))
         elif mode == FLOAT:
             self._set_float(_floats(data))
         else:
@@ -268,7 +255,7 @@ class _Entries:
 
     @classmethod
     def _from_codes(cls, values, codes, mode=EXACT):
-        """The object with entries ``values[codes]``, built without an id pass.
+        """The object with entries ``values[codes]``, each value converted once.
 
         For builders that know which entries share a value: ``values`` is a
         1-D object array of Fractions (a float object may also take floats),

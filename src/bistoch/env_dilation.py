@@ -45,7 +45,7 @@ import numpy as np
 from . import core
 from .coarse_grain import CoarseGrainDilation, Partition, coarse_grain, product_right_inverse, roundtrip_defect
 from .core import EXACT, FLOAT, ProbVec, StochMatrix
-from .errors import DimensionMismatch, DimensionTooSmall, IndexOutOfRange, NotSquare
+from .errors import DimensionMismatch, DimensionTooSmall, NotSquare
 
 
 def with_environment(R, rho, source=None):
@@ -156,7 +156,7 @@ def noisy_dilation(T):
     Preserves the numeric mode of T.  Exact mode makes the same block-view
     assignments on codes, which index the values ``[0, *T.values, *(1 -
     T.values)/(N(N-1))]``: R is built from at most 2N^2 + 1 Fractions, with
-    no id pass over its N^4 entries.
+    no pass that converts each of its N^4 entries.
     """
     core._require_left_stochastic(T)
     n = T.rows
@@ -182,7 +182,8 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     This is ``coarse_grain`` of R over the first-marginal partition with the
     product section of a point mass at ``zero_index`` (:func:`with_environment`).  ``system_size``
     defaults to sqrt(dim), the standard-dilation case of an environment the
-    same size as the system.
+    same size as the system.  A ``zero_index`` outside the environment is
+    the ``IndexOutOfRange`` of :meth:`ProbVec.point_mass`.
     """
     if not R.is_square:
         raise NotSquare(f"{R.rows}x{R.cols}")
@@ -190,14 +191,9 @@ def extract_dilated(R, zero_index, system_size=None, tol=core.DEFAULT_TOL):
     n = math.isqrt(R.rows) if system_size is None else system_size
     if system_size is None and n * n != R.rows:
         raise DimensionMismatch("matrix size is not a perfect square; pass system_size")
-    if n < 1:
-        raise DimensionMismatch(f"system size {n} is not positive")
-    if R.rows % n != 0:
-        raise DimensionMismatch(f"size {R.rows} is not a multiple of system size {n}")
-    m_env = R.rows // n
-    if not 0 <= zero_index < m_env:
-        raise IndexOutOfRange(f"zero_index {zero_index} outside environment of size {m_env}")
-    E = with_environment(R, ProbVec.point_mass(m_env, zero_index, mode=R.mode))
+    if n < 1 or R.rows % n:
+        raise DimensionMismatch(f"size {R.rows} is not a multiple of a positive system size {n}")
+    E = with_environment(R, ProbVec.point_mass(R.rows // n, zero_index, mode=R.mode))
     return coarse_grain(R, E.partition, E.right_inverse)
 
 

@@ -68,6 +68,10 @@ class TooManyDigits(BistochError):
     Python writes an int with (``sys.get_int_max_str_digits()``)."""
 
 
+class TooManyStates(BistochError):
+    """A construction whose fine-grained dimension d is past what numpy can index."""
+
+
 class InvalidRightInverse(BistochError):
     pass
 

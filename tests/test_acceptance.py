@@ -43,9 +43,9 @@ def partition_with_few_classes(rng, max_classes=5):
         d = int(rng.integers(2, 11))
         cuts = sorted(rng.choice(range(1, d), size=int(rng.integers(0, d - 1)), replace=False))
         bounds = [0, *cuts, d]
-        classes = tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:]))
-        if len(classes) <= max_classes:
-            return Partition(d=d, classes=classes)
+        sizes = np.diff(bounds)
+        if len(sizes) <= max_classes:
+            return Partition.consecutive(sizes)
 
 
 def test_01_two_state_noisy_dilation_golden(tmp_path, capsys):

@@ -100,6 +100,37 @@ NON_SCALAR_ENTRY_IDS = [
 ]
 
 
+# partition files for `coarse-grain` of a 4 x 4 matrix: (classes object, exit code); the indices are
+# checked as the file gives them, so 0.0 and false/true are states 0 and 1, while 0.5 is no state
+PARTITION_FILES = {
+    "valid": ({"d": 4, "classes": [[0, 1], [2, 3]]}, 0),
+    "unsorted-classes": ({"d": 4, "classes": [[3, 2], [1, 0]]}, 0),
+    "float-index": ({"d": 4, "classes": [[0.0, 1], [2, 3]]}, 0),
+    "bool-indices": ({"d": 4, "classes": [[False, True], [2, 3]]}, 0),
+    "string-index": ({"d": 4, "classes": [["0", 1], [2, 3]]}, 1),
+    "nested-list": ({"d": 4, "classes": [[[0], 1], [2, 3]]}, 1),
+    "classes-not-lists": ({"d": 4, "classes": [0, 1]}, 1),
+    "string-d": ({"d": "4", "classes": [[0, 1], [2, 3]]}, 1),
+    "float-d": ({"d": 4.0, "classes": [[0, 1], [2, 3]]}, 1),
+    "no-d": ({"classes": [[0, 1], [2, 3]]}, 1),
+    "fractional-index": ({"d": 4, "classes": [[0.5, 1], [2, 3]]}, 2),
+    "negative-index": ({"d": 4, "classes": [[-1, 1], [2, 3]]}, 2),
+    "duplicate-index": ({"d": 4, "classes": [[0, 1, 1], [2, 3]]}, 2),
+    "missing-state": ({"d": 4, "classes": [[0, 1], [2]]}, 2),
+    "empty-class": ({"d": 4, "classes": [[0, 1], [2, 3], []]}, 2),
+    "no-classes": ({"d": 4, "classes": []}, 2),
+    "d-disagrees": ({"d": 5, "classes": [[0, 1], [2, 3]]}, 2),
+    "huge-index": ({"d": 4, "classes": [[10**30, 1], [2, 3]]}, 2),
+}
+
+
+def columns_over_their_sums(seed, n, high):
+    """The JSON object of an exact T of seeded random integer columns over their sums."""
+    w = np.random.default_rng(seed).integers(1, high, size=(n, n))
+    data = [[Fraction(int(v), int(s)) for v, s in zip(row, w.sum(axis=0))] for row in w]
+    return bs.matrix_to_json(StochMatrix(data, mode=EXACT))
+
+
 def write_inputs(tmp_path, payload):
     """Write one JSON file per payload part and return their paths."""
     paths = []
@@ -218,6 +249,31 @@ class TestExitCodes:
         assert "Traceback" not in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("payload, code", PARTITION_FILES.values(), ids=PARTITION_FILES.keys())
+    def test_partition_file(self, capsys, tmp_path, payload, code):
+        S, P = write_inputs(tmp_path, (bs.matrix_to_json(StochMatrix.identity(4, mode=EXACT)), payload))
+        assert run(["coarse-grain", S, P]) == code
+        out, err = capsys.readouterr()
+        if code:
+            assert out == "" and "Traceback" not in err and len(err.strip().splitlines()) == 1
+        else:  # classes {0, 1} and {2, 3}, whatever the order and the type of their indices
+            identity = bs.matrix_to_json(StochMatrix.identity(2, mode=EXACT))
+            assert err == "" and json.loads(out)["result"]["matrix"] == identity
+
+    @pytest.mark.parametrize(
+        "n, d, error",
+        [(12, 9912903726252444391067364, "TooManyStates"), (8, 510364759956778, "MemoryError")],
+        ids=["past-numpy-indexing", "past-memory"],
+    )
+    def test_oversize_uniform_dilation_names_its_dimension(self, capsys, tmp_path, n, d, error):
+        # d fine states: more than numpy can index, refused before anything of size d exists; or a labels
+        # array numpy refuses to allocate at once, so that nothing large is allocated in either case
+        (path,) = write_inputs(tmp_path, columns_over_their_sums(3, n, 20))
+        assert run(["dilate", "uniform", path]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {error}: ") and len(err.strip().splitlines()) == 1
+        assert str(d) in err
+
     @pytest.mark.parametrize("mode", [EXACT, FLOAT])
     @pytest.mark.parametrize(
         "command, payload",
@@ -290,7 +346,7 @@ class TestExitCodes:
         assert captured.err.startswith("error: MemoryError: ") and len(captured.err.strip().splitlines()) == 1
 
     def test_bare_memory_error_names_its_reason(self, capsys, monkeypatch, tmp_path):
-        # the interpreter's own refusal, as when a partition's tuples outgrow memory, has an empty message
+        # the interpreter's own refusal, as when Python objects outgrow memory, has an empty message
         def exhausted(T, p):
             raise MemoryError()
 

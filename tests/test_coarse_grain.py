@@ -20,41 +20,53 @@ from conftest import random_permutation_mixture, random_stochastic_exact
 def random_partition(rng, d):
     cuts = sorted(rng.choice(range(1, d), size=int(rng.integers(0, d - 1)), replace=False))
     bounds = [0, *cuts, d]
-    return Partition(d=d, classes=tuple(tuple(range(a, b)) for a, b in zip(bounds, bounds[1:])))
+    return Partition.consecutive(np.diff(bounds))
 
 
 class TestPartition:
     def test_validation(self):
         with pytest.raises(InvalidPartition):
-            Partition(d=3, classes=((0, 1),))
+            Partition.from_json({"d": 3, "classes": [[0, 1]]})
         with pytest.raises(InvalidPartition):
-            Partition(d=3, classes=((0, 1), (1, 2)))
+            Partition.from_json({"d": 3, "classes": [[0, 1], [1, 2]]})
         with pytest.raises(InvalidPartition):
-            Partition(d=2, classes=((0, 1), ()))
+            Partition.from_json({"d": 2, "classes": [[0, 1], []]})
+
+    @pytest.mark.parametrize(
+        "labels",
+        [[], [[0, 1]], [1, 1], [0, 2, 2], [0, -1], [0.0, 1.0], [False, True]],
+        ids=["empty", "two-dimensional", "no-class-0", "unused-class", "negative", "float", "bool"],
+    )
+    def test_label_validation(self, labels):
+        with pytest.raises(InvalidPartition):
+            Partition(labels)
 
     def test_properties(self):
-        p = Partition(d=6, classes=((0, 1), (2,), (3, 4, 5)))
-        assert p.class_sizes == (2, 1, 3)
+        p = Partition([0, 0, 1, 2, 2, 2])
+        assert p.class_sizes == (2, 1, 3) and all(type(s) is int for s in p.class_sizes)
+        assert (p.d, p.n) == (6, 3) and type(p.d) is int
+        assert p.classes == ((0, 1), (2,), (3, 4, 5))
+        assert p != Partition([0, 0, 1, 2, 2, 1]) and p != Partition([0, 0, 1])
 
     def test_json_round_trip(self):
-        p = Partition(d=4, classes=((0, 1), (2, 3)))
+        p = Partition([0, 0, 1, 1])
         assert Partition.from_json(p.to_json()) == p
 
 
 class TestProjection:
     def test_singletons_give_identity(self):
-        p = Partition(d=2, classes=((0,), (1,)))
+        p = Partition([0, 1])
         assert bs.projection_matrix(p) == StochMatrix.identity(2, mode=EXACT)
 
     def test_partial_sums(self):
-        p = Partition(d=4, classes=((0, 1), (2, 3)))
+        p = Partition([0, 0, 1, 1])
         X = bs.projection_matrix(p)
         assert [[int(v) for v in row] for row in X.a] == [[1, 1, 0, 0], [0, 0, 1, 1]]
         pi = ProbVec([Fraction(1, 8), Fraction(3, 8), Fraction(1, 4), Fraction(1, 4)], mode=EXACT)
         assert bs.apply(X, pi) == ProbVec([Fraction(1, 2), Fraction(1, 2)], mode=EXACT)
 
     def test_row_sums_are_class_sizes(self):
-        p = Partition(d=6, classes=((0, 1), (2,), (3, 4, 5)))
+        p = Partition([0, 0, 1, 2, 2, 2])
         X = bs.projection_matrix(p)
         assert X.rows == 3 and X.cols == 6
         assert tuple(int(s) for s in X.a.sum(axis=1)) == (2, 1, 3)
@@ -62,16 +74,16 @@ class TestProjection:
 
 class TestUniformRightInverse:
     def test_singletons_give_identity(self):
-        p = Partition(d=3, classes=((0,), (1,), (2,)))
+        p = Partition([0, 1, 2])
         assert bs.uniform_right_inverse(p) == StochMatrix.identity(3, mode=EXACT)
 
     def test_spreads_uniformly(self):
-        p = Partition(d=4, classes=((0, 1), (2, 3)))
+        p = Partition([0, 0, 1, 1])
         Y = bs.uniform_right_inverse(p)
         lifted = bs.apply(Y, ProbVec([Fraction(1, 2), Fraction(1, 2)], mode=EXACT))
         assert lifted == ProbVec.uniform(4, mode=EXACT)
 
-        p = Partition(d=3, classes=((0,), (1, 2)))
+        p = Partition([0, 1, 1])
         lifted = bs.apply(bs.uniform_right_inverse(p), ProbVec([Fraction(1, 3), Fraction(2, 3)], mode=EXACT))
         assert lifted == ProbVec.uniform(3, mode=EXACT)
 
@@ -109,7 +121,7 @@ class TestProductRightInverse:
 
 class TestCoarseGrain:
     def test_identity_coarse_grains_to_identity(self):
-        p = Partition(d=4, classes=((0, 1), (2, 3)))
+        p = Partition([0, 0, 1, 1])
         Y = bs.uniform_right_inverse(p)
         T = bs.coarse_grain(StochMatrix.identity(4, mode=EXACT), p, Y)
         assert T == StochMatrix.identity(2, mode=EXACT)
@@ -118,7 +130,7 @@ class TestCoarseGrain:
         shift = StochMatrix(
             [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]], mode=EXACT
         )
-        p = Partition(d=4, classes=((0, 1), (2, 3)))
+        p = Partition([0, 0, 1, 1])
         T = bs.coarse_grain(shift, p, bs.uniform_right_inverse(p))
         h = Fraction(1, 2)
         assert T == StochMatrix([[h, h], [h, h]], mode=EXACT)
@@ -127,7 +139,7 @@ class TestCoarseGrain:
         rng = np.random.default_rng(31)
         for _ in range(10):
             n, d = 2, 4
-            p = Partition(d=d, classes=((0, 1), (2, 3)))
+            p = Partition([0, 0, 1, 1])
             X = bs.projection_matrix(p)
             Y = bs.uniform_right_inverse(p)
             T0 = random_stochastic_exact(rng, n)
@@ -145,7 +157,7 @@ class TestCoarseGrain:
             assert bs.validate(T, tol=1e-12).left
 
     def test_rejects_invalid_right_inverse(self):
-        p = Partition(d=4, classes=((0, 1), (2, 3)))
+        p = Partition([0, 0, 1, 1])
         # column 0 leaks mass outside class 0
         bad = StochMatrix(
             [[Fraction(1, 2), 0], [0, 0], [Fraction(1, 2), Fraction(1, 2)], [0, Fraction(1, 2)]], mode=EXACT
@@ -223,7 +235,7 @@ def shuffled_partition(rng, d):
     states = rng.permutation(d).tolist()
     cuts = sorted(rng.choice(range(1, d), size=int(rng.integers(0, d - 1)), replace=False).tolist())
     bounds = [0, *cuts, d]
-    return Partition(d=d, classes=tuple(tuple(states[a:b]) for a, b in zip(bounds, bounds[1:])))
+    return Partition.from_json({"d": d, "classes": [states[a:b] for a, b in zip(bounds, bounds[1:])]})
 
 
 def reference_projection(P, mode):
@@ -300,16 +312,19 @@ class TestMatmulReference:
 
 class TestLabels:
     def test_labels_invert_classes(self):
-        p = Partition(d=6, classes=((4, 0), (2,), (5, 1, 3)))
+        p = Partition.from_json({"d": 6, "classes": [[4, 0], [2], [5, 1, 3]]})
         assert p.labels.tolist() == [0, 2, 1, 2, 0, 2]
+        assert p.classes == ((0, 4), (2,), (1, 3, 5))
         assert Partition.from_json(p.to_json()) == p
 
     def test_labels_computed_once_and_read_only(self):
-        p = Partition(d=6, classes=((4, 0), (2,), (5, 1, 3)))
-        assert p.labels is p.labels
+        given = np.array([0, 2, 1, 2, 0, 2])
+        p = Partition(given)
+        assert p.labels is p.labels and p.labels.dtype == np.intp
         with pytest.raises(ValueError):
             p.labels[0] = 1
-        assert p == Partition(d=6, classes=((0, 4), (2,), (1, 3, 5)))
+        given[0] = 1  # the partition holds its own copy, and leaves the caller's array writeable
+        assert p == Partition.from_json({"d": 6, "classes": [[0, 4], [2], [1, 3, 5]]})
 
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (1, 4), (3, 2), (4, 5)])
     def test_first_marginal(self, n, m):
@@ -322,7 +337,7 @@ class TestLabels:
 
 class TestSectionCheck:
     def test_rejects_invalid_right_inverse_in_float_mode(self):
-        p = Partition(d=4, classes=((0, 1), (2, 3)))
+        p = Partition([0, 0, 1, 1])
         # column 0 leaks mass outside class 0
         bad = StochMatrix([[0.5, 0.0], [0.0, 0.0], [0.5, 0.5], [0.0, 0.5]])
         with pytest.raises(InvalidRightInverse):
@@ -342,7 +357,7 @@ class TestSectionCheck:
             bs.coarse_grain(StochMatrix.identity(4, mode=mode), p, bad)
 
     def test_float_round_off_is_accepted(self):
-        p = Partition(d=4, classes=((0, 2), (1, 3)))
+        p = Partition([0, 1, 0, 1])
         Y = bs.uniform_right_inverse(p, mode=FLOAT).a.copy()
         Y[0, 0] += 1e-13
         T = bs.coarse_grain(StochMatrix.identity(4, mode=FLOAT), p, StochMatrix(Y))
@@ -351,7 +366,7 @@ class TestSectionCheck:
     @pytest.mark.parametrize("eps, accepted", [(bs.core.DEFAULT_TOL / 10, True), (10 * bs.core.DEFAULT_TOL, False)])
     def test_float_section_held_to_default_tol(self, eps, accepted):
         # a float section is an input, held to the defect at which a ProbVec is accepted
-        p = Partition(d=4, classes=((0, 2), (1, 3)))
+        p = Partition([0, 1, 0, 1])
         Y = bs.uniform_right_inverse(p, mode=FLOAT).a.copy()
         Y[0, 0] += eps
         section = StochMatrix(Y)

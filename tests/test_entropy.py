@@ -161,13 +161,13 @@ class TestEntropyMonotonicity:
     def test_coarse_graining_never_increases_entropy(self):
         rng = np.random.default_rng(75)
         for _ in range(50):
-            part = Partition(d=5, classes=((0, 1), (2, 3, 4)))
+            part = Partition([0, 0, 1, 1, 1])
             X = bs.projection_matrix(part).to_float()
             p = random_prob_vec_float(rng, 5)
             assert bs.shannon_entropy(bs.apply(X, p)) <= bs.shannon_entropy(p) + 1e-12
 
     def test_coarse_graining_strict_on_spread_classes(self):
-        part = Partition(d=4, classes=((0, 1), (2, 3)))
+        part = Partition([0, 0, 1, 1])
         X = bs.projection_matrix(part).to_float()
         p = ProbVec.uniform(4)
         assert bs.shannon_entropy(bs.apply(X, p)) < bs.shannon_entropy(p) - 0.5

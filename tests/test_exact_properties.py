@@ -146,8 +146,7 @@ def shuffled_partitions(draw, n=None):
     d = draw(st.integers(n, n + 6))
     labels = list(range(n)) + draw(st.lists(st.integers(0, n - 1), min_size=d - n, max_size=d - n))
     order = draw(st.permutations(range(d)))
-    classes = [[nu for nu in range(d) if labels[order[nu]] == k] for k in range(n)]
-    return Partition(d=d, classes=tuple(map(tuple, classes)))
+    return Partition(np.array(labels)[order])
 
 
 def assert_fractions_equal(got, want):
@@ -879,7 +878,7 @@ class TestValueCodes:
         r = ProbVec([Fraction(k, 21) for k in range(1, 7)], mode=EXACT)
         dec = bs.birkhoff_decompose(R)
         want = core.matrix_to_json(ref_noisy_dilation(T)), core.vector_to_json(ProbVec(list(p.a), mode=EXACT))
-        # the Fraction references, built by the public constructor before the id pass is refused
+        # the Fraction references, built by the public constructor before it is refused
         images = [r]
         for _ in range(3):
             images.append(ProbVec(T.a @ images[-1].a, mode=EXACT))
@@ -890,10 +889,14 @@ class TestValueCodes:
         section = StochMatrix(section, mode=EXACT)
         extracted = StochMatrix(ref_extract(R, 0, 6), mode=EXACT)
 
-        def refuse(data):
-            raise AssertionError("an id pass over entries whose sharing is known")
+        init = core._Entries.__init__
 
-        monkeypatch.setattr(core, "_distinct", refuse)
+        def refuse(self, data, mode=None):
+            if mode != FLOAT:
+                raise AssertionError("the public exact constructor, a pass over entries whose sharing is known")
+            init(self, data, mode)
+
+        monkeypatch.setattr(core._Entries, "__init__", refuse)
         assert (core.matrix_to_json(R), core.vector_to_json(p)) == want
         assert bs.noisy_dilation(T).matrix == R
         assert bs.uniform_dilation(S, q).checks == {"bi_stochastic": True, "coarse_grain_roundtrip": True}
@@ -1042,7 +1045,7 @@ class TestInt64Numerators:
         S = StochMatrix([[a, 1 - a], [1 - a, a]], mode=EXACT)
         Y = StochMatrix([[b], [1 - b]], mode=EXACT)
         assert S.nums.dtype == Y.nums.dtype == np.int64 and S.den * Y.den > 2**63
-        P = Partition(d=2, classes=((0, 1),))
+        P = Partition([0, 0])
         T = bs.coarse_grain(S, P, Y)
         assert T == StochMatrix([[1]], mode=EXACT)
         assert_python_ints(*T.a.flat)
