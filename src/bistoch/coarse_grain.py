@@ -15,7 +15,7 @@ gather ``S[nu, mu] = T[c(nu), c(mu)] / |c(nu)|``, where ``c = labels``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import chain
@@ -41,21 +41,31 @@ class Partition:
     ``labels[nu]`` is the class of fine state nu: a read-only intp array,
     checked once to be a non-empty 1-D int array that uses every class
     0..N-1.  A partition is immutable, as :meth:`first_marginal` shares its
-    instances.
-    ``d``, ``n`` and ``class_sizes`` derive from the labels; ``classes``,
-    the members of each class in increasing order, is built only when read.
+    instances.  The constructor copies the array it is given, so that
+    freezing it freezes no caller's array; the builders below freeze the
+    array they make in place, so their partition of d states holds one
+    d-long array, not two.
+    ``d``, ``n`` and ``class_sizes`` (the size of each class, as Python
+    ints, counted by the check) derive from the labels; ``classes``, the
+    members of each class in increasing order, is built only when read.
     """
 
     labels: np.ndarray
+    class_sizes: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
-        labels = np.array(self.labels)  # a copy, so that freezing it freezes no caller's array
+        self._hold(np.array(self.labels))  # a copy, so that freezing it freezes no caller's array
+
+    def _hold(self, labels):
+        """Check ``labels``, then freeze it in place and hold it."""
+        # counted before the freeze: np.bincount copies a read-only array
         if (labels.dtype.kind != "i" or labels.ndim != 1 or not labels.size or labels.min() < 0
-                or labels.max() >= labels.size or not np.bincount(labels).all()):
+                or labels.max() >= labels.size or not (sizes := np.bincount(labels)).all()):
             raise InvalidPartition("labels must be a non-empty 1-D int array using every class 0..N-1")
         labels = labels.astype(np.intp, copy=False)
         labels.flags.writeable = False
         object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "class_sizes", tuple(sizes.tolist()))
 
     def __eq__(self, other):
         return isinstance(other, Partition) and bool(np.array_equal(self.labels, other.labels))
@@ -69,11 +79,6 @@ class Partition:
         return len(self.class_sizes)
 
     @cached_property
-    def class_sizes(self):
-        """The size of each class, as Python ints."""
-        return tuple(np.bincount(self.labels).tolist())
-
-    @cached_property
     def classes(self):
         """The members of each class in increasing order, as tuples of Python ints."""
         members = np.split(np.argsort(self.labels, kind="stable"), np.cumsum(self.class_sizes[:-1]))
@@ -82,7 +87,7 @@ class Partition:
     @classmethod
     def consecutive(cls, sizes):
         """Classes of the given sizes over consecutive indices."""
-        return cls(np.repeat(np.arange(len(sizes)), sizes))
+        return cls._frozen(np.repeat(np.arange(len(sizes)), sizes))
 
     @classmethod
     @lru_cache(maxsize=32, typed=True)
@@ -92,7 +97,14 @@ class Partition:
         Cached: every extraction and verification of a dilation of the same
         shape shares one partition, safe to share because it is immutable.
         """
-        return cls(np.tile(np.arange(n), m))
+        return cls._frozen(np.tile(np.arange(n), m))
+
+    @classmethod
+    def _frozen(cls, labels):
+        """The partition of a labels array built here: checked and frozen in place, not copied."""
+        partition = object.__new__(cls)  # no __init__, so no copy
+        partition._hold(labels)
+        return partition
 
     def to_json(self):
         return {"d": self.d, "classes": [list(c) for c in self.classes]}
@@ -108,7 +120,7 @@ class Partition:
         if sorted(chain.from_iterable(classes)) != list(range(d)):
             raise InvalidPartition(f"classes must partition 0..{d - 1}")
         members = np.fromiter(chain.from_iterable(classes), np.intp, d)  # a permutation, which argsort inverts
-        return cls(np.repeat(np.arange(len(classes)), [len(c) for c in classes])[np.argsort(members)])
+        return cls._frozen(np.repeat(np.arange(len(classes)), [len(c) for c in classes])[np.argsort(members)])
 
 
 @dataclass

@@ -291,12 +291,34 @@ def _augment(adjacency, match_row, match_col, flat, val, n, c):
     order, so matching columns 0, 1, ... from an empty matching is
     deterministic; ``parent`` maps each row reached to the column that
     reached it, and the path is flipped from the free row found back to c.
+
+    The first two levels need no ``parent`` map to find the same path.  The
+    search ends at the first free row it reaches, so every row it marked
+    visited before then is matched: skipping a visited row never skips a
+    free one, and the visited map only keeps a column from being queued
+    twice, which changes nothing before the third level (the columns
+    ``match_row[r]`` of distinct rows r are distinct).  So the search ends
+    at the first free row of ``adjacency[c]``, else at the first free row,
+    in adjacency order, of the first column ``match_row[r]``, taking r in
+    ``adjacency[c]`` order, that has one.  Those two levels are scanned
+    directly; only when both fail does the search run with its map, from c,
+    to a path of length 3 or more.
+
     Matched residuals live in ``val``: a column u that leaves row r writes
     ``val[u]`` back to ``flat[r * n + u]``, and one that enters row r reads
-    ``val[u]`` from there.  Returns False, with the matching unchanged, when no
-    augmenting path exists.
+    ``val[u]`` from there.  Returns False, with the matching unchanged, when
+    no augmenting path exists.
     """
-    parent = {}
+    rows = adjacency[c]
+    for r in rows:  # level 1
+        if match_row[r] is None:
+            return _flip({r: c}, r, match_row, match_col, flat, val, n)
+    for left in rows:  # level 2
+        u = match_row[left]
+        for r in adjacency[u]:
+            if match_row[r] is None:
+                return _flip({r: u, left: c}, r, match_row, match_col, flat, val, n)
+    parent = {}  # the search with its map, from c
     queue = [c]
     for u in queue:  # a FIFO queue: the loop also reaches the columns appended
         for r in adjacency[u]:
@@ -304,17 +326,23 @@ def _augment(adjacency, match_row, match_col, flat, val, n, c):
                 continue
             parent[r] = u
             if match_row[r] is None:
-                while r is not None:
-                    u = parent[r]
-                    left = match_col[u]
-                    if left is not None:
-                        flat[left * n + u] = val[u]
-                    match_row[r], match_col[u] = u, r
-                    val[u] = flat[r * n + u]
-                    r = left
-                return True
+                return _flip(parent, r, match_row, match_col, flat, val, n)
             queue.append(match_row[r])
     return False
+
+
+def _flip(parent, r, match_row, match_col, flat, val, n):
+    """Flip the augmenting path that ends at free row r, following ``parent``
+    from r back to its unmatched column; returns True."""
+    while r is not None:
+        u = parent[r]
+        left = match_col[u]
+        if left is not None:
+            flat[left * n + u] = val[u]
+        match_row[r], match_col[u] = u, r
+        val[u] = flat[r * n + u]
+        r = left
+    return True
 
 
 def birkhoff_decompose(S, tol=DEFAULT_TOL):
@@ -322,17 +350,23 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
 
     Repeatedly takes a perfect matching on the positive-support bipartite
     graph, removes the minimum matched entry times that permutation and
-    continues on the residual.  The support graph is built once and the
-    matching is kept from one peel to the next: a peel removes only the
+    continues on the residual.  The support graph is built once, from one
+    ``nonzero`` of the transposed residual split by per-column counts, and
+    the matching is kept from one peel to the next: a peel removes only the
     matched edges it empties, and only their columns are matched again, by
     a shortest augmenting path (:func:`_augment`).  The first term is the
-    matching of columns 0, 1, ... in turn from an empty matching.  The
+    matching of columns 0, 1, ... in turn from an empty matching.  On a
+    dense residual a re-matched column almost always finds a free row in
+    its own support or one matched column away; a breadth-first search
+    stops at the first free row it reaches and never marks a free row
+    visited before that, so :func:`_augment` scans those two levels in
+    order with no visited map, and only longer paths pay for one.  The
     residual of each column's matched entry is held in one length-n array
-    ``val``, so a peel is one min, one subtract and one compare on it, and
-    the term's permutation is a copy of the column-to-row list
-    ``match_col``; the residual matrix is written only when a column
-    leaves its row, and the matched values go back into it once, at the
-    end.  The terms are stacked into the arrays of
+    ``val``, so a peel is one min, one subtract and one compare on it; the
+    residual matrix is written only when a column leaves its row, and the
+    matched values go back into it once, at the end.  Each term appends the
+    column-to-row list ``match_col`` to one flat list and its weight, as
+    peeled, to another; both are stacked into the arrays of
     :class:`BirkhoffDecomposition` once, at the end.
     Exact mode peels the integer numerators of S over their common
     denominator L to a residual of exactly zero, in their own dtype (a peel
@@ -347,35 +381,47 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     """
     report = core._require_bistochastic(S, tol)
     n = S.rows
-    exact = S.mode == EXACT
     resid = S.nums.copy()
     flat = resid.reshape(-1)  # a view: the residual read and written through flat indices
     threshold = core._tol(S, RESIDUAL_TOL)
-    adjacency = [np.flatnonzero(col > threshold).tolist() for col in resid.T]
-    edges = sum(map(len, adjacency))
+    support = resid.T > threshold  # support[c, r]: the support of column c
+    rows = support.nonzero()[1].tolist()  # each column's rows in increasing order, column after column
+    ends = np.cumsum(support.sum(axis=1)).tolist()
+    adjacency = [rows[start:end] for start, end in zip([0, *ends], ends)]
+    edges = len(rows)
     match_row, match_col = [None] * n, [None] * n
     val = np.empty(n, dtype=resid.dtype)  # val[c]: the residual at (match_col[c], c)
     unmatched = range(n)
-    terms = []
+    entries, peeled = [], []  # the terms' permutations, one after another, and their weights
     # edges only disappear, so the support is empty exactly when resid <= threshold
-    while edges and all(_augment(adjacency, match_row, match_col, flat, val, n, c) for c in unmatched):
-        w = np.minimum.reduce(val)
-        val -= w
-        terms.append((w, match_col.copy()))
-        unmatched = (val <= threshold).nonzero()[0].tolist()
+    while edges:
         for c in unmatched:
-            r = match_col[c]
-            flat[r * n + c] = val[c]
-            adjacency[c].remove(r)
-            match_row[r] = match_col[c] = None
-        edges -= len(unmatched)
+            if not _augment(adjacency, match_row, match_col, flat, val, n, c):
+                break
+        else:
+            w = np.minimum.reduce(val)
+            val -= w
+            peeled.append(w)
+            entries += match_col
+            unmatched = (val <= threshold).nonzero()[0].tolist()
+            for c in unmatched:
+                r = match_col[c]
+                flat[r * n + c] = val[c]
+                adjacency[c].remove(r)
+                match_row[r] = match_col[c] = None
+            edges -= len(unmatched)
+            continue
+        break  # a column with no augmenting path: the residual support has no perfect matching
     matched = [c for c in range(n) if match_col[c] is not None]
     flat[[match_col[c] * n + c for c in matched]] = val[matched]
     residual_mass = S._value(max(resid.sum(axis=0).max(), resid.sum(axis=1).max()))
     delta = max(report.max_column_defect, report.max_row_defect)
     if residual_mass > core._tol(S, 2 * n * delta + n * n * RESIDUAL_TOL):
         raise NoPerfectMatching(f"residual of mass {residual_mass} has no perfect matching on its support")
-    perms = np.array([sigma for _, sigma in terms], dtype=np.intp).reshape(-1, n)
-    weights = np.array([S._value(w) for w, _ in terms])
-    nums, den = (np.array([int(w) for w, _ in terms], dtype=object), S.den) if exact else (None, 1)
-    return BirkhoffDecomposition(n=n, perms=perms, weights=weights, residual_mass=residual_mass, nums=nums, den=den)
+    perms = np.array(entries, dtype=np.intp).reshape(-1, n)
+    if S.mode != EXACT:
+        return BirkhoffDecomposition(n=n, perms=perms, weights=np.array(peeled, dtype=np.float64),
+                                     residual_mass=residual_mass)
+    nums = [int(w) for w in peeled]
+    return BirkhoffDecomposition(n=n, perms=perms, weights=np.array([Fraction(w, S.den) for w in nums], dtype=object),
+                                 residual_mass=residual_mass, nums=np.array(nums, dtype=object), den=S.den)

@@ -39,7 +39,8 @@ def sinkhorn_knopp(T, tol=RESULT_TOL, max_iter=DEFAULT_MAX_ITER):
     Alternates row and column normalization (rows first), accumulating the
     scalings into diagonals d1 and d2 so that ``diag(d1) @ T @ diag(d2)``
     equals the balanced matrix.  The defect is the largest deviation of a
-    row or column sum from 1 after a full sweep.
+    row or column sum from 1 after a full sweep; its row sums are the ones
+    the next sweep scales by, so each sweep sums the rows once.
     """
     if tol <= 0:
         raise ParameterOutOfRange("tol must be positive")
@@ -52,16 +53,18 @@ def sinkhorn_knopp(T, tol=RESULT_TOL, max_iter=DEFAULT_MAX_ITER):
     d1 = np.ones(n)
     d2 = np.ones(n)
     defect = float("inf")
+    row_sums = a.sum(axis=1)
     for sweep in range(1, max_iter + 1):
-        row_scale = 1.0 / a.sum(axis=1)
+        row_scale = 1.0 / row_sums
         a *= row_scale[:, None]
         d1 *= row_scale
         col_scale = 1.0 / a.sum(axis=0)
         a *= col_scale[None, :]
         d2 *= col_scale
+        row_sums = a.sum(axis=1)  # the defect's row sums are the next sweep's: a is unchanged in between
         defect = max(
             float(np.max(np.abs(a.sum(axis=0) - 1.0))),
-            float(np.max(np.abs(a.sum(axis=1) - 1.0))),
+            float(np.max(np.abs(row_sums - 1.0))),
         )
         if defect <= tol:
             return SinkhornResult(

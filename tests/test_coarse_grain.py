@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -325,6 +326,18 @@ class TestLabels:
             p.labels[0] = 1
         given[0] = 1  # the partition holds its own copy, and leaves the caller's array writeable
         assert p == Partition.from_json({"d": 6, "classes": [[0, 4], [2], [1, 3, 5]]})
+
+    def test_consecutive_holds_one_labels_array(self):
+        # the labels consecutive builds are frozen in place: no copy, and no
+        # count of a read-only array, which numpy copies first
+        tracemalloc.start()
+        try:
+            p = Partition.consecutive([1_000_000, 1_000_001])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert p.class_sizes == (1_000_000, 1_000_001)
+        assert peak < 1.25 * p.labels.nbytes
 
     @pytest.mark.parametrize("n, m", [(1, 1), (3, 1), (1, 4), (3, 2), (4, 5)])
     def test_first_marginal(self, n, m):

@@ -271,6 +271,53 @@ def ref_birkhoff(S):
     return terms
 
 
+def ref_float_birkhoff(S):
+    """Greedy float64 peeling that keeps its matching, with the breadth-first
+    search above from the first level on: entries up to ``RESIDUAL_TOL`` are
+    zero, and peeling stops when the support is empty or a column has no
+    augmenting path.  Returns ``(perms, weights, residual_mass)``."""
+    resid = S.a.copy()
+    n = S.rows
+    cols = np.arange(n)
+    adjacency = [np.flatnonzero(resid[:, c] > RESIDUAL_TOL).tolist() for c in range(n)]
+    match_row = [None] * n
+    emptied = range(n)
+    perms, weights = [], []
+    while any(adjacency) and all(bfs_augment(adjacency, match_row, c) for c in emptied):
+        sigma = np.argsort(match_row)  # match_row is a permutation of the columns
+        w = resid[sigma, cols].min()
+        resid[sigma, cols] -= w
+        perms.append(sigma)
+        weights.append(w)
+        emptied = np.flatnonzero(resid[sigma, cols] <= RESIDUAL_TOL).tolist()
+        for c in emptied:
+            adjacency[c].remove(sigma[c])
+            match_row[sigma[c]] = None
+    return np.array(perms, dtype=np.intp).reshape(-1, n), weights, max(resid.sum(axis=0).max(), resid.sum(axis=1).max())
+
+
+def float_peeling_input(kind, size):
+    """A seeded float bi-stochastic matrix of one of four kinds: ``sinkhorn``,
+    the balanced positive ``size`` x ``size`` matrix, dense, so most columns
+    are matched again at the first or second level; ``noisy``, the noisy
+    dilation of a ``size`` x ``size`` T with about 30% zeros, where longer
+    augmenting paths occur; ``equal``, four permutations with equal weights,
+    so a peel can empty several columns; ``cyclic``, (I + C) / 2 with C the
+    cyclic shift, whose last column needs a path through every other."""
+    rng = np.random.default_rng(size)
+    if kind == "sinkhorn":
+        return bs.sinkhorn_knopp(StochMatrix(rng.random((size, size)) + 0.01, mode=FLOAT)).matrix
+    if kind == "noisy":
+        a = np.where(rng.random((size, size)) < 0.3, 0.0, rng.random((size, size))) + np.eye(size)
+        return bs.noisy_dilation(StochMatrix(a / a.sum(axis=0), mode=FLOAT)).matrix
+    if kind == "equal":
+        a = np.zeros((size, size))
+        for _ in range(4):
+            a[rng.permutation(size), np.arange(size)] += 0.25
+        return StochMatrix(a, mode=FLOAT)
+    return StochMatrix(0.5 * (np.eye(size) + np.roll(np.eye(size), 1, axis=0)), mode=FLOAT)
+
+
 def _recursive_augment(adjacency, match_row, c, visited):
     for r in adjacency[c]:
         if r in visited:
@@ -464,6 +511,18 @@ class TestBirkhoff:
         assert dec.reconstruct(mode=EXACT) == S
         # peeling works on a copy: the input's numerators are left intact
         assert bs.birkhoff_decompose(S).terms == dec.terms
+
+    @pytest.mark.parametrize("kind, size", [("sinkhorn", n) for n in range(2, 17)]
+                             + [("noisy", n) for n in (3, 4, 5, 6, 8)]
+                             + [("equal", d) for d in (5, 9, 17, 33)] + [("cyclic", 1100)])
+    def test_float_terms_match_reference(self, kind, size):
+        # the same terms as the breadth-first reference, bit for bit
+        S = float_peeling_input(kind, size)
+        dec = bs.birkhoff_decompose(S)
+        perms, weights, residual_mass = ref_float_birkhoff(S)
+        assert dec.perms.shape == perms.shape and np.array_equal(dec.perms, perms)
+        assert [w.hex() for w in dec.weights.tolist()] == [float(w).hex() for w in weights]
+        assert float(dec.residual_mass).hex() == float(residual_mass).hex()
 
     @SETTINGS
     @given(st.integers(1, 12).flatmap(lambda d: permutation_mixtures(d=d, mode=FLOAT)))

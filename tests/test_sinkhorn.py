@@ -10,6 +10,25 @@ from bistoch.errors import NonPositiveEntry, NotConverged, ParameterOutOfRange
 from conftest import random_prob_vec_float
 
 
+def sweeps_reference(T, tol=1e-10):
+    """Row-then-column sweeps that sum the rows twice each: once to scale
+    them and once more for the defect.  Returns (d1, d2, a, sweeps, defect)."""
+    a = T.a.copy()
+    d1, d2 = np.ones(len(a)), np.ones(len(a))
+    sweep = 0
+    while True:
+        sweep += 1
+        row_scale = 1.0 / a.sum(axis=1)
+        a *= row_scale[:, None]
+        d1 *= row_scale
+        col_scale = 1.0 / a.sum(axis=0)
+        a *= col_scale[None, :]
+        d2 *= col_scale
+        defect = max(float(np.max(np.abs(a.sum(axis=0) - 1.0))), float(np.max(np.abs(a.sum(axis=1) - 1.0))))
+        if defect <= tol:
+            return d1, d2, a, sweep, defect
+
+
 def balanced_2x2(a, b):
     """Independent evaluation of diag(d1) T diag(d2) from the closed form."""
     d1, d2, p = bs.sinkhorn_2x2(a, b)
@@ -65,6 +84,16 @@ class TestIterative:
             # the accumulated diagonals reproduce the balanced matrix
             rebuilt = np.diag(res.d1) @ T.a @ np.diag(res.d2)
             assert np.max(np.abs(rebuilt - res.matrix.a)) <= 1e-12
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_sweeps_match_reference_bytes(self, n):
+        # each sweep sums the rows once; the result is the reference's, bit for bit
+        T = StochMatrix(np.random.default_rng(300 + n).random((n, n)) + 0.01, mode=FLOAT)
+        res = bs.sinkhorn_knopp(T)
+        d1, d2, a, sweeps, defect = sweeps_reference(T)
+        assert res.d1.tobytes() == d1.tobytes() and res.d2.tobytes() == d2.tobytes()
+        assert res.matrix.a.tobytes() == a.tobytes()
+        assert res.iterations == sweeps and res.final_defect.hex() == defect.hex()
 
     def test_already_bistochastic_converges_immediately(self):
         T = StochMatrix([[0.5, 0.5], [0.5, 0.5]], mode=FLOAT)
