@@ -100,8 +100,8 @@ RESULT_TOL = 1e-10
 #: entropy-decreasing region, convergence of ``iterate``, and identities that
 #: hold exactly up to floating-point error
 RESIDUAL_TOL = 1e-12
-#: resolution of a scan parameter in [0, 1] (boundary bisection), not a
-#: tolerance on a value
+#: resolution of a scan parameter in [0, 1]: the width at which the region
+#: scan's boundary search stops, not a tolerance on a value
 BISECTION_TOL = 1e-9
 
 
@@ -200,6 +200,11 @@ def _exact_operands(bound, *nums):
     return tuple(a.astype(object) for a in nums)
 
 
+def _finite_and_not_negative(arr, axis=None):
+    """Whether every entry (along ``axis``) is finite and at least ``-DEFAULT_TOL``: two reductions, false at a NaN."""
+    return (arr.min(axis, initial=math.inf) >= -DEFAULT_TOL) & (arr.max(axis, initial=-math.inf) < math.inf)
+
+
 def _raise_first(error, arr, mask):
     """Raise ``error(index, value)`` for the first masked entry in row-major order."""
     if mask.any():
@@ -295,11 +300,21 @@ class _Entries:
         return obj
 
     def _set_float(self, arr):
-        """Check and store a float object: its shape, then finite and non-negative entries."""
+        """Check and store a float object: its shape, then finite and non-negative entries.
+
+        Its smallest and largest entries decide; the masks are walked only
+        to name the first offending entry, a non-finite one before a
+        negative one.
+        """
         self._check_shape(arr)
-        _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
-        _raise_first(NegativeEntry, arr, arr < -DEFAULT_TOL)
+        if not _finite_and_not_negative(arr):
+            _raise_first(NonFiniteEntry, arr, ~np.isfinite(arr))
+            _raise_first(NegativeEntry, arr, arr < -DEFAULT_TOL)
+        self._store_float(arr)
+
+    def _store_float(self, arr):
         self.mode, self.a, self.nums, self.den, self.values, self.codes = FLOAT, arr, arr, 1.0, None, None
+        return self
 
     def _set_exact(self, nums, den, codes=None):
         """Check and store an exact object: numerators ``nums`` over their lcm ``den``.
@@ -394,6 +409,20 @@ class ProbVec(_Entries):
     def _check_shape(arr):
         if arr.ndim != 1:
             raise DimensionMismatch("probability vector must be one-dimensional")
+
+    @classmethod
+    def _from_rows(cls, rows):
+        """One float vector per row of the 2-D float64 array ``rows``, each storing its row itself.
+
+        The rows are checked together: the checks of :meth:`_set_float` and
+        :meth:`_check_sum` as reductions along each row, which read every
+        row as its own vector does.  The first row that fails is rebuilt by
+        :meth:`_from_nums`, which raises its error.
+        """
+        ok = _finite_and_not_negative(rows, axis=1) & (np.abs(rows.sum(axis=1) - 1.0) <= DEFAULT_TOL)
+        for k in np.flatnonzero(~ok):
+            cls._from_nums(rows[k], 1.0)
+        return [cls.__new__(cls)._store_float(row) for row in rows]
 
     @classmethod
     def uniform(cls, n, mode=FLOAT):
@@ -707,14 +736,26 @@ def iterate(T, p, steps):
     once, before the first step; ``steps == 0`` checks nothing and returns
     ``[p]``.  A non-square T maps p to a vector of another length, which it
     cannot act on: it takes one step at most, and that step never counts as
-    converged.
+    converged.  A float square T writes its steps into the rows of one
+    array, checks them in one pass and wraps each row in its vector
+    (:meth:`ProbVec._from_rows`): the first step that fails raises the
+    error, message included, that its vector raises when built alone.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
-    if steps:
-        _require_applicable(T, p)
+    if not steps:
+        return [p], False
+    _require_applicable(T, p)
     if steps > 1 and not T.is_square:
         raise DimensionMismatch(f"{T.rows}x{T.cols} matrix applied to length-{T.rows} vector")
+    if T.mode == FLOAT and T.is_square:
+        # one (steps + 1) x n array: each row is t @ q of the row before, as a step of the loop below
+        rows = np.empty((steps + 1, p.n))
+        rows[0] = p.a
+        for k in range(steps):
+            np.matmul(T.a, rows[k], out=rows[k + 1])
+        change = np.max(np.abs(np.diff(rows, axis=0)), axis=1)
+        return [p, *ProbVec._from_rows(rows[1:])], bool(np.any(change <= RESIDUAL_TOL))
     trajectory = [p]
     converged = False
     for _ in range(steps):

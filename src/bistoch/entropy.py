@@ -72,6 +72,15 @@ class BoundaryPoint:
     samples: np.ndarray
 
 
+#: half the width of the pair of points a round of the boundary search
+#: evaluates, under ``BISECTION_TOL / 2`` by far more than rounding: a pair
+#: that straddles the boundary leaves a bracket narrower than
+#: ``BISECTION_TOL`` (a pair exactly that wide can round to one an ulp wider,
+#: in which no further pair fits), and a midpoint pair lies strictly inside
+#: any bracket still open
+_PAIR_HALF_WIDTH = 0.45 * BISECTION_TOL
+
+
 def region_boundary_scan(T, anchor, directions, resolution=64):
     """Locate the boundary of the entropy-decreasing region along rays.
 
@@ -80,15 +89,32 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
     positive integer ``resolution`` (``ValueError`` otherwise).  The grids of
     all rays are evaluated together, in one stacked entropy evaluation, and
     each ray's grid is returned as its ``samples``.  A ray exits at its
-    first sample with k >= 1 outside the region.  The exited rays are then
-    bisected together, one stacked entropy evaluation per step, each
-    refining its last inside parameter on its own to
-    ``BISECTION_TOL``: a ray stops when its own bracket is that narrow, so
-    it takes the same steps, and gets the same result, as bisected alone.
-    Rays that never leave the region return their endpoint with
-    ``full_segment_inside`` set.  ``directions`` is read once, and each is
-    checked before any ray is sampled.  T must be square and
-    left-stochastic (``NotStochastic`` otherwise).
+    first sample with k >= 1 outside the region; its bracket [lo, hi] is
+    that grid cell, with lo inside and hi outside.
+
+    The exited rays then search their brackets together, one stacked
+    entropy evaluation per round, each on its own until ``hi - lo <=
+    BISECTION_TOL``: a ray takes the same rounds, and gets the same result,
+    as searched alone.  A round evaluates the pair x -+ ``_PAIR_HALF_WIDTH``
+    (a little under ``BISECTION_TOL / 2``).  x is the secant root through the
+    ray's secant pair and its gaps ``H(T p) - H(p) - RESIDUAL_TOL``, or the
+    bracket midpoint when that root leaves the bracket or the last round
+    did not halve it.  The secant pair is the grid cell's ends at first,
+    then each evaluated pair whose upper point's gap is no larger in
+    magnitude, so a midpoint round does not throw away a secant pair that
+    lies closer to the boundary.  Each pair point inside the bracket moves
+    lo when inside the region and hi otherwise: a pair that straddles the
+    boundary closes the bracket, and a midpoint round always halves it, so
+    a ray takes at most two rounds per halving (48 from a grid of 64), and
+    the secant closes it in a few (2-6 on the benchmark's dense inputs).
+    lo is returned as ``t``.  Rays that never leave the region return their
+    endpoint with ``full_segment_inside`` set.
+
+    ``directions`` is read once, and each is checked before any ray is
+    sampled: a ProbVec, or an array read as a float ``ProbVec`` of length n
+    (``DimensionMismatch`` for another length, and the ProbVec errors for
+    entries off the simplex).  T must be square and left-stochastic
+    (``NotStochastic`` otherwise).
 
     The anchor a is accepted when ``H(T a) - H(a) <= RESIDUAL_TOL + delta *
     max(1, ln n)``, with delta the largest column-sum defect of T: the
@@ -116,35 +142,62 @@ def region_boundary_scan(T, anchor, directions, resolution=64):
         qf = q.to_float().a if isinstance(q, ProbVec) else np.asarray(q, dtype=float)
         if qf.shape != (n,):
             raise DimensionMismatch(f"length-{n} anchor with direction of shape {qf.shape}")
-        Q.append(qf)
+        Q.append(qf if isinstance(q, ProbVec) else ProbVec(qf, mode=FLOAT).a)
     Q = np.array(Q, dtype=float).reshape(len(Q), n)
 
-    def entropies(t, rays):
-        """Points p(t) on the given rays, one per row, with H(p) and H(T p) row by row."""
-        P = (1.0 - t)[:, None] * a + t[:, None] * Q[rays]
+    def gaps(P):
+        """H(p), H(T p) and the gap H(T p) - H(p) - RESIDUAL_TOL, row by row, of the points in the rows of P."""
         # matmul of a stack of vectors: the same product per row as Tf @ p
-        return P, shannon_entropy(P), shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
+        h_p, h_tp = shannon_entropy(P), shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
+        return h_p, h_tp, h_tp - h_p - RESIDUAL_TOL
+
+    def segment(t, rays):
+        """The points p(t) on the given rays, one per row."""
+        return (1.0 - t)[:, None] * a + t[:, None] * Q[rays]
 
     r, g = len(Q), resolution + 1
-    t = np.tile(np.arange(g) / resolution, r)  # row i * g + k: ray i at t = k / resolution
-    P, h_p, h_tp = entropies(t, np.repeat(np.arange(r), g))
-    samples = np.column_stack([t, P, h_p, h_tp]).reshape(r, g, n + 3)
-    outside = (h_tp - h_p > RESIDUAL_TOL).reshape(r, g)[:, 1:]
+    grid = np.arange(g) / resolution
+    # (ray, grid point, state) by broadcasting: t q + (1 - t) a, the products and sum of segment()
+    P = grid[:, None] * Q[:, None, :]
+    P += (1.0 - grid)[:, None] * a
+    P = P.reshape(r * g, n)
+    h_p, h_tp, f = gaps(P)
+    samples = np.column_stack([np.tile(grid, r), P, h_p, h_tp]).reshape(r, g, n + 3)
+    f = f.reshape(r, g)
+    outside = f[:, 1:] > 0
     exited = outside.any(axis=1)
-    exit_k = outside.argmax(axis=1) + 1  # first grid index k >= 1 outside the region, where one is
-    # a ray that never exits gets lo = hi = 1: its bracket is closed from the start
-    lo = np.where(exited, (exit_k - 1) / resolution, 1.0)
-    hi = np.where(exited, exit_k / resolution, 1.0)
-    while (active := np.flatnonzero(hi - lo > BISECTION_TOL)).size:
-        mid = 0.5 * (lo[active] + hi[active])
-        _, h_p, h_tp = entropies(mid, active)
-        inside = h_tp - h_p <= RESIDUAL_TOL
-        lo[active[inside]] = mid[inside]
-        hi[active[~inside]] = mid[~inside]
-    points, h_p, h_tp = entropies(lo, slice(None))
+    k = outside.argmax(axis=1) + 1  # first grid index k >= 1 outside the region, where one is
+    t = np.ones(r)  # each ray's lo; a ray that never exits returns t = 1
+    rays = np.flatnonzero(exited)
+    cell = np.column_stack([k[rays] - 1, k[rays]])
+    lo, hi = cell.T / resolution
+    # each ray's secant pair, two points (one per column) and their gaps: the grid cell's ends first
+    X, F = cell / resolution, f[rays[:, None], cell]
+    halved = np.ones(len(rays), dtype=bool)
+    while True:
+        t[rays] = lo
+        still = hi - lo > BISECTION_TOL
+        rays, lo, hi, X, F, halved = (v[still] for v in (rays, lo, hi, X, F, halved))
+        if not rays.size:
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = X[:, 1] - F[:, 1] * (X[:, 1] - X[:, 0]) / (F[:, 1] - F[:, 0])
+        x = np.where(halved & (lo < x) & (x < hi), x, 0.5 * (lo + hi))
+        x = np.minimum(np.maximum(x, lo + _PAIR_HALF_WIDTH), hi - _PAIR_HALF_WIDTH)
+        pair = np.column_stack([x - _PAIR_HALF_WIDTH, x + _PAIR_HALF_WIDTH])
+        f_pair = gaps(segment(pair.ravel(), np.repeat(rays, 2)))[2].reshape(-1, 2)
+        width = hi - lo
+        for p, fp in zip(pair.T, f_pair.T):
+            within = (lo < p) & (p < hi)
+            lo, hi = np.where(within & (fp <= 0), p, lo), np.where(within & (fp > 0), p, hi)
+        halved = hi - lo <= 0.5 * width
+        nearer = np.abs(f_pair[:, 1]) <= np.abs(F[:, 1])
+        X[nearer], F[nearer] = pair[nearer], f_pair[nearer]
+    points = segment(t, slice(None))
+    h_p, h_tp, _ = gaps(points)
     return [
         BoundaryPoint(
-            t=float(lo[i]),
+            t=float(t[i]),
             point=points[i],
             h_p=float(h_p[i]),
             h_tp=float(h_tp[i]),

@@ -6,6 +6,7 @@ import pytest
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
+from bistoch.core import RESIDUAL_TOL
 from bistoch.errors import (
     DimensionMismatch,
     IndexOutOfRange,
@@ -16,6 +17,7 @@ from bistoch.errors import (
 )
 
 from conftest import (
+    random_prob_vec_exact,
     random_prob_vec_float,
     random_stochastic_exact,
     random_stochastic_float,
@@ -73,6 +75,19 @@ class TestValidate:
             cls._from_nums(np.array(data), 1.0)
         assert handed_over.value.index == public.value.index
         assert repr(handed_over.value.value) == repr(public.value.value)
+
+    def test_non_finite_named_before_negative(self):
+        # the first non-finite entry is named even where a negative one comes before it
+        with pytest.raises(NonFiniteEntry) as exc_info:
+            StochMatrix([[0.5, -0.2], [float("nan"), 0.1]], mode=FLOAT)
+        assert exc_info.value.index == (1, 0)
+        with pytest.raises(NegativeEntry) as exc_info:
+            ProbVec([0.5, -0.2, 0.3, -0.1, 0.5], mode=FLOAT)
+        assert exc_info.value.index == (1,) and exc_info.value.value == -0.2
+
+    def test_empty_float_vector_is_refused_by_its_sum(self):
+        with pytest.raises(NotStochastic, match="entries sum to 0.0"):
+            ProbVec(np.zeros(0), mode=FLOAT)
 
     def test_from_array_keeps_the_array_and_the_constructor_copies(self):
         data = np.full((2, 2), 0.5)
@@ -261,6 +276,77 @@ class TestIterate:
         T = StochMatrix([[0.5, 0.5, 1.0], [0.5, 0.5, 0.0]])
         p = ProbVec.uniform(3)
         assert bs.iterate(T, p, 1) == ([p, bs.apply(T, p)], False)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float_trajectory_matches_per_step_products(self, seed):
+        # every iterate is Tf @ q of the one before, bit for bit, and the flag is
+        # set iff some step moves no entry by more than RESIDUAL_TOL
+        rng = np.random.default_rng(300 + seed)
+        n = int(rng.integers(1, 25))
+        T, p = random_stochastic_float(rng, n), random_prob_vec_float(rng, n)
+        steps = int(rng.integers(1, 120))
+        trajectory, converged = bs.iterate(T, p, steps)
+        expected = [p.a]
+        for _ in range(steps):
+            expected.append(T.a @ expected[-1])
+        assert len(trajectory) == steps + 1 and trajectory[0] is p
+        for got, want in zip(trajectory, expected):
+            assert type(got) is ProbVec and got.mode == FLOAT and got.den == 1.0
+            assert got.a.dtype == np.float64 and got.a.tobytes() == want.tobytes()
+        assert converged is any(np.max(np.abs(b - a)) <= RESIDUAL_TOL for a, b in zip(expected, expected[1:]))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_exact_trajectory_matches_fraction_products(self, seed):
+        rng = np.random.default_rng(400 + seed)
+        n = int(rng.integers(1, 7))
+        T = random_stochastic_exact(rng, n)
+        p = random_prob_vec_exact(rng, n)
+        trajectory, converged = bs.iterate(T, p, 6)
+        q = p
+        for got in trajectory[1:]:
+            q = ProbVec(list(T.a @ q.a), mode=EXACT)
+            assert got.den == q.den and got.nums.dtype == q.nums.dtype and np.array_equal(got.nums, q.nums)
+        change = [max(abs(x - y) for x, y in zip(a.a, b.a)) for a, b in zip(trajectory, trajectory[1:])]
+        assert converged is any(c <= RESIDUAL_TOL for c in change)
+
+    def test_sum_drift_raises_at_the_step_it_passes_the_tolerance(self):
+        # each column sums to 1 + 4e-10, which validate accepts; the sum of the
+        # iterate grows by that factor per step and passes DEFAULT_TOL at step 3
+        a = np.random.default_rng(1).random((3, 3))
+        T = StochMatrix(a / a.sum(axis=0) * (1 + 4e-10), mode=FLOAT)
+        u = ProbVec.uniform(3)
+        assert bs.validate(T).left
+        assert len(bs.iterate(T, u, 2)[0]) == 3
+        q = T.a @ (T.a @ u.a)
+        with pytest.raises(NotStochastic) as per_step:
+            ProbVec._from_nums(T.a @ q, 1.0)
+        for steps in (3, 50):
+            with pytest.raises(NotStochastic) as exc_info:
+                bs.iterate(T, u, steps)
+            assert str(exc_info.value) == str(per_step.value) == "entries sum to 1.0000000012, expected 1"
+
+    def test_negative_iterate_named_as_its_step_would(self):
+        # p's entries of -1e-9 are within the slack; T adds two of them into one entry
+        T = StochMatrix([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 0.0]], mode=FLOAT)
+        p = ProbVec([1 + 2e-9, -1e-9, -1e-9], mode=FLOAT)
+        with pytest.raises(NegativeEntry) as per_step:
+            ProbVec._from_nums(T.a @ p.a, 1.0)
+        with pytest.raises(NegativeEntry) as exc_info:
+            bs.iterate(T, p, 5)
+        assert exc_info.value.index == per_step.value.index == (1,)
+        assert repr(exc_info.value.value) == repr(per_step.value.value)
+
+    def test_rows_raise_the_first_failing_rows_error(self):
+        rows = np.array([[0.5, 0.5], [1.5, -0.5], [float("nan"), 1.0], [0.6, 0.6]])
+        with pytest.raises(NegativeEntry) as exc_info:
+            ProbVec._from_rows(rows)
+        assert exc_info.value.index == (1,)
+        with pytest.raises(NonFiniteEntry):
+            ProbVec._from_rows(rows[2:])
+        with pytest.raises(NotStochastic, match="1.2"):
+            ProbVec._from_rows(rows[3:])
+        (vector,) = ProbVec._from_rows(rows[:1])
+        assert vector == ProbVec([0.5, 0.5], mode=FLOAT) and np.shares_memory(vector.a, rows)
 
 
 class TestExactEntry:

@@ -3,12 +3,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, Partition, ProbVec, StochMatrix
 from bistoch.core import BISECTION_TOL, RESIDUAL_TOL
-from bistoch.entropy import BirkhoffDecomposition, BoundaryPoint, EntropyLedger
-from bistoch.errors import AnchorOutsideRegion, DimensionMismatch, NotBiStochastic, NotStochastic
+from bistoch.entropy import _PAIR_HALF_WIDTH, BirkhoffDecomposition, BoundaryPoint, EntropyLedger
+from bistoch.errors import (
+    AnchorOutsideRegion,
+    DimensionMismatch,
+    NegativeEntry,
+    NonFiniteEntry,
+    NotBiStochastic,
+    NotStochastic,
+)
 
 from conftest import (
     demon_dilation_expected,
@@ -48,33 +56,76 @@ def ledger_through_dilation(T, p):
     )
 
 
-def scan_reference(T, anchor, directions, resolution):
-    """Reference region scan: rays one at a time, one scalar entropy gap per bisection step."""
+def _ray_reference(T, anchor, q, resolution):
+    """One ray's grid, exit index (None if it never exits) and segment function, from per-point entropies."""
     Tf, a = T.to_float().a, anchor.to_float().a
+    qf = q.to_float().a if isinstance(q, ProbVec) else np.asarray(q, dtype=float)
+    seg = lambda t: (1.0 - t) * a + t * qf
+    gap = lambda pt: bs.shannon_entropy(Tf @ pt) - bs.shannon_entropy(pt)
     grid = np.arange(resolution + 1) / resolution
+    P = seg(grid[:, None])
+    h_p, h_tp = bs.shannon_entropy(P), bs.shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
+    exits = np.flatnonzero(h_tp[1:] - h_p[1:] > RESIDUAL_TOL)
+    samples = np.column_stack([grid, P, h_p, h_tp])
+    return samples, (int(exits[0]) + 1 if len(exits) else None), seg, gap
+
+
+def _boundary_point(T, t, seg, exit_k, samples):
+    pt = seg(t)
+    Tf = T.to_float().a
+    return BoundaryPoint(t, pt, bs.shannon_entropy(pt), bs.shannon_entropy(Tf @ pt), exit_k is None, samples)
+
+
+def bisection_reference(T, anchor, directions, resolution):
+    """Region scan by plain bisection, one ray at a time: the exit point to within BISECTION_TOL."""
     results = []
     for q in directions:
-        qf = q.to_float().a if isinstance(q, ProbVec) else np.asarray(q, dtype=float)
-        seg = lambda t: (1.0 - t) * a + t * qf
-        P = seg(grid[:, None])
-        h_p, h_tp = bs.shannon_entropy(P), bs.shannon_entropy((Tf @ P[:, :, None])[:, :, 0])
-        exits = np.flatnonzero(h_tp[1:] - h_p[1:] > RESIDUAL_TOL)
+        samples, k, seg, gap = _ray_reference(T, anchor, q, resolution)
         lo = 1.0
-        if len(exits):
-            k = int(exits[0]) + 1
+        if k is not None:
             lo, hi = (k - 1) / resolution, k / resolution
             while hi - lo > BISECTION_TOL:
                 mid = 0.5 * (lo + hi)
-                pt = seg(mid)
-                if bs.shannon_entropy(Tf @ pt) - bs.shannon_entropy(pt) <= RESIDUAL_TOL:
+                if gap(seg(mid)) <= RESIDUAL_TOL:
                     lo = mid
                 else:
                     hi = mid
-        pt = seg(lo)
-        samples = np.column_stack([grid, P, h_p, h_tp])
-        results.append(
-            BoundaryPoint(lo, pt, bs.shannon_entropy(pt), bs.shannon_entropy(Tf @ pt), not len(exits), samples)
-        )
+        results.append(_boundary_point(T, lo, seg, k, samples))
+    return results
+
+
+def secant_reference(T, anchor, directions, resolution, brackets=None):
+    """Region scan one ray at a time, one scalar entropy gap per point: the bracketed secant
+    search of region_boundary_scan written for a single ray.  Appends each exited ray's final
+    (lo, hi, rounds) to ``brackets`` when given."""
+    half = _PAIR_HALF_WIDTH
+    results = []
+    for q in directions:
+        samples, k, seg, gap = _ray_reference(T, anchor, q, resolution)
+        lo = 1.0
+        if k is not None:
+            lo, hi = (k - 1) / resolution, k / resolution
+            g = samples[:, -1] - samples[:, -2] - RESIDUAL_TOL
+            x0, x1, f0, f1 = lo, hi, g[k - 1], g[k]  # the secant pair
+            halved, rounds = True, 0
+            while hi - lo > BISECTION_TOL:
+                x = x1 - f1 * (x1 - x0) / (f1 - f0) if f1 != f0 else math.nan
+                if not (halved and lo < x < hi):
+                    x = 0.5 * (lo + hi)
+                x = min(max(x, lo + half), hi - half)
+                p0, p1 = x - half, x + half
+                g0, g1 = gap(seg(p0)) - RESIDUAL_TOL, gap(seg(p1)) - RESIDUAL_TOL
+                width = hi - lo
+                for p, gp in ((p0, g0), (p1, g1)):
+                    if lo < p < hi:
+                        lo, hi = (p, hi) if gp <= 0 else (lo, p)
+                halved = hi - lo <= 0.5 * width
+                if abs(g1) <= abs(f1):
+                    x0, x1, f0, f1 = p0, p1, g0, g1
+                rounds += 1
+            if brackets is not None:
+                brackets.append((lo, hi, rounds))
+        results.append(_boundary_point(T, lo, seg, k, samples))
     return results
 
 
@@ -277,6 +328,18 @@ class TestBoundaryScan:
         with pytest.raises(DimensionMismatch):
             bs.region_boundary_scan(T, ProbVec.uniform(2), [np.array([0.2, 0.3, 0.5])])
 
+    @pytest.mark.parametrize(
+        "direction, error",
+        [([float("nan"), 0.5, 0.5], NonFiniteEntry), ([2.0, -0.5, -0.5], NegativeEntry), ([0.5, 0.5, 0.5], NotStochastic)],
+        ids=["nan", "off-simplex", "sum-1.5"],
+    )
+    def test_rejects_direction_off_the_simplex(self, direction, error):
+        # an array direction is read as a float ProbVec: a NaN ray would never
+        # exit, and a ray past a vertex leaves the simplex
+        T = random_stochastic_float(np.random.default_rng(3), 3)
+        with pytest.raises(error):
+            bs.region_boundary_scan(T, ProbVec.uniform(3), [ProbVec.point_mass(3, 0), np.array(direction)])
+
     @pytest.mark.parametrize("n", [4, 9, 16])
     def test_samples_are_the_grid(self, demon, n):
         T = demon if n == 4 else random_stochastic_float(np.random.default_rng(n), n)
@@ -304,7 +367,7 @@ class TestBoundaryScan:
     @pytest.mark.parametrize("resolution", [64, 37])
     @pytest.mark.parametrize("n", [4, 9, 20])
     def test_matches_per_ray_reference(self, demon, n, resolution):
-        # the rays are bisected together; every output must be the one-ray-at-a-time result, bit for bit
+        # the rays are searched together; every output must be the one-ray-at-a-time result, bit for bit
         rng = np.random.default_rng(1000 + n)
         cases = [(random_stochastic_float(rng, n), ProbVec.uniform(n))]
         if n == 4:
@@ -314,10 +377,14 @@ class TestBoundaryScan:
             directions = [ProbVec.point_mass(n, k, mode=mode) for k in range(n)]
             directions += [rng.dirichlet(np.ones(n)) for _ in range(4)]
             points = bs.region_boundary_scan(T, anchor, directions, resolution=resolution)
-            expected = scan_reference(T, anchor, directions, resolution)
+            expected = secant_reference(T, anchor, directions, resolution)
             assert len(points) == len(expected)
             assert any(not bp.full_segment_inside for bp in points)
-            for bp, ref in zip(points, expected):
+            oracle = bisection_reference(T, anchor, directions, resolution)
+            for bp, ref, bis in zip(points, expected, oracle):
+                # plain bisection ends in the same bracket, to BISECTION_TOL
+                assert abs(bp.t - bis.t) <= BISECTION_TOL
+                assert np.array_equal(bp.samples, bis.samples) and bp.full_segment_inside is bis.full_segment_inside
                 assert type(bp.t) is float and type(bp.h_p) is float and type(bp.h_tp) is float
                 assert float.hex(bp.t) == float.hex(ref.t)
                 assert float.hex(bp.h_p) == float.hex(ref.h_p)
@@ -325,6 +392,36 @@ class TestBoundaryScan:
                 assert np.array_equal(bp.point, ref.point)
                 assert np.array_equal(bp.samples, ref.samples)
                 assert bp.full_segment_inside is ref.full_segment_inside
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 9),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from([1, 3, 16, 64]),
+        st.sampled_from([0.0, 0.3]),
+    )
+    def test_search_ends_on_a_closed_bracket(self, n, seed, resolution, zeros):
+        # t is in its ray's exit cell and inside the region, and the search that
+        # gives it, run alone, ends on a point at most BISECTION_TOL past it outside
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) * (rng.random((n, n)) >= zeros) + 0.01 * np.eye(n)
+        T = StochMatrix(a / a.sum(axis=0), mode=FLOAT)
+        anchor = bs.fixed_point(T).representative
+        directions = [ProbVec.point_mass(n, k) for k in range(n)] + [rng.dirichlet(np.ones(n)) for _ in range(2)]
+        points = bs.region_boundary_scan(T, anchor, directions, resolution=resolution)
+        brackets = []
+        expected = secant_reference(T, anchor, directions, resolution, brackets)
+        exited = [(bp, q) for bp, q in zip(points, directions) if not bp.full_segment_inside]
+        assert len(exited) == len(brackets)
+        for (bp, q), (lo, hi, rounds) in zip(exited, brackets):
+            k = int(np.argmax(bp.samples[1:, -1] - bp.samples[1:, -2] > RESIDUAL_TOL)) + 1
+            assert bp.t == lo and (k - 1) / resolution <= lo < k / resolution
+            assert bs.in_decreasing_region(T, bp.point) and bp.h_tp - bp.h_p <= RESIDUAL_TOL
+            assert lo < hi <= lo + BISECTION_TOL and hi <= k / resolution
+            assert not bs.in_decreasing_region(T, (1 - hi) * anchor.a + hi * np.asarray(getattr(q, "a", q)))
+            # at most two rounds per halving of the exit cell
+            assert rounds <= 2 * math.ceil(math.log2(1 / (resolution * BISECTION_TOL)))
+        assert [bp.t for bp in points] == [ref.t for ref in expected]
 
     def test_empty_and_generator_directions(self, demon):
         anchor = ProbVec([Fraction(1, 2), 0, 0, Fraction(1, 2)], mode=EXACT)
