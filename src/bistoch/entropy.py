@@ -273,7 +273,8 @@ class BirkhoffDecomposition:
     P[sigma_j[c], c] = 1, and ``weights[j]`` is its weight, float64 in float
     mode and a ``Fraction`` in exact mode.  ``terms`` reads the same terms
     as a list of ``(weight, tuple(sigma))`` pairs, built once from the
-    arrays; the arrays are what the decomposition is.
+    arrays' ``tolist()`` (a float weight is a Python float); the arrays are
+    what the decomposition is.
 
     ``residual_mass`` is the largest row or column sum of what peeling left
     of the input.  It is 0 in exact mode; in float mode it bounds, up to
@@ -293,7 +294,7 @@ class BirkhoffDecomposition:
 
     @cached_property
     def terms(self):
-        return [(w, tuple(sigma)) for w, sigma in zip(self.weights, self.perms.tolist())]
+        return [(w, tuple(sigma)) for w, sigma in zip(self.weights.tolist(), self.perms.tolist())]
 
     def weight_sum(self):
         """The sum of the weights: added in term order in float mode, one
@@ -318,20 +319,23 @@ class BirkhoffDecomposition:
         """The sum of the weighted permutation matrices.
 
         Term j adds its weight at the flat indices ``perms[j] * n + c``, all
-        terms in one unbuffered ``np.add.at``: each entry receives its
+        terms in one ``np.bincount`` in float mode and one unbuffered
+        ``np.add.at`` in exact mode: either way each entry receives its
         weights in term order, as a term-by-term loop adds them.  Exact mode,
         for an exact decomposition, adds the numerators over ``den``, on
         int64 when ``den`` fits (every sum is at most the weights' sum,
         ``den``), and makes no ``Fraction`` (:meth:`StochMatrix._from_nums`).
         """
         n = self.n
-        if mode == EXACT:
-            nums, den = self.nums.astype(np.int64 if self.den < core._INT64_LIMIT else object), self.den
-        else:
-            nums, den = self.weights.astype(float), 1.0
+        flat = (self.perms * n + np.arange(n)).reshape(-1)
+        if mode != EXACT:
+            # bincount of no terms gives int zeros
+            total = np.bincount(flat, np.repeat(self.weights.astype(float), n), n * n).astype(float, copy=False)
+            return StochMatrix._from_nums(total.reshape(n, n), 1.0)
+        nums = self.nums.astype(np.int64 if self.den < core._INT64_LIMIT else object)
         total = np.zeros(n * n, dtype=nums.dtype)
-        np.add.at(total, (self.perms * n + np.arange(n)).reshape(-1), np.repeat(nums, n))
-        return StochMatrix._from_nums(total.reshape(n, n), den)
+        np.add.at(total, flat, np.repeat(nums, n))
+        return StochMatrix._from_nums(total.reshape(n, n), self.den)
 
 
 def _augment(adjacency, match_row, match_col, flat, val, n, c):
@@ -340,10 +344,11 @@ def _augment(adjacency, match_row, match_col, flat, val, n, c):
     ``adjacency[c]`` lists the rows of column c's support in increasing
     order; ``match_row[r]`` is the column matched to row r and
     ``match_col[c]`` the row matched to column c, each None when unmatched.
-    Columns are searched in FIFO order, each trying its rows in increasing
-    order, so matching columns 0, 1, ... from an empty matching is
-    deterministic; ``parent`` maps each row reached to the column that
-    reached it, and the path is flipped from the free row found back to c.
+    c is unmatched.  Columns are searched in FIFO order, each trying its
+    rows in increasing order, so matching columns 0, 1, ... from an empty
+    matching is deterministic; ``parent`` maps each row reached to the
+    column that reached it, and the path is flipped from the free row found
+    back to c (:func:`_flip`).
 
     The first two levels need no ``parent`` map to find the same path.  The
     search ends at the first free row it reaches, so every row it marked
@@ -354,8 +359,9 @@ def _augment(adjacency, match_row, match_col, flat, val, n, c):
     at the first free row of ``adjacency[c]``, else at the first free row,
     in adjacency order, of the first column ``match_row[r]``, taking r in
     ``adjacency[c]`` order, that has one.  Those two levels are scanned
-    directly; only when both fail does the search run with its map, from c,
-    to a path of length 3 or more.
+    directly and their path, of one or two edges, is written into the
+    matching in place, as :func:`_flip` would write it; only when both fail
+    does the search run with its map, from c, to a path of length 3 or more.
 
     Matched residuals live in ``val``: a column u that leaves row r writes
     ``val[u]`` back to ``flat[r * n + u]``, and one that enters row r reads
@@ -363,14 +369,18 @@ def _augment(adjacency, match_row, match_col, flat, val, n, c):
     no augmenting path exists.
     """
     rows = adjacency[c]
-    for r in rows:  # level 1
+    for r in rows:  # level 1: c takes the free row r
         if match_row[r] is None:
-            return _flip({r: c}, r, match_row, match_col, flat, val, n)
-    for left in rows:  # level 2
+            match_row[r], match_col[c], val[c] = c, r, flat[r * n + c]
+            return True
+    for left in rows:  # level 2: u leaves row left for the free row r, and c takes row left
         u = match_row[left]
         for r in adjacency[u]:
             if match_row[r] is None:
-                return _flip({r: u, left: c}, r, match_row, match_col, flat, val, n)
+                flat[left * n + u] = val[u]
+                match_row[r], match_col[u], val[u] = u, r, flat[r * n + u]
+                match_row[left], match_col[c], val[c] = c, left, flat[left * n + c]
+                return True
     parent = {}  # the search with its map, from c
     queue = [c]
     for u in queue:  # a FIFO queue: the loop also reaches the columns appended
@@ -415,7 +425,9 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
     visited before that, so :func:`_augment` scans those two levels in
     order with no visited map, and only longer paths pay for one.  The
     residual of each column's matched entry is held in one length-n array
-    ``val``, so a peel is one min, one subtract and one compare on it; the
+    ``val``, so a peel is one ``argmin``, one subtract and one compare on
+    it (the minimum is read as ``val[val.argmin()]``: the value a ``min``
+    reduction gives, in every dtype, for less call overhead); the
     residual matrix is written only when a column leaves its row, and the
     matched values go back into it once, at the end.  Each term appends the
     column-to-row list ``match_col`` to one flat list and its weight, as
@@ -452,7 +464,7 @@ def birkhoff_decompose(S, tol=DEFAULT_TOL):
             if not _augment(adjacency, match_row, match_col, flat, val, n, c):
                 break
         else:
-            w = np.minimum.reduce(val)
+            w = val[val.argmin()]
             val -= w
             peeled.append(w)
             entries += match_col

@@ -27,7 +27,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, Partition, ProbVec, StochMatrix, core, entropy, with_environment
@@ -86,13 +86,28 @@ def permutation_mixtures(draw, d=None, mode=EXACT):
     terms = draw(st.integers(1, 5))
     weights = [Fraction(1, PRIMES[k] * (k + 2)) for k in range(terms - 1)]
     weights.append(1 - sum(weights, Fraction(0)))
+    S = mixture_of(weights, d, rng)
+    return S if mode == EXACT else S.to_float()
+
+
+def mixture_of(weights, d, rng):
+    """The exact mixture of one random permutation of d states per weight."""
     S = np.full((d, d), Fraction(0), dtype=object)
     for w in weights:
         sigma = rng.permutation(d)
         for c in range(d):
             S[sigma[c], c] += w
-    S = StochMatrix(S, mode=EXACT)
-    return S if mode == EXACT else S.to_float()
+    return StochMatrix(S, mode=EXACT)
+
+
+def object_numerator_mixture():
+    """A mixture of five permutations of 6 states whose weights' common
+    denominator 3 (2**61 - 1) (2**31 - 1) 7 puts its numerators past int64,
+    so they are Python ints in an object array."""
+    weights = [Fraction(1, 3), Fraction(1, 2**61 - 1), Fraction(5, 2**31 - 1), Fraction(2, 7)]
+    S = mixture_of([*weights, 1 - sum(weights)], 6, np.random.default_rng(0))
+    assert S.nums.dtype == object
+    return S
 
 
 @st.composite
@@ -297,23 +312,27 @@ def ref_float_birkhoff(S):
 
 
 def float_peeling_input(kind, size):
-    """A seeded float bi-stochastic matrix of one of four kinds: ``sinkhorn``,
+    """A seeded float bi-stochastic matrix of one of five kinds: ``sinkhorn``,
     the balanced positive ``size`` x ``size`` matrix, dense, so most columns
     are matched again at the first or second level; ``noisy``, the noisy
     dilation of a ``size`` x ``size`` T with about 30% zeros, where longer
     augmenting paths occur; ``equal``, four permutations with equal weights,
-    so a peel can empty several columns; ``cyclic``, (I + C) / 2 with C the
-    cyclic shift, whose last column needs a path through every other."""
+    so a peel can empty several columns; ``near``, the same but with two
+    weights ``RESIDUAL_TOL / 2`` apart, so that a peel can empty a column
+    to zero and another to a residual under ``RESIDUAL_TOL`` at once;
+    ``cyclic``, (I + C) / 2 with C the cyclic shift, whose last column needs
+    a path through every other."""
     rng = np.random.default_rng(size)
     if kind == "sinkhorn":
         return bs.sinkhorn_knopp(StochMatrix(rng.random((size, size)) + 0.01, mode=FLOAT)).matrix
     if kind == "noisy":
         a = np.where(rng.random((size, size)) < 0.3, 0.0, rng.random((size, size))) + np.eye(size)
         return bs.noisy_dilation(StochMatrix(a / a.sum(axis=0), mode=FLOAT)).matrix
-    if kind == "equal":
+    if kind in ("equal", "near"):
+        offset = RESIDUAL_TOL / 4 if kind == "near" else 0.0
         a = np.zeros((size, size))
-        for _ in range(4):
-            a[rng.permutation(size), np.arange(size)] += 0.25
+        for w in (0.25 + offset, 0.25 - offset, 0.25, 0.25):
+            a[rng.permutation(size), np.arange(size)] += w
         return StochMatrix(a, mode=FLOAT)
     return StochMatrix(0.5 * (np.eye(size) + np.roll(np.eye(size), 1, axis=0)), mode=FLOAT)
 
@@ -503,6 +522,7 @@ class TestCoarseGrain:
 class TestBirkhoff:
     @SETTINGS
     @given(permutation_mixtures())
+    @example(object_numerator_mixture())  # peeling on an object array of numerators
     def test_terms_match_reference(self, S):
         dec = bs.birkhoff_decompose(S)
         assert dec.terms == ref_birkhoff(S)
@@ -514,7 +534,8 @@ class TestBirkhoff:
 
     @pytest.mark.parametrize("kind, size", [("sinkhorn", n) for n in range(2, 17)]
                              + [("noisy", n) for n in (3, 4, 5, 6, 8)]
-                             + [("equal", d) for d in (5, 9, 17, 33)] + [("cyclic", 1100)])
+                             + [("equal", d) for d in (5, 9, 17, 33)] + [("near", d) for d in (3, 9, 17, 33)]
+                             + [("cyclic", 1100)])
     def test_float_terms_match_reference(self, kind, size):
         # the same terms as the breadth-first reference, bit for bit
         S = float_peeling_input(kind, size)
