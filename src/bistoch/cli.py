@@ -6,13 +6,26 @@ tolerance, and a command-specific result payload.  Dilation subcommands
 always embed their verification checks; an unverified dilation is never
 emitted.
 
-:func:`run` is the one runner.  It builds the :class:`Report` and calls the
-subcommand, which reads each input through the report (recording its
-path), records the checks the library gives for its result, each a name ->
-``(defect, tol)`` dict, and returns its result or None.  The runner then
-writes a result matrix to ``--out``, or puts it into the report, formats the
-result (:func:`_fmt`) and prints the report.  No check and no tolerance
-rule is computed here: each check is a library call.
+Each subcommand is one function and one declaration (:func:`command`): its
+help, its input files, its mode and its other arguments.
+:func:`build_parser` registers the parser from the declarations.
+
+:func:`run` is the one runner.  It builds the :class:`Report`, reads the
+subcommand's input files through it (:func:`_read_inputs`, recording each
+path) and calls the subcommand with their objects.  The subcommand records
+the checks the library gives for its result, each a name -> ``(defect,
+tol)`` dict, and returns its result or None.  The runner then writes a
+result matrix to ``--out``, or puts it into the report, formats the result
+(:func:`_fmt`) and prints the report.  No check and no tolerance rule is
+computed here: each check is a library call.
+
+One rule sets the mode of every input file: a matrix is read in ``--mode``,
+or in its subcommand's fixed mode (float for ``sinkhorn`` and
+``entropy-region``), or else as its file holds it; a vector in the mode of
+the input read before it; a partition as held.  Option files (``--rho``,
+``--right-inverse``, ``dilate --vec``) are read by their subcommands, in
+the mode each needs.  ``--tol`` is a finite number no smaller than 0; NaN,
+an infinity or a negative value is a usage error.
 
 Exit codes: 0 success with all checks passing, 1 usage or I/O error,
 2 validation or verification failure, or a request too large for memory.
@@ -42,7 +55,7 @@ from .errors import BistochError, DemoMismatch, DimensionMismatch
 
 
 class UsageError(Exception):
-    pass
+    """A command line or an input file that the CLI cannot use: exit 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -117,9 +130,10 @@ _ROWS = "\0rows"
 class Report:
     """The JSON run report of one subcommand.
 
-    :func:`run` makes it; the subcommand reads its inputs through it
-    (:meth:`read`, :meth:`matrix`, :meth:`vector`), which records each path
-    as it is read, and records the library's checks (:meth:`checks`).
+    :func:`run` makes it and reads the input files through it, a subcommand
+    its option files (:meth:`read`, :meth:`matrix`, :meth:`vector`), which
+    records each path as it is read; the subcommand records the library's
+    checks (:meth:`checks`).
     """
 
     def __init__(self, command, inputs=()):
@@ -169,48 +183,93 @@ class Report:
         return 0 if all(c["pass"] for c in self.body["checks"]) else 2
 
 
-def _at_least(least):
-    """argparse type: an integer no smaller than ``least``."""
+def _at_least(least, number=int):
+    """argparse type: a finite ``number`` (int or float) no smaller than ``least``."""
 
     def parse(text):
-        value = int(text)
-        if value < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        value = number(text)
+        if not least <= value < math.inf:  # also refuses NaN, which compares false
+            raise argparse.ArgumentTypeError(f"must be finite and at least {least}, got {value}")
         return value
 
+    parse.__name__ = number.__name__  # argparse's "invalid float value" for a text it cannot parse
     return parse
 
 
+#: every subcommand, in help order: name -> (function, help, input files, mode, other arguments)
+COMMANDS = {}
+
+#: the reader of an input file, by its argument name
+_READERS = {"matrix": core.matrix_from_json, "dilation": core.matrix_from_json, "vector": core.vector_from_json,
+            "--vec": core.vector_from_json, "partition": Partition.from_json}
+
+
+def command(name, help, inputs="", mode="--mode", options=None):
+    """Declare a subcommand: its name and help, its input files in order
+    (argument names, read by :func:`_read_inputs`), its mode (``"--mode"``
+    for the option, a fixed mode, or None for none) and its other arguments,
+    each name or flag -> its ``add_argument`` keywords."""
+
+    def declare(func):
+        COMMANDS[name] = (func, help, inputs.split(), mode, options or {})
+        return func
+
+    return declare
+
+
+def _read_inputs(args, report, inputs):
+    """The objects of a subcommand's input files, read in order under the one mode rule.
+
+    A matrix is read in ``args.mode``: ``--mode``, or the subcommand's fixed
+    mode, or else (None) as its file holds it.  A vector is read in the mode
+    of the input read before it, or in ``args.mode`` when it is the first.  A
+    partition is read as held.
+    """
+    objs = []
+    for name in inputs:
+        from_json = _READERS[name]
+        mode = None if from_json == Partition.from_json else args.mode  # a classmethod is a new object at each read
+        if objs and from_json == core.vector_from_json:
+            mode = objs[-1].mode
+        objs.append(report.read(getattr(args, name.lstrip("-")), from_json, mode))
+    return objs
+
+
 # ---------------------------------------------------------------------------
-# subcommand implementations: each reads its inputs through the report,
-# records the library's checks on it and returns its result, or None
+# subcommands: each is called with the objects of its input files, records
+# the library's checks on them and returns its result, or None
 # ---------------------------------------------------------------------------
 
-def cmd_validate(args, report):
-    return core.validate(report.matrix(args.matrix, args.mode), args.tol)
+_TOL = {"type": _at_least(0, float), "default": core.DEFAULT_TOL}
 
 
-def cmd_fixed_point(args, report):
-    T = report.matrix(args.matrix, args.mode)
+@command("validate", "classify a matrix as left/right/bi-stochastic", "matrix", options={"--tol": _TOL})
+def cmd_validate(args, report, T):
+    return core.validate(T, args.tol)
+
+
+@command("fixed-point", "fixed point and fixed-point face of a stochastic matrix", "matrix")
+def cmd_fixed_point(args, report, T):
     res = core.fixed_point(T)
     report.checks({"fixed_point_residual": core.fixed_point_residual(T, res.representative)})
     return res
 
 
-def cmd_apply(args, report):
-    T = report.matrix(args.matrix, args.mode)
-    return {"image": core.apply(T, report.vector(args.vector, args.mode or T.mode))}
+@command("apply", "apply a stochastic matrix to a distribution", "matrix vector")
+def cmd_apply(args, report, T, p):
+    return {"image": core.apply(T, p)}
 
 
-def cmd_iterate(args, report):
-    T = report.matrix(args.matrix, args.mode)
-    trajectory, converged = core.iterate(T, report.vector(args.vector, args.mode or T.mode), args.steps)
+@command("iterate", "iterate a stochastic matrix on a distribution", "matrix vector",
+         options={"--steps": {"type": _at_least(0), "default": 1}})
+def cmd_iterate(args, report, T, p):
+    trajectory, converged = core.iterate(T, p, args.steps)
     return {"steps": args.steps, "converged": converged, "final": trajectory[-1], "trajectory": trajectory}
 
 
-def cmd_coarse_grain(args, report):
-    S = report.matrix(args.matrix, args.mode)
-    partition = report.read(args.partition, Partition.from_json)
+@command("coarse-grain", "coarse grain a matrix over a partition", "matrix partition",
+         options={"--right-inverse": {"help": "custom right-inverse matrix JSON"}, "--out": {}})
+def cmd_coarse_grain(args, report, S, partition):
     Y = report.matrix(args.right_inverse, S.mode) if args.right_inverse else uniform_right_inverse(partition, S.mode)
     T = coarse_grain(S, partition, Y)
     report.checks({"left_stochastic": core.sum_defect(T, rows=False)})
@@ -229,9 +288,12 @@ _DILATIONS = {
 }
 
 
-def cmd_dilate(args, report):
+@command("dilate", "dilate a stochastic matrix to a bi-stochastic one", "matrix",
+         options={"kind": {"choices": list(_DILATIONS)},
+                  "--vec": {"help": "exact rational fixed point (uniform dilation)"}, "--out": {}})
+def cmd_dilate(args, report, T):
     mode, names = _DILATIONS[args.kind]
-    T = _convert(report.matrix(args.matrix, args.mode), mode)
+    T = _convert(T, mode)
     result = {}
     if args.kind == "uniform":
         p = report.vector(args.vec, EXACT) if args.vec else core.fixed_point(T).representative
@@ -246,27 +308,31 @@ def cmd_dilate(args, report):
     return {**result, "matrix": dil.matrix}
 
 
-def cmd_extract(args, report):
-    T = env_dilation.extract_dilated(report.matrix(args.matrix, args.mode), args.zero_index)
+@command("extract", "recover the dilated matrix from a standard dilation", "matrix",
+         options={"--zero-index": {"type": int, "default": 0}, "--out": {}})
+def cmd_extract(args, report, R):
+    T = env_dilation.extract_dilated(R, args.zero_index)
     report.checks({"left_stochastic": core.sum_defect(T, rows=False)})
     return {"matrix": T}
 
 
-def cmd_verify_dilation(args, report):
-    T = report.matrix(args.matrix, args.mode)
-    R = report.matrix(args.dilation, args.mode)
+@command("verify-dilation", "check the marginal identity of a dilation", "matrix dilation",
+         options={"--rho": {"help": "environment distribution (default: point mass at 0)"}})
+def cmd_verify_dilation(args, report, T, R):
     if R.rows % T.rows:  # also R.rows < T.rows: an environment of 0 states
         raise DimensionMismatch(f"dilation has {R.rows} rows, not a multiple of the matrix's {T.rows}")
     rho = report.vector(args.rho, T.mode) if args.rho else ProbVec.point_mass(R.rows // T.rows, 0, mode=T.mode)
     report.checks({"marginal_identity": roundtrip_defect(T, env_dilation.with_environment(R, rho))})
 
 
-def cmd_entropy(args, report):
-    return {"entropy": entropy_mod.shannon_entropy(report.vector(args.vec, args.mode))}
+@command("entropy", "Shannon entropy of a distribution (nats)", "--vec")
+def cmd_entropy(args, report, p):
+    return {"entropy": entropy_mod.shannon_entropy(p)}
 
 
-def cmd_entropy_region(args, report):
-    T = report.matrix(args.matrix, FLOAT)
+@command("entropy-region", "scan the entropy-decreasing region along vertex rays", "matrix", FLOAT,
+         options={"--grid": {"type": _at_least(1), "default": 64}, "--out": {"help": "CSV output path"}})
+def cmd_entropy_region(args, report, T):
     n = T.rows
     anchor = ProbVec.uniform(n)
     directions = [ProbVec.point_mass(n, k) for k in range(n)]
@@ -284,15 +350,15 @@ def cmd_entropy_region(args, report):
     return result
 
 
-def cmd_ledger(args, report):
-    T = report.matrix(args.matrix, args.mode)
-    led = entropy_mod.entropy_ledger(T, report.vector(args.vector, T.mode))
+@command("ledger", "entropy ledger of the noisy dilation", "matrix vector")
+def cmd_ledger(args, report, T, p):
+    led = entropy_mod.entropy_ledger(T, p)
     report.checks(led.defects())
     return {**_fmt(led), "marginal_sum": led.h_marginal_1 + led.h_marginal_2}
 
 
-def cmd_birkhoff(args, report):
-    S = report.matrix(args.matrix, args.mode)
+@command("birkhoff", "Birkhoff-von Neumann decomposition", "matrix", options={"--tol": _TOL})
+def cmd_birkhoff(args, report, S):
     dec = entropy_mod.birkhoff_decompose(S, tol=args.tol)
     report.checks(dec.defects(S))
     # one term per line, and only the weights go through _fmt: a permutation is already a list of ints
@@ -301,14 +367,17 @@ def cmd_birkhoff(args, report):
             "residual_mass": dec.residual_mass}
 
 
-def cmd_sinkhorn(args, report):
-    T = report.matrix(args.matrix, FLOAT)
+@command("sinkhorn", "Sinkhorn-Knopp balancing", "matrix", FLOAT,
+         options={"--tol": {**_TOL, "default": core.RESULT_TOL},
+                  "--max-iter": {"type": _at_least(1), "default": sinkhorn_mod.DEFAULT_MAX_ITER}, "--out": {}})
+def cmd_sinkhorn(args, report, T):
     res = sinkhorn_mod.sinkhorn_knopp(T, tol=args.tol, max_iter=args.max_iter)
     report.checks(res.defects(T, args.tol))
     return {"d1": res.d1, "d2": res.d2, "iterations": res.iterations, "final_defect": res.final_defect,
             "matrix": res.matrix}
 
 
+@command("demo", "worked Maxwell-demon example with self-checks", mode=None, options={"name": {"choices": ["maxwell"]}})
 def cmd_demo_maxwell(args, report):
     """Reproduce the Maxwell-demon worked example end to end."""
     T = matrices.maxwell_demon(mode=EXACT)
@@ -353,81 +422,20 @@ def cmd_demo_maxwell(args, report):
 # ---------------------------------------------------------------------------
 
 def build_parser():
+    """The parser of every declared subcommand: its ``--mode`` first, or its
+    fixed mode as a default, then its other arguments and its input files."""
     parser = _Parser(prog="bistoch", description="Analyze and dilate stochastic matrices.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add(name, func, modes=True, **kwargs):
-        """A subcommand; with ``modes``, one whose inputs ``--mode`` converts."""
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(func=func)
-        if modes:
+    for name, (_, help, inputs, mode, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if mode == "--mode":
             p.add_argument("--mode", choices=[EXACT, FLOAT], default=None, help="convert inputs to this mode")
-        return p
-
-    p = add("validate", cmd_validate, help="classify a matrix as left/right/bi-stochastic")
-    p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
-
-    p = add("fixed-point", cmd_fixed_point, help="fixed point and fixed-point face of a stochastic matrix")
-    p.add_argument("matrix")
-
-    p = add("apply", cmd_apply, help="apply a stochastic matrix to a distribution")
-    p.add_argument("matrix")
-    p.add_argument("vector")
-
-    p = add("iterate", cmd_iterate, help="iterate a stochastic matrix on a distribution")
-    p.add_argument("matrix")
-    p.add_argument("vector")
-    p.add_argument("--steps", type=_at_least(0), default=1)
-
-    p = add("coarse-grain", cmd_coarse_grain, help="coarse grain a matrix over a partition")
-    p.add_argument("matrix")
-    p.add_argument("partition")
-    p.add_argument("--right-inverse", default=None, help="custom right-inverse matrix JSON")
-    p.add_argument("--out", default=None)
-
-    p = add("dilate", cmd_dilate, help="dilate a stochastic matrix to a bi-stochastic one")
-    p.add_argument("kind", choices=["uniform", "noisy", "unistochastic"])
-    p.add_argument("matrix")
-    p.add_argument("--vec", default=None, help="exact rational fixed point (uniform dilation)")
-    p.add_argument("--out", default=None)
-
-    p = add("extract", cmd_extract, help="recover the dilated matrix from a standard dilation")
-    p.add_argument("matrix")
-    p.add_argument("--zero-index", type=int, default=0)
-    p.add_argument("--out", default=None)
-
-    p = add("verify-dilation", cmd_verify_dilation, help="check the marginal identity of a dilation")
-    p.add_argument("matrix")
-    p.add_argument("dilation")
-    p.add_argument("--rho", default=None, help="environment distribution (default: point mass at 0)")
-
-    p = add("entropy", cmd_entropy, help="Shannon entropy of a distribution (nats)")
-    p.add_argument("--vec", required=True)
-
-    p = add("entropy-region", cmd_entropy_region, modes=False,
-            help="scan the entropy-decreasing region along vertex rays")
-    p.add_argument("matrix")
-    p.add_argument("--grid", type=_at_least(1), default=64)
-    p.add_argument("--out", default=None, help="CSV output path")
-
-    p = add("ledger", cmd_ledger, help="entropy ledger of the noisy dilation")
-    p.add_argument("matrix")
-    p.add_argument("vector")
-
-    p = add("birkhoff", cmd_birkhoff, help="Birkhoff-von Neumann decomposition")
-    p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=core.DEFAULT_TOL)
-
-    p = add("sinkhorn", cmd_sinkhorn, modes=False, help="Sinkhorn-Knopp balancing")
-    p.add_argument("matrix")
-    p.add_argument("--tol", type=float, default=core.RESULT_TOL)
-    p.add_argument("--max-iter", type=_at_least(1), default=sinkhorn_mod.DEFAULT_MAX_ITER)
-    p.add_argument("--out", default=None)
-
-    p = add("demo", cmd_demo_maxwell, modes=False, help="worked Maxwell-demon example with self-checks")
-    p.add_argument("name", choices=["maxwell"])
-
+        else:
+            p.set_defaults(mode=mode)
+        for flag, kwargs in options.items():
+            p.add_argument(flag, **kwargs)
+        for input_name in inputs:  # an input flag (entropy's --vec) is a required option
+            p.add_argument(input_name, **({"required": True} if input_name.startswith("-") else {}))
     return parser
 
 
@@ -441,8 +449,9 @@ def run(argv):
         return 1
     # named by the subcommand and, for dilate and demo, the choice of what it runs
     report = Report(" ".join([args.subcommand, *(getattr(args, k) for k in ("kind", "name") if k in args)]))
+    func, _, inputs, _, _ = COMMANDS[args.subcommand]
     try:
-        result = args.func(args, report)
+        result = func(args, report, *_read_inputs(args, report, inputs))
         if getattr(args, "out", None) and "matrix" in result:  # a result matrix goes to --out, else into the report
             report.write(args.out, json.dumps(core.matrix_to_json(result.pop("matrix")), indent=1) + "\n")
         if result is not None:

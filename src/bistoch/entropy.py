@@ -34,7 +34,8 @@ def shannon_entropy(p):
     entropy of each row along the last axis.
     """
     arr = p.to_float().a if isinstance(p, ProbVec) else np.asarray(p, dtype=float)
-    h = -np.sum(arr * np.log(np.where(arr > 0, arr, 1.0)), axis=-1)
+    # 0.0 - s, not -s: a point mass sums to 0.0, whose negation is -0.0; every nonzero s gives exactly -s
+    h = 0.0 - np.sum(arr * np.log(np.where(arr > 0, arr, 1.0)), axis=-1)
     return float(h) if h.ndim == 0 else h
 
 

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import bistoch as bs
 from bistoch import EXACT, FLOAT, ProbVec, StochMatrix
-from bistoch.cli import Report, _fmt, run
+from bistoch.cli import Report, _fmt, build_parser, run
 from bistoch.core import RESIDUAL_TOL
 
 from conftest import (
@@ -157,13 +158,40 @@ class TestExitCodes:
             ["iterate", "--steps", "-1"],
             ["sinkhorn", "--max-iter", "0"],
             ["sinkhorn", "--max-iter", "-1"],
+            # a tolerance is a finite number of at least 0; argparse takes "-1e-9" for a flag, "--tol=-1e-9" not
+            ["validate", "--tol", "nan"],
+            ["validate", "--tol", "inf"],
+            ["validate", "--tol=-1e-9"],
+            ["birkhoff", "--tol", "nan"],
+            ["birkhoff", "--tol=-inf"],
+            ["sinkhorn", "--tol", "nan"],
+            ["sinkhorn", "--tol", "inf"],
+            ["sinkhorn", "--tol", "1e400"],
+            ["sinkhorn", "--tol", "-0.5"],
         ],
-        ids=["grid-zero", "grid-negative", "steps-negative", "max-iter-zero", "max-iter-negative"],
+        ids=["grid-zero", "grid-negative", "steps-negative", "max-iter-zero", "max-iter-negative",
+             "validate-tol-nan", "validate-tol-inf", "validate-tol-negative", "birkhoff-tol-nan",
+             "birkhoff-tol-minus-inf", "sinkhorn-tol-nan", "sinkhorn-tol-inf", "sinkhorn-tol-overflow",
+             "sinkhorn-tol-negative"],
     )
     def test_out_of_range_count_is_usage_error(self, capsys, demon_file, uniform4_file, args):
         command, *flags = args
         files = [demon_file, uniform4_file] if command == "iterate" else [demon_file]
         assert run([command, *files, *flags]) == 1
+        out, err = capsys.readouterr()
+        flag = flags[0].split("=")[0]
+        assert out == "" and err.startswith(f"usage error: argument {flag}: must be finite and at least ")
+
+    def test_unparsable_tol_names_its_type(self, capsys, demon_file):
+        assert run(["validate", demon_file, "--tol", "tiny"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: argument --tol: invalid float value: 'tiny'\n")
+
+    def test_zero_sinkhorn_tol_reaches_the_library(self, capsys, tmp_path):
+        # 0 passes the parser; sinkhorn_knopp itself refuses it
+        (path,) = write_inputs(tmp_path, bs.matrix_to_json(bs.two_state(Fraction(1, 5), Fraction(2, 5))))
+        assert run(["sinkhorn", path, "--tol", "0"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ParameterOutOfRange: ") and len(err.splitlines()) == 1
 
     def test_missing_file_is_io_error(self, capsys, tmp_path):
         assert run(["validate", str(tmp_path / "nope.json")]) == 1
@@ -581,6 +609,17 @@ class TestCommands:
         assert code == 0
         assert abs(report["result"]["entropy"] - math.log(4)) <= 1e-9
 
+    def test_zero_entropy_has_no_sign(self, capsys, tmp_path, demon_file):
+        # a point mass has entropy +0.0, in a report and in the region scan's vertex rows
+        (p,) = write_inputs(tmp_path, bs.vector_to_json(ProbVec.point_mass(4, 0, mode=EXACT)))
+        for argv, keys in [(["entropy", "--vec", p], ["entropy"]),
+                           (["ledger", demon_file, p], ["h_input", "h_lifted", "h_marginal_2"])]:
+            code, report = run_json(capsys, argv)
+            assert code == 0 and [math.copysign(1, report["result"][k]) for k in keys] == [1] * len(keys), argv
+        code, report = run_json(capsys, ["entropy-region", demon_file, "--grid", "4"])
+        vertex_rows = [row for row in report["result"]["csv"].splitlines() if row.startswith("1,")]
+        assert code == 0 and len(vertex_rows) == 4 and not any(",-0" in row for row in vertex_rows)
+
     def test_entropy_region_csv(self, capsys, tmp_path, demon_file):
         out = tmp_path / "region.csv"
         code, report = run_json(
@@ -897,3 +936,74 @@ class TestPinnedReports:
         code, report = run_json(capsys, ["dilate", "unistochastic", "T_float.json"])
         assert code == PINNED["unistochastic"]["exit"]
         assert [[c["name"], c["pass"]] for c in report["checks"]] == PINNED["unistochastic"]["checks"]
+
+
+def parser_surface():
+    """Each subcommand's help, positionals in order and options, read from the parser's actions.
+
+    The actions, not the ``--help`` text, whose layout differs between Python versions.
+    """
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {a.dest: a.help for a in sub._choices_actions}
+
+    def fields(action):
+        return {"dest": action.dest, "default": action.default, "choices": action.choices,
+                "required": action.required, "nargs": action.nargs, "help": action.help}
+
+    return {name: {"help": helps[name],
+                   "positionals": [fields(a) for a in parser._get_positional_actions()],
+                   "options": [{"flags": a.option_strings, **fields(a)} for a in parser._get_optional_actions()]}
+            for name, parser in sub.choices.items()}
+
+
+class TestArgparseSurface:
+    """``data/cli_surface.json`` pins every subcommand, in order: its help, its
+    positionals in order and, for each option, its flags, dest, default,
+    choices, ``required``, nargs and help."""
+
+    def test_surface_is_pinned(self):
+        pinned = json.loads((Path(__file__).parent / "data" / "cli_surface.json").read_text())
+        assert list(parser_surface().items()) == list(pinned.items())
+
+
+MODE_RULE = [
+    (["apply", "T", "pf"], [EXACT, EXACT]),
+    (["apply", "T", "pf", "--mode", "float"], [FLOAT, FLOAT]),
+    (["iterate", "Tf", "p"], [FLOAT, FLOAT]),
+    (["ledger", "Tf", "p", "--mode", "exact"], [EXACT, EXACT]),
+    (["verify-dilation", "Tf", "R"], [FLOAT, EXACT]),
+    (["verify-dilation", "Tf", "R", "--mode", "exact"], [EXACT, EXACT]),
+    (["verify-dilation", "T", "R", "--rho", "e0f"], [EXACT, EXACT, EXACT]),
+    (["coarse-grain", "R", "P"], [EXACT, None]),
+    (["coarse-grain", "R", "P", "--mode", "float"], [FLOAT, None]),
+    (["entropy", "--vec", "p"], [EXACT]),
+    (["entropy", "--vec", "p", "--mode", "float"], [FLOAT]),
+    (["dilate", "noisy", "Tf", "--mode", "exact"], [EXACT]),
+    (["sinkhorn", "T"], [FLOAT]),
+    (["entropy-region", "T"], [FLOAT]),
+]
+
+
+class TestModeRule:
+    """The one mode rule, seen in the objects each run reads: a matrix in
+    ``--mode``, or its subcommand's fixed mode, or as held; a vector in the
+    mode of the input read before it; a partition as held (None here)."""
+
+    @pytest.mark.parametrize("argv, modes", MODE_RULE, ids=[" ".join(argv) for argv, _ in MODE_RULE])
+    def test_modes_of_the_inputs(self, capsys, monkeypatch, tmp_path, argv, modes):
+        T = bs.two_state(Fraction(1, 4), Fraction(1, 2))  # entries a float holds exactly
+        payloads = {"T": bs.matrix_to_json(T), "Tf": bs.matrix_to_json(T.to_float()),
+                    "p": bs.vector_to_json(ProbVec([Fraction(1, 4), Fraction(3, 4)], mode=EXACT)),
+                    "pf": bs.vector_to_json(ProbVec([0.5, 0.5])), "e0f": bs.vector_to_json(ProbVec.point_mass(2, 0)),
+                    "R": bs.matrix_to_json(bs.noisy_dilation(T).matrix), "P": bs.Partition.first_marginal(2, 2).to_json()}
+        paths = dict(zip(payloads, write_inputs(tmp_path, tuple(payloads.values()))))
+        read, original = [], Report.read
+
+        def recording(self, path, from_json, mode=None):
+            obj = original(self, path, from_json, mode)
+            read.append(getattr(obj, "mode", None))
+            return obj
+
+        monkeypatch.setattr(Report, "read", recording)
+        assert run([paths.get(a, a) for a in argv]) == 0
+        assert read == modes

@@ -145,6 +145,16 @@ class TestShannonEntropy:
     def test_point_mass_is_zero(self):
         assert bs.shannon_entropy(ProbVec.point_mass(5, 3, mode=EXACT)) == 0.0
 
+    def test_point_mass_is_positive_zero(self):
+        # a negated sum of zeros would be -0.0, which reports and CSV rows print as "-0.0" and "-0"
+        assert math.copysign(1.0, bs.shannon_entropy(ProbVec.point_mass(3, 1))) == 1.0
+        rows = bs.shannon_entropy(np.eye(4))
+        assert np.array_equal(rows, np.zeros(4)) and not np.any(np.signbit(rows))
+        # and a nonzero entropy keeps every bit of the negated sum
+        arr = np.random.default_rng(5).random((20, 5)) + 0.01
+        arr /= arr.sum(axis=1, keepdims=True)
+        assert np.array_equal(bs.shannon_entropy(arr), -np.sum(arr * np.log(arr), axis=-1))
+
     def test_known_value(self):
         # -2 (3/8 ln 3/8) - 2 (1/8 ln 1/8) computed by hand
         p = ProbVec([Fraction(3, 8), Fraction(1, 8), Fraction(1, 8), Fraction(3, 8)], mode=EXACT)
